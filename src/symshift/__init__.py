@@ -6,6 +6,7 @@ from .errors import (
     EmptySubshiftError,
     InvalidPositionError,
     InvalidWordError,
+    NumericalError,
     ReduciblePresentationError,
     ReplacementBrokenError,
     ResourceLimitError,
@@ -36,7 +37,6 @@ from .subshifts import (
     count_words_scaled,
     entropy,
     enumerate_words,
-    is_hereditary_bounded,
     is_i_hereditary_bounded,
     is_synchronizing,
     member,
@@ -69,7 +69,6 @@ from .grid2d import (
     check_gtheorem,
     f_sparse_check,
     hard_square,
-    lemma_one_period,
     occurrences_2d,
     replace_sparse,
     replaceability_windowed,

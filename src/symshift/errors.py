@@ -30,6 +30,10 @@ class EmptySubshiftError(SymshiftError, ValueError):
     """The specified subshift has empty language."""
 
 
+class NumericalError(SymshiftError, ArithmeticError):
+    """A numerical routine did not converge or failed its own consistency check."""
+
+
 class ReduciblePresentationError(SymshiftError):
     """The trimmed transition graph is not strongly connected."""
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mme as M
 from . import subshifts as S
 from . import words as W
 from .errors import (
@@ -155,36 +156,6 @@ def _translated_shape(shape, g):
     return {(x + gx, y + gy) for x, y in shape}
 
 
-def lemma_one_period(F) -> tuple[int, int]:
-    """Minimal (N1, N2) whose nonzero multiples translate F off itself.
-
-    Scanned in lexicographic order; for rectangles this returns the
-    bounding-box dimensions.
-    """
-    F = set(F)
-    if not F:
-        raise InvalidWordError("shape must be nonempty")
-    xs = [x for x, _ in F]
-    ys = [y for _, y in F]
-    width = max(xs) - min(xs) + 1
-    height = max(ys) - min(ys) + 1
-
-    def ok(n1: int, n2: int) -> bool:
-        for a in range(-(width // n1) - 1, width // n1 + 2):
-            for b in range(-(height // n2) - 1, height // n2 + 2):
-                if (a, b) == (0, 0):
-                    continue
-                if _translated_shape(F, (a * n1, b * n2)) & F:
-                    return False
-        return True
-
-    for n1 in range(1, width + 1):
-        for n2 in range(1, height + 1):
-            if ok(n1, n2):
-                return n1, n2
-    return width, height  # bounding box always works
-
-
 def f_sparse_check(sites, F) -> bool:
     """Pairwise disjointness of the F-translates at the given sites."""
     F = set(F)
@@ -264,35 +235,32 @@ def _column_matches(col, cells, offset: int, width: int, torus: bool) -> bool:
     return True
 
 
-def _legal_columns(spec: Grid2dSpec, width: int, torus: bool):
-    singles, _ = _check_two_column(spec)
-    cols = []
-    for col in itertools.product(spec.alphabet.symbols, repeat=width):
-        bad = False
-        for p in singles:
-            height = p.bounding_box()[3] + 1
-            offsets = range(width) if torus else range(width - height + 1)
-            if any(_column_matches(col, p.cells, o, width, torus) for o in offsets):
-                bad = True
-                break
-        if not bad:
-            cols.append(col)
-    return cols
+def _offsets(p: Pattern2D, width: int, torus: bool) -> range:
+    """Vertical offsets at which a normalized pattern fits a width-W column."""
+    height = p.bounding_box()[3] + 1
+    return range(width) if torus else range(width - height + 1)
 
 
-def _edge_allowed(spec, c1, c2, width: int, torus: bool) -> bool:
-    _, pairs = _check_two_column(spec)
-    for p in pairs:
-        left = [cell for cell in p.cells if cell[0][0] == 0]
-        right = [cell for cell in p.cells if cell[0][0] == 1]
-        height = p.bounding_box()[3] + 1
-        offsets = range(width) if torus else range(width - height + 1)
-        for o in offsets:
-            if _column_matches(c1, left, o, width, torus) and _column_matches(
-                c2, right, o, width, torus
-            ):
-                return False
-    return True
+def _legal_columns(symbols, singles, width: int, torus: bool):
+    """Columns avoiding every (cells, offsets) single-column pattern."""
+    return [
+        col
+        for col in itertools.product(symbols, repeat=width)
+        if not any(
+            _column_matches(col, cells, o, width, torus)
+            for cells, offsets in singles
+            for o in offsets
+        )
+    ]
+
+
+def _edge_allowed(halves, c1, c2, width: int, torus: bool) -> bool:
+    """Whether c1 then c2 avoids every (left, right, offsets) two-column pattern."""
+    return not any(
+        _column_matches(c1, left, o, width, torus) and _column_matches(c2, right, o, width, torus)
+        for left, right, offsets in halves
+        for o in offsets
+    )
 
 
 @dataclass(frozen=True)
@@ -311,28 +279,29 @@ class StripMME:
 def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     if width > _MAX_STRIP_WIDTH:
         raise ResourceLimitError(f"strip width {width} exceeds cap {_MAX_STRIP_WIDTH}")
-    cols = _legal_columns(spec, width, torus)
+    singles, pairs = _check_two_column(spec)
+    singles = [(p.cells, _offsets(p, width, torus)) for p in singles]
+    halves = [
+        (
+            [cell for cell in p.cells if cell[0][0] == 0],
+            [cell for cell in p.cells if cell[0][0] == 1],
+            _offsets(p, width, torus),
+        )
+        for p in pairs
+    ]
+    cols = _legal_columns(spec.alphabet.symbols, singles, width, torus)
     if not cols:
         raise ReduciblePresentationError("no legal columns at this width")
     n = len(cols)
     A = np.zeros((n, n))
-    edges = []
     for i, c1 in enumerate(cols):
         for j, c2 in enumerate(cols):
-            if _edge_allowed(spec, c1, c2, width, torus):
+            if _edge_allowed(halves, c1, c2, width, torus):
                 A[i, j] = 1.0
-                edges.append((i, "e", j))
+    edges = [(i, "e", j) for i, j in np.argwhere(A).tolist()]
     if not S._strongly_connected(n, edges):
         raise ReduciblePresentationError("column transition graph is reducible")
-    lam, r = S.perron_value(A)
-    _, l = S.perron_value(A.T)
-    stationary = l * r
-    stationary /= stationary.sum()
-    P = np.zeros_like(A)
-    for i in range(n):
-        for j in range(n):
-            if A[i, j] > 0:
-                P[i, j] = r[j] / (lam * r[i])
+    lam, stationary, P = M.parry_chain(A)
     return StripMME(
         spec=spec,
         width=width,

@@ -10,29 +10,43 @@ suite enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
 from . import subshifts as S
-from . import words as W
-from .errors import InvalidWordError, ReduciblePresentationError
+from .errors import InvalidWordError, NumericalError, ReduciblePresentationError
 
 # ---------------------------------------------------------------------------
 # Parry model for irreducible block presentations
+
+
+def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Parry chain of an irreducible nonnegative matrix: (lam, stationary, P).
+
+    With right and left Perron vectors r and l, the stationary vector is l*r
+    normalized to sum 1 and P[i, j] = A[i, j] r[j] / (lam r[i]).
+    """
+    lam, r = S.perron_value(A)
+    _, l = S.perron_value(A.T)
+    stationary = l * r
+    stationary /= stationary.sum()
+    # in place: a one-expression quotient would allocate a second n x n array
+    P = A * r
+    P /= lam * r[:, None]
+    if abs(stationary.sum() - 1.0) > 1e-12:
+        raise NumericalError("stationary vector does not normalize")
+    if np.max(np.abs(stationary @ P - stationary)) > 1e-12:
+        raise NumericalError("stationary vector is not invariant")
+    return lam, stationary, P
 
 
 @dataclass(frozen=True, eq=False)
 class ParryModel:
     automaton: S.Automaton
     lam: float
-    right_vec: np.ndarray
-    left_vec: np.ndarray
     stationary: np.ndarray
     transition: np.ndarray
-
-    def state_probability(self, state_word) -> float:
-        i = self.automaton.index.get(state_word)
-        return 0.0 if i is None else float(self.stationary[i])
 
 
 def parry(spec) -> ParryModel:
@@ -40,29 +54,8 @@ def parry(spec) -> ParryModel:
     aut = S.build_automaton(spec)
     if not aut.irreducible:
         raise ReduciblePresentationError(f"{S.describe(spec)}: presentation is reducible")
-    A = aut.adjacency()
-    lam, r = S.perron_value(A)
-    _, l = S.perron_value(A.T)
-    stationary = l * r
-    stationary /= stationary.sum()
-    n = len(r)
-    P = np.zeros_like(A)
-    for i in range(n):
-        for j in range(n):
-            if A[i, j] > 0:
-                P[i, j] = A[i, j] * r[j] / (lam * r[i])
-    if abs(stationary.sum() - 1.0) > 1e-12:
-        raise ArithmeticError("stationary vector does not normalize")
-    if np.max(np.abs(stationary @ P - stationary)) > 1e-12:
-        raise ArithmeticError("stationary vector is not invariant")
-    return ParryModel(
-        automaton=aut,
-        lam=lam,
-        right_vec=r,
-        left_vec=l,
-        stationary=stationary,
-        transition=P,
-    )
+    lam, stationary, P = parry_chain(aut.adjacency())
+    return ParryModel(automaton=aut, lam=lam, stationary=stationary, transition=P)
 
 
 def mu_parry(model: ParryModel, w) -> float:
@@ -102,6 +95,7 @@ class GapChain:
     n_states: int
 
 
+@lru_cache(maxsize=None)
 def gap_chain(gaps: S.SGapSet) -> GapChain:
     if gaps.finite:
         top = max(gaps.extra)
@@ -291,9 +285,6 @@ class SGapMME:
         return True
 
 
-from functools import lru_cache
-
-
 @lru_cache(maxsize=None)
 def sgap_model(gaps: S.SGapSet) -> SGapMME:
     return SGapMME(gaps)
@@ -303,12 +294,3 @@ def sgap_mu(gaps: S.SGapSet, w: str) -> tuple[float, MeasureCertificate]:
     model = sgap_model(gaps)
     cert = model.certificate(w)
     return cert.evaluate(model.mu1, model.t), cert
-
-
-def entropy_of_measure_check(gaps: S.SGapSet) -> float:
-    """Residual of the gap-distribution normalization sum over S of t^(n+1) = 1."""
-    t = 1.0 / S.sgap_lambda(gaps)
-    total = sum(t ** (n + 1) for n in gaps.extra)
-    if gaps.cofinite_from is not None:
-        total += geometric_tail(t, gaps.cofinite_from + 1)
-    return abs(total - 1.0)

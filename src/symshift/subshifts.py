@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 import numpy as np
@@ -13,6 +13,7 @@ from . import words as W
 from .errors import (
     EmptySubshiftError,
     InvalidWordError,
+    NumericalError,
     ResourceLimitError,
     SpecFormatError,
 )
@@ -201,18 +202,18 @@ class Automaton:
     states: tuple
     transitions: tuple  # ((state_index, symbol, target_index), ...)
     irreducible: bool
-    index: dict = field(compare=False, hash=False, repr=False, default=None)
+
+    @cached_property
+    def index(self) -> dict:
+        """state block -> state index."""
+        return {q: i for i, q in enumerate(self.states)}
+
+    @cached_property
+    def _delta_map(self) -> dict:
+        return {(q, a): r for q, a, r in self.transitions}
 
     def delta(self, q: int, a) -> Optional[int]:
         return self._delta_map.get((q, a))
-
-    @property
-    def _delta_map(self):
-        d = self.__dict__.get("_delta_cache")
-        if d is None:
-            d = {(q, a): r for q, a, r in self.transitions}
-            self.__dict__["_delta_cache"] = d
-        return d
 
     def read(self, q: int, word) -> Optional[int]:
         """Follow the path labeled by word from state q; None if it dies."""
@@ -231,12 +232,11 @@ class Automaton:
 
     def follower_contains(self, p: int, q: int) -> bool:
         """Whether every legal right ray from p is legal from q."""
-        return self._containment_table()[p][q]
+        return self._containment_table[p][q]
 
-    def _containment_table(self):
-        table = self.__dict__.get("_contain_cache")
-        if table is not None:
-            return table
+    @cached_property
+    def _containment_table(self) -> list:
+        """Greatest fixed point of follower containment; built on first query."""
         n = len(self.states)
         out = {q: {} for q in range(n)}
         for q, a, r in self.transitions:
@@ -255,7 +255,6 @@ class Automaton:
                             table[p][q] = False
                             changed = True
                             break
-        self.__dict__["_contain_cache"] = table
         return table
 
 
@@ -334,7 +333,6 @@ def build_automaton(spec) -> Automaton:
         states=states,
         transitions=transitions,
         irreducible=_strongly_connected(len(states), transitions),
-        index=idx,
     )
 
 
@@ -467,7 +465,7 @@ def perron_value(A: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
     lam = float(x @ (A @ x) / (x @ x))
     residual = float(np.max(np.abs(A @ x - lam * x)))
     if residual > max(tol * 100, 1e-12) * max(1.0, lam):
-        raise ArithmeticError(f"power iteration residual {residual:.3e} too large")
+        raise NumericalError(f"power iteration residual {residual:.3e} too large")
     return lam, x
 
 
@@ -478,7 +476,7 @@ def entropy(spec) -> float:
         lam_root = sgap_lambda(spec.gaps)
         h_root = math.log(lam_root)
         if abs(h_root - h_graph) > 1e-9:
-            raise ArithmeticError(
+            raise NumericalError(
                 f"entropy cross-check failed: root {h_root!r} vs graph {h_graph!r}"
             )
         return h_root
@@ -594,10 +592,6 @@ def specification_distance_holds(spec, N: int) -> bool:
     return all(reach[p] & Q for p in range(n) for Q in family)
 
 
-def _symbol_order(alphabet: W.Alphabet):
-    return {a: i for i, a in enumerate(alphabet.symbols)}
-
-
 def is_i_hereditary_bounded(spec, max_len: int) -> bool:
     """Necessary condition sweep: every 0-insertion into a legal word stays legal."""
     aut = build_automaton(spec)
@@ -608,22 +602,4 @@ def is_i_hereditary_bounded(spec, max_len: int) -> bool:
             for i in range(n + 1):
                 if not member(spec, u[:i] + zero_tok + u[i:]):
                     return False
-    return True
-
-
-def is_hereditary_bounded(spec, max_len: int) -> bool:
-    """Necessary condition sweep: coordinatewise-lower words stay legal."""
-    aut = build_automaton(spec)
-    order = _symbol_order(aut.alphabet)
-    symbols = aut.alphabet.symbols
-    for n in range(1, max_len + 1):
-        for u in enumerate_words(spec, n):
-            for i in range(n):
-                a = u[i] if aut.alphabet.single_char else u[i]
-                for b in symbols:
-                    if order[b] >= order[a]:
-                        continue
-                    b_tok = b if aut.alphabet.single_char else (b,)
-                    if not member(spec, u[:i] + b_tok + u[i + 1 :]):
-                        return False
     return True

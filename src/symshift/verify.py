@@ -314,8 +314,9 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
         return record
     h = S.entropy(spec)
     model = M.parry(spec)
-    zero = "0" if spec.alphabet.single_char else ("0",)
-    one = "1" if spec.alphabet.single_char else ("1",)
+    # the alphabet's first symbol plays 0, as in the insertion sweep
+    low, *others = spec.alphabet.symbols
+    zero = low if spec.alphabet.single_char else (low,)
     worst = 0.0
     for n in range(1, n_max + 1):
         ratio = math.log(M.mu_parry(model, zero * n) / M.mu_parry(model, zero * (n + 1)))
@@ -334,10 +335,12 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
             _fail(record, {"N": dist, "log ratio": ratio, "h": h})
     else:
         record.params["specification_holds"] = False
-    drop = M.mu_parry(model, one) - M.mu_parry(model, zero)
-    record.residuals["mu(1) - mu(0)"] = drop
-    if drop > tol:
-        _fail(record, {"mu(1)": M.mu_parry(model, one), "mu(0)": M.mu_parry(model, zero)})
+    mu_zero = M.mu_parry(model, zero)
+    for a in others:
+        mu_a = M.mu_parry(model, a if spec.alphabet.single_char else (a,))
+        record.residuals[f"mu({a}) - mu({low})"] = mu_a - mu_zero
+        if mu_a - mu_zero > tol:
+            _fail(record, {f"mu({a})": mu_a, f"mu({low})": mu_zero})
     return record
 
 

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from symshift import grid2d as G
@@ -52,29 +53,17 @@ class TestSpec:
             G.Grid2dSpec(W.BINARY, (G.Pattern2D((((0, 0), "2"),)),))
 
 
-class TestLemmaOnePeriod:
-    def test_single_cell(self):
-        assert G.lemma_one_period({(0, 0)}) == (1, 1)
-
-    def test_domino(self):
-        assert G.lemma_one_period({(0, 0), (1, 0)}) == (2, 1)
-
-    def test_square_block(self):
-        assert G.lemma_one_period({(0, 0), (1, 0), (0, 1), (1, 1)}) == (2, 2)
-
-    def test_periods_give_sparse_grid(self):
-        F = {(0, 0), (1, 0), (1, 1)}
-        n1, n2 = G.lemma_one_period(F)
-        sites = [(a * n1, b * n2) for a in range(-2, 3) for b in range(-2, 3)]
-        assert G.f_sparse_check(sites, F)
-
-
 class TestSparseReplacement:
     def test_f_sparse(self):
         row = {(0, 0), (1, 0)}
         assert G.f_sparse_check([(0, 0), (2, 0)], row)
         assert not G.f_sparse_check([(0, 0), (1, 0)], row)
         assert G.f_sparse_check([(5, 5)], row)
+
+    def test_bounding_box_grid_is_sparse(self):
+        F = {(0, 0), (1, 0), (1, 1)}
+        sites = [(2 * a, 2 * b) for a in range(-2, 3) for b in range(-2, 3)]
+        assert G.f_sparse_check(sites, F)
 
     def test_occurrences(self):
         u = G.pattern_from_grid(["100", "000", "001"])
@@ -145,6 +134,13 @@ class TestStripMME:
         mu0 = G.strip_mme_mu(HS, 6, ZERO, torus=False).value
         mu1 = G.strip_mme_mu(HS, 6, ONE, torus=False).value
         assert mu1 < mu0
+
+
+    @pytest.mark.parametrize("torus", [True, False])
+    def test_stationarity(self, torus):
+        model = G.strip_mme(HS, 6, torus)
+        assert abs(model.stationary.sum() - 1.0) < 1e-12
+        assert np.max(np.abs(model.stationary @ model.transition - model.stationary)) < 1e-12
 
 
 class TestReplaceability:

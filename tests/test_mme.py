@@ -6,6 +6,7 @@ import pytest
 
 from symshift import mme as M
 from symshift import subshifts as S
+from symshift import verify as V
 from symshift import words as W
 from symshift.errors import ReduciblePresentationError
 
@@ -60,6 +61,13 @@ class TestParry:
     def test_stationarity(self):
         model = M.parry(GOLDEN)
         assert np.max(np.abs(model.stationary @ model.transition - model.stationary)) < 1e-12
+
+    def test_transition_matches_entrywise_formula(self):
+        A = S.build_automaton(S.SftShift(W.BINARY, ("111", "1001"))).adjacency()
+        lam, _, P = M.parry_chain(A)
+        _, r = S.perron_value(A)
+        n = len(r)
+        assert P.tolist() == [[A[i, j] * r[j] / (lam * r[i]) for j in range(n)] for i in range(n)]
 
     def test_reducible_rejected(self):
         # two non-communicating letters once 01 and 10 are forbidden
@@ -139,4 +147,5 @@ class TestTails:
         for gaps in GAP_SETS:
             if len(gaps.extra) == 1 and gaps.finite:
                 continue
-            assert M.entropy_of_measure_check(gaps) < 1e-12
+            record = V.check_entropy_root(gaps, tol_root=1e-12, tol_cross=1e-10)
+            assert record.residuals["root equation"] < 1e-12

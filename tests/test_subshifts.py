@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,6 +10,7 @@ from symshift import words as W
 from symshift.errors import (
     EmptySubshiftError,
     InvalidWordError,
+    NumericalError,
     ResourceLimitError,
     SpecFormatError,
 )
@@ -88,6 +90,12 @@ class TestAutomaton:
         assert set(aut.states) == {"0", "1"}
         assert S.count_words(spec, 5) == 2
 
+    def test_containment_table_is_lazy(self):
+        aut = S.build_automaton(S.SftShift(W.BINARY, ("111", "0000")))
+        assert "_containment_table" not in vars(aut)
+        assert aut.follower_contains(0, 0)
+        assert "_containment_table" in vars(aut)
+
     def test_sgap_matches_equivalent_sft(self):
         sgap = S.SGapShift(S.SGapSet((0, 1)))
         for n in range(8):
@@ -152,6 +160,13 @@ class TestEntropy:
         lam = S.perron_eigenvalue(spec)
         assert math.log(lam) == pytest.approx(S.entropy(spec), abs=1e-10)
 
+    def test_unconverged_power_iteration_is_typed(self):
+        # a Jordan block: the iterate creeps toward the eigenvector
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(NumericalError) as info:
+            S.perron_value(A, max_iter=100)
+        assert isinstance(info.value, ArithmeticError)
+
 
 class TestStructuralPredicates:
     def test_synchronizing(self):
@@ -167,8 +182,7 @@ class TestStructuralPredicates:
         assert not S.specification_distance_holds(GOLDEN, 0)
 
     def test_hereditary(self):
-        assert S.is_hereditary_bounded(GOLDEN, 6)
         assert S.is_i_hereditary_bounded(GOLDEN, 6)
         assert S.is_i_hereditary_bounded(FULL, 6)
-        # gaps must be exactly 1, so dropping a 1 creates an illegal gap
-        assert not S.is_hereditary_bounded(S.SGapShift(S.SGapSet((1,))), 6)
+        # gaps must be exactly 1, so inserting a 0 creates an illegal gap
+        assert not S.is_i_hereditary_bounded(S.SGapShift(S.SGapSet((1,))), 6)

@@ -85,6 +85,18 @@ class TestIndividualChecks:
         rec = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
         assert rec.status == "pass"
 
+    @pytest.mark.parametrize("low, high", [("a", "b"), ("x0", "x1")])
+    def test_hereditary_other_alphabets(self, low, high):
+        # the golden mean relabelled: the first symbol plays 0
+        alphabet = W.Alphabet((low, high))
+        bad = high + high if alphabet.single_char else (high, high)
+        rec = V.check_hereditary_entropy(S.SftShift(alphabet, (bad,)), 5, 1, 1e-9)
+        golden = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
+        assert rec.status == "pass"
+        expected = dict(golden.residuals)
+        expected[f"mu({high}) - mu({low})"] = expected.pop("mu(1) - mu(0)")
+        assert rec.residuals == pytest.approx(expected, abs=1e-15)
+
     def test_hereditary_gate(self):
         spec = S.SGapShift(S.SGapSet((1,)))
         rec = V.check_hereditary_entropy(spec, 3, 1, 1e-9)
@@ -169,6 +181,19 @@ class TestSuite:
             with open(path, encoding="utf-8") as fh:
                 header = fh.readline().strip()
             assert "," in header
+
+    def test_numerical_error_does_not_abort_suite(self, report):
+        # forbidding 10 leaves a reducible shift of entropy 0, on which the
+        # power iteration does not converge
+        config = dict(
+            SMALL_CONFIG,
+            pair_specs=[{"type": "sft", "alphabet": ["0", "1"], "forbidden": ["10"]}],
+        )
+        broken = V.run_all(config)
+        errors = [r for r in broken.records if r.status == "error"]
+        assert sorted(r.name for r in errors) == ["equality-corollary", "main-inequality"]
+        assert all(r.reason.startswith("NumericalError") for r in errors)
+        assert len(broken.records) == len(report.records)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(SpecFormatError):
