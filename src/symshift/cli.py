@@ -38,15 +38,20 @@ def _library_errors(fn):
     return wrapper
 
 
-def load_spec(path: str):
-    """Load and validate a subshift or grid spec from a JSON file."""
+def _read_json(path: str, what: str):
+    """Parse a JSON file; ``what`` names it in the error message."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise SpecFormatError(f"cannot read spec file: {exc}") from exc
+        raise SpecFormatError(f"cannot read {what}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"spec file is not valid JSON: {exc}") from exc
+        raise SpecFormatError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def load_spec(path: str):
+    """Load and validate a subshift or grid spec from a JSON file."""
+    doc = _read_json(path, "spec file")
     if isinstance(doc, dict) and doc.get("type") == "grid2d":
         return G.grid_spec_from_dict(doc)
     return S.spec_from_dict(doc)
@@ -60,14 +65,7 @@ def _load_1d_spec(path: str):
 
 
 def _load_pattern(path: str) -> G.Pattern2D:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise SpecFormatError(f"cannot read pattern file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecFormatError(f"pattern file is not valid JSON: {exc}") from exc
-    return G.pattern_from_dict(doc)
+    return G.pattern_from_dict(_read_json(path, "pattern file"))
 
 
 @click.group()
@@ -211,15 +209,7 @@ def verify():
 @_library_errors
 def run(config_path, out_path, csv_dir):
     """Run every check and write the verification report."""
-    overrides = None
-    if config_path is not None:
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                overrides = json.load(fh)
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read config: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"config is not valid JSON: {exc}") from exc
+    overrides = None if config_path is None else _read_json(config_path, "config")
     report = V.run_all(overrides)
     if out_path is not None:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:

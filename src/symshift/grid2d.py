@@ -223,44 +223,20 @@ def _check_two_column(spec: Grid2dSpec):
     return singles, pairs
 
 
-def _column_matches(col, cells, offset: int, width: int, torus: bool) -> bool:
-    for (_, y), s in cells:
-        yy = y + offset
-        if torus:
-            yy %= width
-        elif not 0 <= yy < width:
-            return False
-        if col[yy] != s:
-            return False
-    return True
-
-
 def _offsets(p: Pattern2D, width: int, torus: bool) -> range:
     """Vertical offsets at which a normalized pattern fits a width-W column."""
     height = p.bounding_box()[3] + 1
     return range(width) if torus else range(width - height + 1)
 
 
-def _legal_columns(symbols, singles, width: int, torus: bool):
-    """Columns avoiding every (cells, offsets) single-column pattern."""
-    return [
-        col
-        for col in itertools.product(symbols, repeat=width)
-        if not any(
-            _column_matches(col, cells, o, width, torus)
-            for cells, offsets in singles
-            for o in offsets
-        )
-    ]
-
-
-def _edge_allowed(halves, c1, c2, width: int, torus: bool) -> bool:
-    """Whether c1 then c2 avoids every (left, right, offsets) two-column pattern."""
-    return not any(
-        _column_matches(c1, left, o, width, torus) and _column_matches(c2, right, o, width, torus)
-        for left, right, offsets in halves
-        for o in offsets
-    )
+def _matches(C: np.ndarray, cells, offsets) -> np.ndarray:
+    """(offset x column) table of whether each row of C carries every cell
+    ((x, y), s) at height y + offset, wrapping around the column height."""
+    rows = np.asarray(offsets)
+    out = np.ones((len(rows), len(C)), dtype=bool)
+    for (_, y), s in cells:
+        out &= (C[:, (rows + y) % C.shape[1]] == s).T
+    return out
 
 
 @dataclass(frozen=True)
@@ -270,7 +246,7 @@ class StripMME:
     spec: Grid2dSpec
     width: int
     torus: bool
-    columns: tuple
+    columns: np.ndarray  # one row of symbols per legal column
     lam: float
     stationary: np.ndarray
     transition: np.ndarray
@@ -280,24 +256,20 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     if width > _MAX_STRIP_WIDTH:
         raise ResourceLimitError(f"strip width {width} exceeds cap {_MAX_STRIP_WIDTH}")
     singles, pairs = _check_two_column(spec)
-    singles = [(p.cells, _offsets(p, width, torus)) for p in singles]
-    halves = [
-        (
-            [cell for cell in p.cells if cell[0][0] == 0],
-            [cell for cell in p.cells if cell[0][0] == 1],
-            _offsets(p, width, torus),
-        )
-        for p in pairs
-    ]
-    cols = _legal_columns(spec.alphabet.symbols, singles, width, torus)
-    if not cols:
+    C = np.array(list(itertools.product(spec.alphabet.symbols, repeat=width)))
+    for p in singles:
+        C = C[~_matches(C, p.cells, _offsets(p, width, torus)).any(axis=0)]
+    if not len(C):
         raise ReduciblePresentationError("no legal columns at this width")
-    n = len(cols)
-    A = np.zeros((n, n))
-    for i, c1 in enumerate(cols):
-        for j, c2 in enumerate(cols):
-            if _edge_allowed(halves, c1, c2, width, torus):
-                A[i, j] = 1.0
+    n = len(C)
+    bad = np.zeros((n, n), dtype=bool)
+    for p in pairs:
+        offsets = _offsets(p, width, torus)
+        left, right = (
+            _matches(C, [cell for cell in p.cells if cell[0][0] == x], offsets) for x in (0, 1)
+        )
+        bad |= left.T @ right  # some offset matches both halves
+    A = (~bad).astype(float)
     edges = [(i, "e", j) for i, j in np.argwhere(A).tolist()]
     if not S._strongly_connected(n, edges):
         raise ReduciblePresentationError("column transition graph is reducible")
@@ -306,7 +278,7 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
         spec=spec,
         width=width,
         torus=torus,
-        columns=tuple(cols),
+        columns=C,
         lam=lam,
         stationary=stationary,
         transition=P,
@@ -333,22 +305,13 @@ def strip_mme_mu(
         )
     model = strip_mme(spec, width, torus)
     yoff = (width - (ymax + 1)) // 2  # centered; irrelevant on the torus
-    wanted = [dict() for _ in range(xmax + 1)]
-    for (x, y), s in p.cells:
-        wanted[x][y + yoff] = s
 
-    def consistent(col, col_idx: int) -> bool:
-        return all(col[y] == s for y, s in wanted[col_idx].items())
+    def mask(x: int) -> np.ndarray:
+        return _matches(model.columns, [cell for cell in p.cells if cell[0][0] == x], [yoff])[0]
 
-    vec = np.array(
-        [
-            model.stationary[i] if consistent(c, 0) else 0.0
-            for i, c in enumerate(model.columns)
-        ]
-    )
+    vec = model.stationary * mask(0)
     for x in range(1, xmax + 1):
-        mask = np.array([1.0 if consistent(c, x) else 0.0 for c in model.columns])
-        vec = (vec @ model.transition) * mask
+        vec = (vec @ model.transition) * mask(x)
     return StripValue(value=float(vec.sum()), width=width, torus=torus)
 
 

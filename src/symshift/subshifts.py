@@ -59,13 +59,6 @@ class SGapSet:
             return True
         return self.cofinite_from is not None and n >= self.cofinite_from
 
-    def members_below(self, limit: int) -> list[int]:
-        """Sorted members n with n < limit."""
-        out = set(n for n in self.extra if n < limit)
-        if self.cofinite_from is not None:
-            out.update(range(self.cofinite_from, limit))
-        return sorted(out)
-
     def gcd_shifted(self) -> int:
         """gcd of {n+1 : n in S}; 1 is the mixing case."""
         if self.cofinite_from is not None:
@@ -336,26 +329,34 @@ def build_automaton(spec) -> Automaton:
     )
 
 
-def _strongly_connected(n, transitions) -> bool:
-    if n == 0:
-        return False
-    fwd = {i: set() for i in range(n)}
-    bwd = {i: set() for i in range(n)}
+def _components(n, transitions):
+    """Yield the strongly connected components, each sorted, by least state."""
+    fwd = [set() for _ in range(n)]
+    bwd = [set() for _ in range(n)]
     for q, _a, r in transitions:
         fwd[q].add(r)
         bwd[r].add(q)
 
-    def reach(adj):
-        seen = {0}
-        stack = [0]
+    def reach(adj, start):
+        seen = {start}
+        stack = [start]
         while stack:
             for t in adj[stack.pop()]:
-                if t not in seen:
+                if t in left and t not in seen:
                     seen.add(t)
                     stack.append(t)
         return seen
 
-    return len(reach(fwd)) == n and len(reach(bwd)) == n
+    left = set(range(n))
+    while left:
+        q = min(left)
+        comp = reach(fwd, q) & reach(bwd, q)
+        yield sorted(comp)
+        left -= comp
+
+
+def _strongly_connected(n, transitions) -> bool:
+    return n > 0 and len(next(_components(n, transitions))) == n
 
 
 # ---------------------------------------------------------------------------
@@ -484,9 +485,14 @@ def entropy(spec) -> float:
 
 
 def perron_eigenvalue(spec) -> float:
+    """Spectral radius of the presentation: the largest Perron value over its
+    strongly connected components (Lind & Marcus, Thm 4.4.4)."""
     aut = build_automaton(spec)
-    lam, _ = perron_value(aut.adjacency())
-    return lam
+    A = aut.adjacency()
+    if aut.irreducible:
+        return perron_value(A)[0]
+    comps = _components(len(aut.states), aut.transitions)
+    return max(perron_value(A[np.ix_(c, c)])[0] for c in comps)
 
 
 def sgap_lambda(gaps: SGapSet, tol: float = 1e-14) -> float:

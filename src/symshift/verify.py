@@ -71,8 +71,7 @@ class VerificationReport:
 
 def _fail(record: CheckRecord, witness) -> None:
     record.status = "fail"
-    if witness not in record.witnesses:
-        record.witnesses.append(witness)
+    record.witnesses.append(witness)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: 
                         # persistence: every replaced site now carries w
                         if img[p : p + nw] != w:
                             violations += 1
-                            _fail(record, {"lemma": "persistence", "u": u, "S": list(sub)})
+                            _fail(record, {"lemma": "persistence", "u": u, "S": list(sub), "m": s})
                     elif p < 0 or img[p : p + nv] != v:
                         # survival: unreplaced occurrences shift predictably
                         violations += 1

@@ -41,9 +41,6 @@ class Alphabet:
     def single_char(self) -> bool:
         return all(len(s) == 1 for s in self.symbols)
 
-    def empty_word(self):
-        return "" if self.single_char else ()
-
     def words(self, length: int):
         """Yield all words of the given length in canonical order."""
         if self.single_char:

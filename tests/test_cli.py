@@ -157,17 +157,36 @@ class TestGrid2d:
 
 
 class TestErrorMapping:
-    def test_missing_spec_file(self, runner):
-        result = runner.invoke(cli.main, ["entropy", "--spec", "nope.json"])
-        assert result.exit_code == 1
-        assert payload(result)["error"]["type"] == "SpecFormatError"
+    # how each file kind is named in the error message
+    WHAT = {"spec": "spec file", "pattern": "pattern file", "config": "config"}
 
-    def test_invalid_json_spec(self, runner, tmp_path):
+    @staticmethod
+    def _invoke_with(runner, hardsq_files, kind, path):
+        spec, v, w = hardsq_files
+        args = {
+            "spec": ["entropy", "--spec", path],
+            "pattern": ["grid2d", "check-gtheorem", "--spec", spec, "--v", path, "--w", w],
+            "config": ["verify", "run", "--config", path],
+        }[kind]
+        return runner.invoke(cli.main, args)
+
+    @pytest.mark.parametrize("kind", ["spec", "pattern", "config"])
+    def test_missing_spec_file(self, runner, hardsq_files, kind):
+        result = self._invoke_with(runner, hardsq_files, kind, "nope.json")
+        assert result.exit_code == 1
+        error = payload(result)["error"]
+        assert error["type"] == "SpecFormatError"
+        assert error["message"].startswith(f"cannot read {self.WHAT[kind]}: ")
+
+    @pytest.mark.parametrize("kind", ["spec", "pattern", "config"])
+    def test_invalid_json_spec(self, runner, hardsq_files, tmp_path, kind):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
-        result = runner.invoke(cli.main, ["entropy", "--spec", str(bad)])
+        result = self._invoke_with(runner, hardsq_files, kind, str(bad))
         assert result.exit_code == 1
-        assert "JSON" in payload(result)["error"]["message"]
+        assert payload(result)["error"]["message"].startswith(
+            f"{self.WHAT[kind]} is not valid JSON: "
+        )
 
     def test_semantic_spec_error(self, runner, tmp_path):
         bad = tmp_path / "bad.json"

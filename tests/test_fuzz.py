@@ -1,0 +1,69 @@
+"""Random small SFTs: the automaton-based answers against plain enumeration."""
+
+import math
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from symshift import extender as E
+from symshift import subshifts as S
+from symshift import words as W
+from symshift.errors import EmptySubshiftError
+
+SYMBOLS = ("0", "1", "2")
+
+
+@st.composite
+def sft_specs(draw):
+    """At most three symbols and forbidden words of length <= 4 (memory <= 3)."""
+    alphabet = W.Alphabet(SYMBOLS[: draw(st.integers(1, 3))])
+    word = st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=4)
+    forbidden = draw(st.lists(word, max_size=4, unique=True))
+    return S.SftShift(alphabet, tuple(forbidden))
+
+
+def presentation(spec):
+    """The spec's automaton, or None after checking that an empty language
+    is reported as such by the language layer too."""
+    try:
+        return S.build_automaton(spec)
+    except EmptySubshiftError:
+        with pytest.raises(EmptySubshiftError):
+            S.enumerate_words(spec, 1)
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(sft_specs())
+def test_member_agrees_with_enumeration(spec):
+    if presentation(spec) is None:
+        return
+    for n in range(7):
+        language = set(S.enumerate_words(spec, n))
+        assert {u for u in spec.alphabet.words(n) if S.member(spec, u)} == language
+
+
+@settings(max_examples=200, deadline=None)
+@given(sft_specs(), st.data())
+def test_extender_compare_agrees_with_window(spec, data):
+    aut = presentation(spec)
+    if aut is None:
+        return
+    words = [u for n in range(1, 4) for u in S.enumerate_words(spec, n)]
+    for _ in range(4):
+        v = data.draw(st.sampled_from(words))
+        w = data.draw(st.sampled_from(words))
+        assert E.extender_compare(spec, v, w) == E.compare_windowed(spec, v, w, aut.memory)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sft_specs())
+def test_entropy_is_below_every_growth_ratio(spec):
+    # log|L_n| is subadditive, so h = inf_n log|L_n| / n (Fekete)
+    if presentation(spec) is None:
+        return
+    h = S.entropy(spec)
+    assert h >= 0.0
+    for n in range(1, 31):
+        assert h <= math.log(S.count_words(spec, n)) / n + 1e-12

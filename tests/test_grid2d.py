@@ -16,6 +16,15 @@ from symshift.errors import (
 HS = G.hard_square()
 ONE = G.Pattern2D((((0, 0), "1"),))
 ZERO = G.Pattern2D((((0, 0), "0"),))
+# three symbols, with one single-column and two two-column patterns
+THREE = G.Grid2dSpec(
+    W.Alphabet(("a", "b", "c")),
+    (
+        G.pattern_from_grid(["a", "a"]),
+        G.pattern_from_grid(["bb"]),
+        G.Pattern2D((((0, 0), "c"), ((1, 1), "a"))),
+    ),
+)
 
 
 class TestPattern:
@@ -141,6 +150,38 @@ class TestStripMME:
         model = G.strip_mme(HS, 6, torus)
         assert abs(model.stationary.sum() - 1.0) < 1e-12
         assert np.max(np.abs(model.stationary @ model.transition - model.stationary)) < 1e-12
+
+
+class TestStripOracle:
+    """Columns and edges of the strip against the plain pattern scan."""
+
+    @staticmethod
+    def block(spec, cols, width, torus):
+        # on the torus the rows repeat far enough for every wrapped placement
+        rows = width + spec.interaction_range if torus else width
+        return {(x, y): col[y % width] for x, col in enumerate(cols) for y in range(rows)}
+
+    @pytest.mark.parametrize("torus", [True, False])
+    @pytest.mark.parametrize(
+        "spec, width",
+        [(HS, 4), (HS, 6), (THREE, 3), (THREE, 4)],
+        ids=["hs-4", "hs-6", "three-3", "three-4"],
+    )
+    def test_columns_and_edges_are_locally_legal(self, spec, width, torus):
+        model = G.strip_mme(spec, width, torus)
+        legal = [
+            col
+            for col in itertools.product(spec.alphabet.symbols, repeat=width)
+            if G._locally_legal(spec, self.block(spec, [col], width, torus))
+        ]
+        assert [tuple(col) for col in model.columns.tolist()] == legal
+        edges = np.array(
+            [
+                [G._locally_legal(spec, self.block(spec, [c1, c2], width, torus)) for c2 in legal]
+                for c1 in legal
+            ]
+        )
+        assert np.array_equal(model.transition > 0, edges)
 
 
 class TestReplaceability:

@@ -160,6 +160,26 @@ class TestEntropy:
         lam = S.perron_eigenvalue(spec)
         assert math.log(lam) == pytest.approx(S.entropy(spec), abs=1e-10)
 
+    @pytest.mark.parametrize("forbidden", ["10", "01"])
+    def test_reducible_zero_entropy(self, forbidden):
+        # two fixed points joined one way: each component has lambda = 1
+        spec = S.SftShift(W.BINARY, (forbidden,))
+        assert not S.build_automaton(spec).irreducible
+        assert S.entropy(spec) == 0.0
+
+    def test_reducible_takes_largest_component(self):
+        # 11 can only be followed by 1s: a fixed point beside a golden mean
+        spec = S.SftShift(W.BINARY, ("011",))
+        assert not S.build_automaton(spec).irreducible
+        assert S.entropy(spec) == pytest.approx(math.log(PHI), abs=1e-12)
+
+    def test_components(self):
+        edges = [(0, "a", 1), (1, "a", 0), (1, "a", 2), (3, "a", 3)]
+        assert list(S._components(4, edges)) == [[0, 1], [2], [3]]
+        assert not S._strongly_connected(4, edges)
+        assert S._strongly_connected(2, edges[:2])
+        assert not S._strongly_connected(0, [])
+
     def test_unconverged_power_iteration_is_typed(self):
         # a Jordan block: the iterate creeps toward the eigenvector
         A = np.array([[1.0, 1.0], [0.0, 1.0]])

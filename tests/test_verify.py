@@ -1,12 +1,13 @@
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift import words as W
-from symshift.errors import ReplacementBrokenError, SpecFormatError
+from symshift.errors import NumericalError, ReplacementBrokenError, SpecFormatError
 
 GOLDEN = S.SftShift(W.BINARY, ("11",))
 
@@ -147,6 +148,13 @@ class TestReplacementWalk:
         V._subset_sweep(rec, "000", "00", 5, W.BINARY, check_inj=True)
         assert {"lemma": "preimage", "u'": "000", "m": 2, "count": 3, "bound": 1} in rec.witnesses
 
+    def test_witnesses_are_distinct(self):
+        # every violation leaves its own witness, without a dedup scan
+        rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+        violations = V._subset_sweep(rec, "00", "1", 9, W.BINARY, check_inj=True)
+        keys = {json.dumps(wit, sort_keys=True) for wit in rec.witnesses}
+        assert violations == len(rec.witnesses) == len(keys) == 4984
+
 
 @pytest.fixture(scope="module")
 def report():
@@ -182,18 +190,39 @@ class TestSuite:
                 header = fh.readline().strip()
             assert "," in header
 
-    def test_numerical_error_does_not_abort_suite(self, report):
-        # forbidding 10 leaves a reducible shift of entropy 0, on which the
-        # power iteration does not converge
-        config = dict(
-            SMALL_CONFIG,
-            pair_specs=[{"type": "sft", "alphabet": ["0", "1"], "forbidden": ["10"]}],
-        )
-        broken = V.run_all(config)
+    def test_numerical_error_does_not_abort_suite(self, report, monkeypatch):
+        # an unconverged power iteration on the pair spec's presentation only
+        spec = {"type": "sft", "alphabet": ["a", "b", "c"], "forbidden": ["aa"]}
+        target = S.build_automaton(S.spec_from_dict(spec)).adjacency()
+        perron_value = S.perron_value
+
+        def flaky(A, *args, **kwargs):
+            if np.array_equal(A, target):
+                raise NumericalError("power iteration residual too large")
+            return perron_value(A, *args, **kwargs)
+
+        monkeypatch.setattr(S, "perron_value", flaky)
+        broken = V.run_all(dict(SMALL_CONFIG, pair_specs=[spec]))
         errors = [r for r in broken.records if r.status == "error"]
         assert sorted(r.name for r in errors) == ["equality-corollary", "main-inequality"]
         assert all(r.reason.startswith("NumericalError") for r in errors)
         assert len(broken.records) == len(report.records)
+
+    def test_zero_entropy_pair_spec_is_skipped(self, report):
+        # forbidding 10 leaves a reducible shift of entropy 0
+        config = dict(
+            SMALL_CONFIG,
+            pair_specs=[{"type": "sft", "alphabet": ["0", "1"], "forbidden": ["10"]}],
+        )
+        rerun = V.run_all(config)
+        pair_records = [r for r in rerun.records if r.spec == "SFT forbidding {10}"]
+        assert sorted(r.name.split("[")[0] for r in pair_records) == [
+            "equality-corollary",
+            "main-inequality",
+        ]
+        assert all(r.status == "skipped" for r in pair_records)
+        assert rerun.passed
+        assert len(rerun.records) == len(report.records)
 
     def test_unknown_config_key_rejected(self):
         with pytest.raises(SpecFormatError):

@@ -28,7 +28,6 @@ class TestAlphabet:
     def test_multichar_words_are_tuples(self):
         ab = W.Alphabet(("aa", "b"))
         assert not ab.single_char
-        assert ab.empty_word() == ()
         assert ("aa", "b") in list(ab.words(2))
 
     def test_parse_format_roundtrip_multichar(self):
