@@ -78,14 +78,15 @@ class Pattern2D:
 
 
 def pattern_from_dict(data: dict) -> Pattern2D:
-    if not isinstance(data, dict) or set(data) != {"cells"}:
-        raise SpecFormatError("pattern file must be an object with a single 'cells' key")
+    if not isinstance(data, dict) or set(data) != {"cells"} or not isinstance(data["cells"], list):
+        raise SpecFormatError("pattern must be an object with a single 'cells' list")
     cells = []
     for entry in data["cells"]:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise SpecFormatError(f"pattern cell {entry!r} is not [x, y, symbol]")
         x, y, s = entry
-        if not isinstance(x, int) or not isinstance(y, int) or not isinstance(s, str):
+        # type() rather than isinstance: JSON true/false load as bool, an int subclass
+        if type(x) is not int or type(y) is not int or not isinstance(s, str):
             raise SpecFormatError(f"pattern cell {entry!r} has wrong field types")
         cells.append(((x, y), s))
     return Pattern2D(tuple(cells))
@@ -136,6 +137,8 @@ def grid_spec_from_dict(data: dict) -> Grid2dSpec:
     keys = set(data)
     if keys != {"type", "alphabet", "forbidden"}:
         raise SpecFormatError(f"grid2d spec has unexpected keys {sorted(keys - {'type'})}")
+    if not isinstance(data["alphabet"], list) or not isinstance(data["forbidden"], list):
+        raise SpecFormatError("grid2d 'alphabet' and 'forbidden' must be lists")
     alphabet = W.Alphabet(tuple(data["alphabet"]))
     forbidden = tuple(pattern_from_dict(p) for p in data["forbidden"])
     return Grid2dSpec(alphabet=alphabet, forbidden=forbidden)
@@ -270,8 +273,7 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
         )
         bad |= left.T @ right  # some offset matches both halves
     A = (~bad).astype(float)
-    edges = [(i, "e", j) for i, j in np.argwhere(A).tolist()]
-    if not S._strongly_connected(n, edges):
+    if not S._strongly_connected(A):
         raise ReduciblePresentationError("column transition graph is reducible")
     lam, stationary, P = M.parry_chain(A)
     return StripMME(

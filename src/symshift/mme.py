@@ -115,7 +115,7 @@ def gap_chain(gaps: S.SGapSet) -> GapChain:
         if i in gaps or (not gaps.finite and i == top):
             A[i, 0] += 1
             edges.append((i, "1", 0))
-    if not S._strongly_connected(n, [(q, a, r) for q, a, r in edges]):
+    if not S._strongly_connected(A):
         raise ReduciblePresentationError("gap-counter chain is reducible")
     lam, r = S.perron_value(A)
     _, l = S.perron_value(A.T)

@@ -128,17 +128,19 @@ def spec_from_dict(doc: dict) -> SubshiftSpec:
         _require_keys(doc, {"type", "alphabet", "forbidden"})
         alphabet = _parse_alphabet(doc)
         raw = doc["forbidden"]
-        if not isinstance(raw, list) or not raw:
+        if not isinstance(raw, list) or not raw or not all(isinstance(f, str) for f in raw):
             raise SpecFormatError("'forbidden' must be a nonempty list of words")
         forbidden = tuple(W.parse_word(f, alphabet) for f in raw)
         return SftShift(alphabet, forbidden)
     if kind == "sgap":
         if "finite" in doc:
             _require_keys(doc, {"type", "finite"})
-            gaps = SGapSet(tuple(sorted(set(doc["finite"]))))
+            gaps = SGapSet(_gap_list(doc["finite"]))
         elif "from" in doc:
             _require_keys(doc, {"type", "extra", "from"})
-            gaps = SGapSet(tuple(sorted(set(doc.get("extra", [])))), doc["from"])
+            if type(doc["from"]) is not int:
+                raise SpecFormatError("'from' must be an integer")
+            gaps = SGapSet(_gap_list(doc["extra"]), doc["from"])
         else:
             raise SpecFormatError("sgap spec needs either 'finite' or 'extra'+'from'")
         return SGapShift(gaps)
@@ -168,6 +170,13 @@ def _parse_alphabet(doc) -> W.Alphabet:
     return W.Alphabet(tuple(raw))
 
 
+def _gap_list(raw) -> tuple:
+    # type() rather than isinstance: JSON true/false load as bool, an int subclass
+    if not isinstance(raw, list) or any(type(n) is not int for n in raw):
+        raise SpecFormatError("gap lists must hold integers")
+    return tuple(sorted(set(raw)))
+
+
 def _require_keys(doc, allowed):
     unknown = set(doc) - allowed
     if unknown:
@@ -194,7 +203,6 @@ class Automaton:
     memory: int
     states: tuple
     transitions: tuple  # ((state_index, symbol, target_index), ...)
-    irreducible: bool
 
     @cached_property
     def index(self) -> dict:
@@ -222,6 +230,10 @@ class Automaton:
         for q, _a, r in self.transitions:
             A[q, r] += 1.0
         return A
+
+    @cached_property
+    def irreducible(self) -> bool:
+        return _strongly_connected(self.adjacency())
 
     def follower_contains(self, p: int, q: int) -> bool:
         """Whether every legal right ray from p is legal from q."""
@@ -325,38 +337,33 @@ def build_automaton(spec) -> Automaton:
         memory=m,
         states=states,
         transitions=transitions,
-        irreducible=_strongly_connected(len(states), transitions),
     )
 
 
-def _components(n, transitions):
-    """Yield the strongly connected components, each sorted, by least state."""
-    fwd = [set() for _ in range(n)]
-    bwd = [set() for _ in range(n)]
-    for q, _a, r in transitions:
-        fwd[q].add(r)
-        bwd[r].add(q)
+def _components(A: np.ndarray):
+    """Yield the strongly connected components of the graph of A > 0, each a
+    sorted index array, by least state."""
+    fwd = A > 0
+    left = np.ones(len(A), dtype=bool)
 
     def reach(adj, start):
-        seen = {start}
-        stack = [start]
-        while stack:
-            for t in adj[stack.pop()]:
-                if t in left and t not in seen:
-                    seen.add(t)
-                    stack.append(t)
+        seen = np.zeros(len(A), dtype=bool)
+        seen[start] = True
+        frontier = seen
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & left & ~seen
+            seen |= frontier
         return seen
 
-    left = set(range(n))
-    while left:
-        q = min(left)
-        comp = reach(fwd, q) & reach(bwd, q)
-        yield sorted(comp)
-        left -= comp
+    while left.any():
+        q = int(np.argmax(left))
+        comp = reach(fwd, q) & reach(fwd.T, q)
+        yield np.flatnonzero(comp)
+        left &= ~comp
 
 
-def _strongly_connected(n, transitions) -> bool:
-    return n > 0 and len(next(_components(n, transitions))) == n
+def _strongly_connected(A: np.ndarray) -> bool:
+    return len(A) > 0 and len(next(_components(A))) == len(A)
 
 
 # ---------------------------------------------------------------------------
@@ -488,11 +495,10 @@ def perron_eigenvalue(spec) -> float:
     """Spectral radius of the presentation: the largest Perron value over its
     strongly connected components (Lind & Marcus, Thm 4.4.4)."""
     aut = build_automaton(spec)
+    if aut.irreducible:  # asked first, so its own adjacency matrix is freed before A
+        return perron_value(aut.adjacency())[0]
     A = aut.adjacency()
-    if aut.irreducible:
-        return perron_value(A)[0]
-    comps = _components(len(aut.states), aut.transitions)
-    return max(perron_value(A[np.ix_(c, c)])[0] for c in comps)
+    return max(perron_value(A[np.ix_(c, c)])[0] for c in _components(A))
 
 
 def sgap_lambda(gaps: SGapSet, tol: float = 1e-14) -> float:

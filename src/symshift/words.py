@@ -32,10 +32,10 @@ class Alphabet:
     def __post_init__(self):
         if not self.symbols:
             raise InvalidWordError("alphabet must be nonempty")
+        if any(not isinstance(s, str) or not s for s in self.symbols):
+            raise InvalidWordError("alphabet symbols must be nonempty strings")
         if len(set(self.symbols)) != len(self.symbols):
             raise InvalidWordError("alphabet contains duplicate symbols")
-        if any(not s for s in self.symbols):
-            raise InvalidWordError("alphabet symbols must be nonempty strings")
 
     @property
     def single_char(self) -> bool:

@@ -4,6 +4,10 @@ import pytest
 from click.testing import CliRunner
 
 from symshift import cli
+from symshift import grid2d as G
+from symshift import subshifts as S
+from symshift import verify as V
+from symshift.errors import SymshiftError
 
 
 @pytest.fixture()
@@ -206,3 +210,36 @@ class TestErrorMapping:
         path.write_text(json.dumps(doc))
         spec = cli.load_spec(str(path))
         assert S.spec_to_dict(spec) == doc
+
+
+MALFORMED_SPECS = [
+    {"type": "sgap", "finite": 5},
+    {"type": "sgap", "finite": ["a"]},
+    {"type": "sgap", "extra": [], "from": "x"},
+    {"type": "sgap", "finite": [1.5]},
+    {"type": "sgap", "finite": [True]},
+    {"type": "sft", "alphabet": ["0", "1"], "forbidden": [5]},
+    {"type": "sft", "alphabet": [1, 2], "forbidden": ["1"]},
+    {"type": "grid2d", "alphabet": 5, "forbidden": []},
+    {"type": "grid2d", "alphabet": ["0", "1"], "forbidden": 5},
+    {"type": "grid2d", "alphabet": ["0", "1"], "forbidden": [{"cells": 5}]},
+    {"type": "grid2d", "alphabet": ["0", "1"], "forbidden": [{"cells": [[True, 0, "1"]]}]},
+]
+
+
+@pytest.mark.parametrize("doc", MALFORMED_SPECS, ids=json.dumps)
+def test_malformed_spec_is_a_typed_error(runner, tmp_path, doc):
+    if doc["type"] == "grid2d":
+        with pytest.raises(SymshiftError):
+            G.grid_spec_from_dict(doc)
+    else:
+        with pytest.raises(SymshiftError):
+            S.spec_from_dict(doc)
+        # run_all parses its pair specs before it runs any check
+        with pytest.raises(SymshiftError):
+            V.run_all({"pair_specs": [doc]})
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(cli.main, ["entropy", "--spec", str(path)])
+    assert result.exit_code == 1
+    assert payload(result)["error"]["type"] in ("SpecFormatError", "InvalidWordError")

@@ -174,11 +174,13 @@ class TestEntropy:
         assert S.entropy(spec) == pytest.approx(math.log(PHI), abs=1e-12)
 
     def test_components(self):
-        edges = [(0, "a", 1), (1, "a", 0), (1, "a", 2), (3, "a", 3)]
-        assert list(S._components(4, edges)) == [[0, 1], [2], [3]]
-        assert not S._strongly_connected(4, edges)
-        assert S._strongly_connected(2, edges[:2])
-        assert not S._strongly_connected(0, [])
+        A = np.zeros((4, 4))
+        for q, r in [(0, 1), (1, 0), (1, 2), (3, 3)]:
+            A[q, r] = 1.0
+        assert [c.tolist() for c in S._components(A)] == [[0, 1], [2], [3]]
+        assert not S._strongly_connected(A)
+        assert S._strongly_connected(A[:2, :2])
+        assert not S._strongly_connected(np.zeros((0, 0)))
 
     def test_unconverged_power_iteration_is_typed(self):
         # a Jordan block: the iterate creeps toward the eigenvector

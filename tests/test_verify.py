@@ -1,9 +1,12 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
+from symshift import extender as E
+from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift import words as W
@@ -107,6 +110,64 @@ class TestIndividualChecks:
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
         assert rec.status == "pass"
         assert rec.residuals["decider vs oracle disagreements"] == 0
+
+
+SWEEP_SPECS = [
+    GOLDEN,
+    S.SGapShift(S.SGapSet((0, 1))),
+    S.SftShift(W.BINARY, ("111", "1001")),
+    S.SftShift(W.Alphabet(("a", "b", "c")), ("aa", "bc")),
+    S.SftShift(W.Alphabet(("x0", "x1")), (("x1", "x1"),)),
+]
+
+
+class TestExtenderSweep:
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
+    @pytest.mark.parametrize("maxlen", [1, 3, 5])
+    def test_matches_pairwise_reference(self, spec, maxlen):
+        # the pairwise loop is the reference: one extender_compare per word pair
+        h = S.entropy(spec)
+        model = M.parry(spec)
+        language = [u for n in range(1, maxlen + 1) for u in S.enumerate_words(spec, n)]
+        mu = {u: M.mu_parry(model, u) for u in language}
+        n_ineq = n_eq = 0
+        worst_excess = worst_gap = 0.0
+        for v, w in itertools.product(language, repeat=2):
+            rel = E.extender_compare(spec, v, w)
+            if rel not in (E.PROPER_SUBSET, E.EQUAL):
+                continue
+            diff = mu[v] - mu[w] * math.exp(h * (len(w) - len(v)))
+            n_ineq += 1
+            worst_excess = max(worst_excess, diff)
+            if rel == E.EQUAL:
+                n_eq += 1
+                worst_gap = max(worst_gap, abs(diff))
+        ineq = V.check_main_inequality(spec, maxlen, 1e-12)
+        eq = V.check_equality_corollary(spec, maxlen, 1e-9)
+        assert ineq.status == eq.status == "pass"
+        assert (ineq.params["pairs"], ineq.residuals["max excess"]) == (n_ineq, worst_excess)
+        assert (eq.params["pairs"], eq.residuals["max gap"]) == (n_eq, worst_gap)
+        assert 0 < ineq.params["classes"] == eq.params["classes"] <= len(language)
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
+    def test_witnesses_are_real_pairs(self, spec):
+        # with a negative tolerance every length-bucket pair leaves a witness
+        h = S.entropy(spec)
+        model = M.parry(spec)
+        for check, label, relations in (
+            (V.check_main_inequality, "excess", (E.PROPER_SUBSET, E.EQUAL)),
+            (V.check_equality_corollary, "gap", (E.EQUAL,)),
+        ):
+            rec = check(spec, 4, -1.0)
+            assert rec.status == "fail" and rec.witnesses
+            for wit in rec.witnesses:
+                v, w = (W.parse_word(wit[k], spec.alphabet) for k in ("v", "w"))
+                assert E.extender_compare(spec, v, w) in relations
+                diff = M.mu_parry(model, v) - M.mu_parry(model, w) * math.exp(
+                    h * (len(w) - len(v))
+                )
+                assert wit[label] == (diff if label == "excess" else abs(diff))
+            assert max(wit[label] for wit in rec.witnesses) == rec.residuals[f"max {label}"]
 
 
 class TestReplacementWalk:
