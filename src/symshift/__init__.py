@@ -17,7 +17,6 @@ from .words import (
     BINARY,
     Alphabet,
     affix_flags,
-    find_respecting_extension,
     format_word,
     occurrences,
     parse_word,
@@ -42,7 +41,6 @@ from .subshifts import (
     member,
     sgap_lambda,
     spec_from_dict,
-    spec_to_dict,
     specification_distance_holds,
 )
 from .extender import (

@@ -1,13 +1,13 @@
 """Exact extender-set descriptors and comparisons for automaton-presented shifts.
 
-For a memory-m block presentation, the completions of a word w decompose per
-left-context class: a bi-infinite completion (left ray, right ray) belongs to
-the extender set of w exactly when the final m letters of the left ray form a
-state from which w is readable, and the right ray is legal from the landing
-state.  Containment between extender sets of two words (of possibly different
-lengths, via the concatenation identification) therefore reduces to
-containment of left-class sets plus follower-language containment at each
-shared left class.
+Each state of the presentation is a function of the left-infinite past, so
+the completions of a word w decompose per left-context class: a bi-infinite
+completion (left ray, right ray) belongs to the extender set of w exactly
+when the state of the left ray is one from which w is readable, and the
+right ray is legal from the landing state.  Containment between extender
+sets of two words (of possibly different lengths, via the concatenation
+identification) therefore reduces to containment of left-class sets plus
+follower-language containment at each shared left class.
 """
 
 from __future__ import annotations
@@ -28,10 +28,10 @@ INCOMPARABLE = "incomparable"
 class ExtenderDescriptor:
     """Finite certificate of a word's extender set.
 
-    ``left_classes`` are the state words from which the word is readable;
-    ``right_classes`` the landing-state words; ``landing`` maps each left
-    class to its landing state (the coupling matters for words shorter than
-    the presentation memory).
+    ``left_classes`` are the labels of the states from which the word is
+    readable; ``right_classes`` the labels of the landing states; ``landing``
+    maps each left class to its landing state (the coupling matters for words
+    that do not synchronize, i.e. land in more than one state).
     """
 
     word: str

@@ -10,7 +10,7 @@ suite enforces it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from . import subshifts as S
 from .errors import InvalidWordError, NumericalError, ReduciblePresentationError
 
 # ---------------------------------------------------------------------------
-# Parry model for irreducible block presentations
+# Parry model for irreducible presentations
 
 
 def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -48,6 +48,16 @@ class ParryModel:
     stationary: np.ndarray
     transition: np.ndarray
 
+    @cached_property
+    def _hops(self) -> dict:
+        """(state, symbol) -> (target, probability of that one edge); parallel
+        edges share P[q, r] evenly, P[q, r] / A[q, r] each."""
+        A = self.automaton.adjacency()
+        return {
+            (q, a): (r, float(self.transition[q, r] / A[q, r]))
+            for q, a, r in self.automaton.transitions
+        }
+
 
 def parry(spec) -> ParryModel:
     """Markov measure of maximal entropy from Perron eigen-data."""
@@ -59,25 +69,21 @@ def parry(spec) -> ParryModel:
 
 
 def mu_parry(model: ParryModel, w) -> float:
-    """Cylinder measure of a word under the Parry model; 0 off the language."""
-    aut = model.automaton
-    m = aut.memory
-    n = len(w)
-    if n <= m:
-        return float(
-            sum(model.stationary[i] for i, q in enumerate(aut.states) if q[:n] == w)
-        )
-    i = aut.index.get(w[:m])
-    if i is None:
-        return 0.0
-    prob = float(model.stationary[i])
-    for k in range(m, n):
-        j = aut.delta(i, w[k])
-        if j is None:
-            return 0.0
-        prob *= float(model.transition[i, j])
-        i = j
-    return prob
+    """Cylinder measure of a word under the Parry model; 0 off the language.
+
+    Sums, over the states w is readable from, the stationary weight times the
+    edge probabilities along w's path; paths that meet in a state are merged.
+    """
+    weights = dict(enumerate(model.stationary.tolist()))
+    for a in w:
+        step = {}
+        for q, p in weights.items():
+            hop = model._hops.get((q, a))
+            if hop is not None:
+                r, prob = hop
+                step[r] = step.get(r, 0.0) + p * prob
+        weights = step
+    return float(sum(weights.values()))
 
 
 # ---------------------------------------------------------------------------

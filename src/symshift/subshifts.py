@@ -114,7 +114,7 @@ def describe(spec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Spec (de)serialization
+# Spec parsing
 
 
 def spec_from_dict(doc: dict) -> SubshiftSpec:
@@ -147,22 +147,6 @@ def spec_from_dict(doc: dict) -> SubshiftSpec:
     raise SpecFormatError(f"unknown spec type {kind!r}")
 
 
-def spec_to_dict(spec) -> dict:
-    if isinstance(spec, FullShift):
-        return {"type": "full", "alphabet": list(spec.alphabet.symbols)}
-    if isinstance(spec, SftShift):
-        return {
-            "type": "sft",
-            "alphabet": list(spec.alphabet.symbols),
-            "forbidden": [W.format_word(f) for f in spec.forbidden],
-        }
-    if isinstance(spec, SGapShift):
-        if spec.gaps.finite:
-            return {"type": "sgap", "finite": list(spec.gaps.extra)}
-        return {"type": "sgap", "extra": list(spec.gaps.extra), "from": spec.gaps.cofinite_from}
-    raise SpecFormatError(f"cannot serialize {type(spec).__name__}")
-
-
 def _parse_alphabet(doc) -> W.Alphabet:
     raw = doc.get("alphabet")
     if not isinstance(raw, list) or not raw:
@@ -187,27 +171,26 @@ def _require_keys(doc, allowed):
 
 
 # ---------------------------------------------------------------------------
-# Automaton presentation (m-block graph)
+# Automaton presentation (minimal left-context automaton)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Automaton:
-    """Trimmed deterministic m-block presentation of an SFT language.
+    """Minimal deterministic presentation of an SFT language.
 
-    States are the essential memory-m blocks; reading one symbol maps block
-    q to the last m symbols of q+a when that (m+1)-window is legal.  Words
-    of length n >= m correspond to unique state paths.
+    A state stands for the left-infinite pasts that share one follower set,
+    the follower-separated presentation of Lind & Marcus §3.3-3.4.  States are
+    numbered, and labelled, by the shortlex-first word that leads every state
+    into them.  ``word_graph`` is the subset construction from the set of all
+    states: its nodes are the nonempty sets delta(Q, w), node 0 reads from
+    every state, and its paths from node 0 spell the language, once each.
     """
 
     alphabet: W.Alphabet
-    memory: int
+    memory: int  # longest forbidden word minus one, at least 1
     states: tuple
     transitions: tuple  # ((state_index, symbol, target_index), ...)
-
-    @cached_property
-    def index(self) -> dict:
-        """state block -> state index."""
-        return {q: i for i, q in enumerate(self.states)}
+    word_graph: tuple  # node -> {symbol: node}
 
     @cached_property
     def _delta_map(self) -> dict:
@@ -284,59 +267,117 @@ def _as_sft(spec) -> SftShift:
     raise SpecFormatError(f"no automaton presentation for {type(spec).__name__}")
 
 
+def _token(alphabet: W.Alphabet, a):
+    """The one-symbol word of symbol a."""
+    return a if alphabet.single_char else (a,)
+
+
+def _aho_corasick(alphabet: W.Alphabet, forbidden) -> dict:
+    """Aho–Corasick automaton of the forbidden words, less every transition
+    that completes one: state -> {symbol: state}.  A state is the longest
+    suffix of the past that is a proper prefix of a forbidden word."""
+    empty = "" if alphabet.single_char else ()
+    # a word with a symbol outside the alphabet never occurs: drop it
+    forbidden = {f for f in forbidden if all(a in alphabet.symbols for a in f)}
+    prefixes = {f[:i] for f in forbidden for i in range(len(f) + 1)} | {empty}
+    goto, fail, banned = {}, {empty: empty}, {empty: False}
+    for s in sorted(prefixes, key=len):  # a failure link is shorter: done first
+        if s:
+            fail[s] = goto[fail[s[:-1]]][s[-1]] if len(s) > 1 else empty
+            banned[s] = s in forbidden or banned[fail[s]]
+        goto[s] = {}
+        for a in alphabet.symbols:
+            t = s + _token(alphabet, a)
+            goto[s][a] = t if t in prefixes else goto[fail[s]][a] if s else empty
+    return {
+        s: {a: t for a, t in out.items() if not banned[t]}
+        for s, out in goto.items()
+        if not banned[s]
+    }
+
+
 @lru_cache(maxsize=None)
 def build_automaton(spec) -> Automaton:
-    """Trimmed m-block automaton for a Full/SFT/S-gap spec."""
+    """Minimal left-context automaton for a Full/SFT/S-gap spec.
+
+    The Aho–Corasick automaton of the forbidden words is trimmed to its
+    essential part; Moore partition refinement then merges the states with
+    equal follower sets.
+    """
     sft = _as_sft(spec)
     alphabet = sft.alphabet
-    m = max([len(f) for f in sft.forbidden] + [2]) - 1
-    n_blocks = len(alphabet.symbols) ** m
-    if n_blocks > _ENUM_BUDGET:
-        raise ResourceLimitError(f"{n_blocks} candidate blocks exceed the budget")
+    edges = _aho_corasick(alphabet, sft.forbidden)
 
-    def locally_legal(u):
-        return all(not W.occurrences(u, f) for f in sft.forbidden)
-
-    blocks = [u for u in alphabet.words(m) if locally_legal(u)]
-    block_set = set(blocks)
-    edges = {}
-    for q in blocks:
-        for a in alphabet.symbols:
-            a_tok = a if alphabet.single_char else (a,)
-            window = q + a_tok
-            tgt = window[1:]
-            if tgt in block_set and locally_legal(window):
-                edges.setdefault(q, {})[a] = tgt
-
-    # essential part: iterated removal of states lacking a continuation
-    alive = set(blocks)
-    while True:
-        has_out = {q for q in alive if any(t in alive for t in edges.get(q, {}).values())}
-        has_in = set()
-        for q in alive:
-            for t in edges.get(q, {}).values():
-                if q in has_out and t in alive:
-                    has_in.add(t)
-        keep = has_out & has_in
-        if keep == alive:
-            break
-        alive = keep
-    if not alive:
+    # essential part: remove, one at a time, the states without a successor
+    # or without a predecessor (a worklist: a dead chain costs its length)
+    succ = {q: set(out.values()) for q, out in edges.items()}
+    pred = {q: set() for q in edges}
+    for q, targets in succ.items():
+        for t in targets:
+            pred[t].add(q)
+    doomed = [q for q in edges if not succ[q] or not pred[q]]
+    while doomed:
+        q = doomed.pop()
+        if q not in succ:
+            continue
+        for t in succ.pop(q):
+            pred[t].discard(q)
+            if not pred[t]:
+                doomed.append(t)
+        for p in pred.pop(q):
+            succ[p].discard(q)
+            if not succ[p]:
+                doomed.append(p)
+    if not succ:
         raise EmptySubshiftError(f"{describe(spec)} has empty language")
+    edges = {q: {a: t for a, t in edges[q].items() if t in succ} for q in succ}
 
-    states = tuple(sorted(alive))
-    idx = {q: i for i, q in enumerate(states)}
-    transitions = tuple(
-        (idx[q], a, idx[t])
-        for q in states
-        for a, t in sorted(edges.get(q, {}).items())
-        if t in alive
-    )
+    # Moore refinement: signature (class, per-symbol target class or None)
+    cls = dict.fromkeys(edges, 0)
+    while True:
+        ids, new = {}, {}
+        for q, out in edges.items():
+            signature = (cls[q],) + tuple(cls.get(out.get(a)) for a in alphabet.symbols)
+            new[q] = ids.setdefault(signature, len(ids))
+        if len(ids) == len(set(cls.values())):
+            break
+        cls = new
+    delta = [None] * len(ids)
+    for q, out in edges.items():
+        delta[cls[q]] = {a: cls[t] for a, t in out.items()}
+
+    # word graph: subset construction from all states, breadth-first in shortlex order
+    sets = [frozenset(range(len(delta)))]
+    words = ["" if alphabet.single_char else ()]
+    node_of = {sets[0]: 0}
+    word_graph = []
+    for Q, w in zip(sets, words):  # both lists grow while they are walked
+        out = {}
+        for a in alphabet.symbols:
+            R = frozenset(delta[q][a] for q in Q if a in delta[q])
+            if not R:
+                continue
+            if R not in node_of:
+                if len(sets) == _ENUM_BUDGET:
+                    raise ResourceLimitError(f"word graph exceeds {_ENUM_BUDGET} nodes")
+                node_of[R] = len(sets)
+                sets.append(R)
+                words.append(w + _token(alphabet, a))
+            out[a] = node_of[R]
+        word_graph.append(out)
+
+    # every essential state is {q} = delta(Q, w) for its long enough left contexts w;
+    # the dict keeps the breadth-first order
+    label = {min(R): w for R, w in zip(sets, words) if len(R) == 1}
+    num = {c: i for i, c in enumerate(label)}
     return Automaton(
         alphabet=alphabet,
-        memory=m,
-        states=states,
-        transitions=transitions,
+        memory=max([len(f) for f in sft.forbidden] + [2]) - 1,
+        states=tuple(label.values()),
+        transitions=tuple(
+            (num[c], a, num[delta[c][a]]) for c in label for a in alphabet.symbols if a in delta[c]
+        ),
+        word_graph=tuple(word_graph),
     )
 
 
@@ -372,51 +413,40 @@ def _strongly_connected(A: np.ndarray) -> bool:
 
 def member(spec, u) -> bool:
     """Whether u appears in a point of the subshift (bi-extendability enforced)."""
-    aut = build_automaton(spec)
-    m = aut.memory
-    if len(u) < m:
-        return any(q[: len(u)] == u for q in aut.states)
-    start = aut.index.get(u[:m])
-    if start is None:
-        return False
-    return aut.read(start, u[m:]) is not None
+    graph = build_automaton(spec).word_graph
+    node = 0
+    for a in u:
+        node = graph[node].get(a)
+        if node is None:
+            return False
+    return True
 
 
 def count_words(spec, n: int) -> int:
-    """Exact |L_n| via path counting (big integers)."""
+    """Exact |L_n| via path counting on the word graph (big integers)."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    aut = build_automaton(spec)
-    m = aut.memory
-    if n <= m:
-        return len({q[:n] for q in aut.states})
-    adj = {}
-    for q, _a, r in aut.transitions:
-        adj.setdefault(q, []).append(r)
-    vec = [1] * len(aut.states)
-    for _ in range(n - m):
-        new = [0] * len(aut.states)
-        for q, outs in adj.items():
-            vq = vec[q]
-            for r in outs:
-                new[r] += vq
-        # count paths *into* each state; start-state multiplicity handled by ones
+    graph = build_automaton(spec).word_graph
+    vec = {0: 1}
+    for _ in range(n):
+        new = {}
+        for node, k in vec.items():
+            for r in graph[node].values():
+                new[r] = new.get(r, 0) + k
         vec = new
-    return sum(vec)
+    return sum(vec.values())
 
 
 def count_words_scaled(spec, n: int, lam: float) -> float:
     """|L_n| / lam^n via per-step renormalized floating DP."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    aut = build_automaton(spec)
-    m = aut.memory
-    if n <= m:
-        return count_words(spec, n) / lam**n
-    A = aut.adjacency()
-    vec = np.ones(len(aut.states)) / lam**m
-    for _ in range(n - m):
-        vec = (vec @ A) / lam
+    graph = build_automaton(spec).word_graph
+    src, dst = np.array([(i, r) for i, out in enumerate(graph) for r in out.values()]).T
+    vec = np.zeros(len(graph))
+    vec[0] = 1.0
+    for _ in range(n):
+        vec = np.bincount(dst, weights=vec[src], minlength=len(graph)) / lam
     return float(vec.sum())
 
 
@@ -425,27 +455,16 @@ def enumerate_words(spec, n: int) -> list:
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
     aut = build_automaton(spec)
-    m = aut.memory
     if count_words(spec, n) > _ENUM_BUDGET:
         raise ResourceLimitError(f"enumerating length-{n} words exceeds the budget")
-    if n <= m:
-        return sorted({q[:n] for q in aut.states})
-    frontier = {q: i for i, q in enumerate(aut.states)}
-    result = []
-
-    def extend(word, q, remaining):
-        if remaining == 0:
-            result.append(word)
-            return
-        for a in aut.alphabet.symbols:
-            r = aut.delta(q, a)
-            if r is not None:
-                a_tok = a if aut.alphabet.single_char else (a,)
-                extend(word + a_tok, r, remaining - 1)
-
-    for q_word, q in sorted(frontier.items()):
-        extend(q_word, q, n - m)
-    return sorted(result)
+    frontier = [("" if aut.alphabet.single_char else (), 0)]
+    for _ in range(n):
+        frontier = [
+            (u + _token(aut.alphabet, a), r)
+            for u, node in frontier
+            for a, r in aut.word_graph[node].items()
+        ]
+    return sorted(u for u, _ in frontier)
 
 
 # ---------------------------------------------------------------------------
@@ -548,17 +567,15 @@ def sgap_lambda(gaps: SGapSet, tol: float = 1e-14) -> float:
 
 
 def is_synchronizing(spec, w) -> bool:
-    """Whether w's follower behavior is independent of its left context."""
+    """Whether w's follower behavior is independent of its left context.
+
+    States are follower-separated, so w must land in one state from every
+    state it is readable from.
+    """
     aut = build_automaton(spec)
     if not member(spec, w):
         raise InvalidWordError(f"{W.format_word(w)!r} is not in the language")
-    landings = _landing_states(aut, w)
-    reps = sorted(set(landings.values()))
-    return all(
-        aut.follower_contains(p, q) and aut.follower_contains(q, p)
-        for p in reps
-        for q in reps
-    )
+    return len(set(_landing_states(aut, w).values())) == 1
 
 
 def _landing_states(aut: Automaton, w) -> dict[int, int]:

@@ -125,6 +125,7 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, relation
                 _fail(record, {"v": W.format_word(v), "w": W.format_word(w), label: residual})
     record.params["pairs"] = pairs
     record.params["classes"] = len(classes)
+    record.params["states"] = len(aut.states)
     record.residuals[f"max {label}"] = worst
     return record
 
@@ -522,16 +523,24 @@ def merge_config(overrides: dict | None) -> dict:
     return config
 
 
+def _gaps(doc) -> S.SGapSet:
+    spec = S.spec_from_dict(doc)
+    if not isinstance(spec, S.SGapShift):
+        raise SpecFormatError(f"sgap_specs entries must have type 'sgap', not {doc['type']!r}")
+    return spec.gaps
+
+
 def run_all(config: dict | None = None) -> VerificationReport:
     cfg = merge_config(config)
     tol = cfg["tolerances"]
     records = []
     timings = {}
 
-    def run(label, fn, *args):
+    def run(label, check):
+        """Record check()'s record, an error record, or nothing for None."""
         t0 = time.monotonic()
         try:
-            rec = fn(*args)
+            rec = check()
         except SymshiftError as exc:
             rec = CheckRecord(
                 name=label,
@@ -541,45 +550,41 @@ def run_all(config: dict | None = None) -> VerificationReport:
                 status="error",
                 reason=f"{type(exc).__name__}: {exc}",
             )
-        timings[rec.name] = round(time.monotonic() - t0, 3)
-        records.append(rec)
+        if rec is not None:
+            timings[rec.name] = round(time.monotonic() - t0, 3)
+            records.append(rec)
 
+    # spec documents are parsed inside the guard: a bad one becomes error records
     for doc in cfg["pair_specs"]:
-        spec = S.spec_from_dict(doc)
-        run("main-inequality", check_main_inequality, spec, cfg["maxlen_pairs"], tol["inequality"])
-        run("equality-corollary", check_equality_corollary, spec, cfg["maxlen_pairs"], tol["equality"])
+        run("main-inequality", lambda: check_main_inequality(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]))
+        run("equality-corollary", lambda: check_equality_corollary(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]))
 
     for doc in cfg["sgap_specs"]:
-        gaps = S.spec_from_dict(doc).gaps
-        run("entropy-root", check_entropy_root, gaps, tol["root"], tol["entropy_cross"])
-        run(
-            "counting-limit",
-            check_limit,
-            gaps,
-            cfg["limit_n"],
-            cfg["limit_exact_n"],
-            tol["limit"],
-            tol["limit_relative"],
-        )
-        run("value-theorem", check_value_theorem, gaps, cfg["maxlen_value"], tol["value"])
+        run("entropy-root", lambda: check_entropy_root(
+            _gaps(doc), tol["root"], tol["entropy_cross"]))
+        run("counting-limit", lambda: check_limit(
+            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]))
+        run("value-theorem", lambda: check_value_theorem(
+            _gaps(doc), cfg["maxlen_value"], tol["value"]))
+
+    def synch(doc, u):
+        gaps = _gaps(doc)
+        if S.member(S.SGapShift(gaps), u):
+            return check_synch_formula(gaps, u, cfg["synch_maxgap"], tol["synch"])
+        return None
 
     for doc in cfg["sgap_specs"][:2]:
-        gaps = S.spec_from_dict(doc).gaps
         for u in cfg["synch_words"]:
-            if S.member(S.SGapShift(gaps), u):
-                run("synchronized-formula", check_synch_formula, gaps, u, cfg["synch_maxgap"], tol["synch"])
+            run("synchronized-formula", lambda: synch(doc, u))
 
     for doc in cfg["hereditary_specs"]:
-        spec = S.spec_from_dict(doc)
-        run("hereditary-entropy", check_hereditary_entropy, spec, cfg["hereditary_nmax"], 1, tol["hereditary"])
+        run("hereditary-entropy", lambda: check_hereditary_entropy(
+            S.spec_from_dict(doc), cfg["hereditary_nmax"], 1, tol["hereditary"]))
 
-    run(
-        "replacement-lemmas",
-        check_replacement_lemmas,
-        W.BINARY,
-        cfg["replacement_v_maxlen"],
-        cfg["replacement_u_maxlen"],
-    )
+    run("replacement-lemmas", lambda: check_replacement_lemmas(
+        W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]))
 
     hs = G.hard_square()
     one = G.Pattern2D((((0, 0), "1"),))

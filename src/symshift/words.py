@@ -270,53 +270,3 @@ def respects_transition_bounded(
                 if witness is not None:
                     return False, witness
     return True, None
-
-
-def find_respecting_extension(spec, v, w, left, right, max_alpha: int | None = None):
-    """Search context affixes (alpha, beta) making the padded pair non-interfering.
-
-    alpha is a suffix of ``left``, beta a prefix of ``right``.  alpha is the
-    shortest suffix, above a floor derived from the language growth of
-    ``spec``, with ``alpha+v`` not a suffix of ``alpha+w``; beta is then the
-    shortest prefix of ``right`` such that every word of length |alpha| in
-    the language occurs in alpha+v+beta and the |alpha|-suffix of
-    alpha+v+beta occurs there exactly once.  The result is verified with
-    respects_transition_exact plus the affix conditions; on verification
-    failure the search extends beta, then alpha.  Returns None when the
-    supplied contexts are exhausted.
-    """
-    from . import subshifts  # local import: subshifts builds on this module
-
-    if v == w:
-        raise InvalidWordError("the two words must differ")
-    n2 = 1
-    while subshifts.count_words(spec, n2) < 2 * n2:
-        n2 += 1
-        if n2 > len(left) + len(v) + len(right):
-            return None
-    floor = max(n2, len(v)) + 1
-    if max_alpha is None:
-        max_alpha = len(left)
-
-    for na in range(floor, max_alpha + 1):
-        alpha = left[len(left) - na :]
-        if len(alpha) < na:
-            return None
-        av, aw = alpha + v, alpha + w
-        if len(av) <= len(aw) and aw[len(aw) - len(av) :] == av:
-            continue  # alpha+v still a suffix of alpha+w; extend alpha
-        needed = set(subshifts.enumerate_words(spec, na))
-        for nb in range(0, len(right) + 1):
-            beta = right[:nb]
-            g = av + beta
-            if not all(len(occurrences(g, q)) >= 1 for q in needed):
-                continue
-            tail = g[len(g) - na :]
-            if len(occurrences(g, tail)) != 1:
-                continue
-            gp = aw + beta
-            ok, _ = respects_transition_exact(g, gp)
-            suf, pref = affix_flags(g, gp)
-            if ok and not suf and not pref:
-                return alpha, beta
-    return None

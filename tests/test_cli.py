@@ -202,15 +202,6 @@ class TestErrorMapping:
         result = runner.invoke(cli.main, ["no-such-command"])
         assert result.exit_code == 2
 
-    def test_spec_round_trip_is_canonical(self, tmp_path):
-        from symshift import subshifts as S
-
-        doc = {"type": "sgap", "extra": [2], "from": 5}
-        path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
-        spec = cli.load_spec(str(path))
-        assert S.spec_to_dict(spec) == doc
-
 
 MALFORMED_SPECS = [
     {"type": "sgap", "finite": 5},
@@ -235,9 +226,13 @@ def test_malformed_spec_is_a_typed_error(runner, tmp_path, doc):
     else:
         with pytest.raises(SymshiftError):
             S.spec_from_dict(doc)
-        # run_all parses its pair specs before it runs any check
-        with pytest.raises(SymshiftError):
-            V.run_all({"pair_specs": [doc]})
+        # run_all parses each spec inside its check: the bad one gives two error
+        # records, and the 25 checks of the other specs still run
+        report = V.run_all({"pair_specs": [doc]})
+        assert len(report.records) == 27
+        errors = [r for r in report.records if r.status == "error"]
+        assert [r.name for r in errors] == ["main-inequality", "equality-corollary"]
+        assert all(r.reason.startswith(("SpecFormatError", "InvalidWordError")) for r in errors)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))
     result = runner.invoke(cli.main, ["entropy", "--spec", str(path)])

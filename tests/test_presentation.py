@@ -1,0 +1,215 @@
+"""The minimal left-context presentation against the m-block graph it replaced.
+
+The m-block builder below is kept only here, as a reference: its states are
+the legal blocks of length m (the longest forbidden word minus one), and a
+word of length n >= m is read from the state of its first m letters.
+"""
+
+import itertools
+import math
+from functools import cached_property
+
+import pytest
+from hypothesis import given, settings
+
+from symshift import extender as E
+from symshift import mme as M
+from symshift import subshifts as S
+from symshift import words as W
+from symshift.errors import EmptySubshiftError
+from test_fuzz import sft_specs
+
+TERNARY = W.Alphabet(("0", "1", "2"))
+MULTI = W.Alphabet(("a", "bb", "c"))
+
+FIXED_SPECS = [
+    S.FullShift(W.BINARY),
+    S.FullShift(MULTI),
+    S.SftShift(W.BINARY, ("11",)),
+    S.SftShift(W.BINARY, ("111", "1001")),
+    S.SftShift(W.BINARY, ("011",)),
+    S.SftShift(W.BINARY, ("10",)),
+    S.SftShift(TERNARY, ("00", "12", "210")),
+    S.SftShift(MULTI, (("bb", "bb"), ("a", "c", "a"))),
+    S.SGapShift(S.SGapSet((0, 1))),
+    S.SGapShift(S.SGapSet((1, 3))),
+    S.SGapShift(S.SGapSet((0, 2, 3))),
+    S.SGapShift(S.SGapSet((), 1)),
+    S.SGapShift(S.SGapSet((2,), 5)),
+]
+
+
+class BlockGraph:
+    """Trimmed m-block presentation of an SFT language (test reference)."""
+
+    def __init__(self, spec):
+        sft = S._as_sft(spec)
+        alphabet = sft.alphabet
+        m = max([len(f) for f in sft.forbidden] + [2]) - 1
+
+        def legal(u):
+            return all(not W.occurrences(u, f) for f in sft.forbidden)
+
+        blocks = {u for u in alphabet.words(m) if legal(u)}
+        edges = {}
+        for q in blocks:
+            for a in alphabet.symbols:
+                window = q + S._token(alphabet, a)
+                if window[1:] in blocks and legal(window):
+                    edges.setdefault(q, {})[a] = window[1:]
+        alive = blocks
+        while True:
+            keep = {q for q in alive if any(t in alive for t in edges.get(q, {}).values())}
+            keep &= {t for q in keep for t in edges[q].values()}
+            if keep == alive:
+                break
+            alive = keep
+        if not alive:
+            raise EmptySubshiftError("empty language")
+        self.m = m
+        self.states = tuple(sorted(alive))
+        self.index = {q: i for i, q in enumerate(self.states)}
+        # the library's automaton type, so landing maps and containment run on it
+        self.aut = S.Automaton(
+            alphabet=alphabet,
+            memory=m,
+            states=self.states,
+            transitions=tuple(
+                (self.index[q], a, self.index[t])
+                for q in self.states
+                for a, t in sorted(edges.get(q, {}).items())
+                if t in alive
+            ),
+            word_graph=(),
+        )
+
+    def member(self, u):
+        if len(u) < self.m:
+            return any(q[: len(u)] == u for q in self.states)
+        start = self.index.get(u[: self.m])
+        return start is not None and self.aut.read(start, u[self.m :]) is not None
+
+    def count_words(self, n):
+        if n <= self.m:
+            return len({q[:n] for q in self.states})
+        vec = [1] * len(self.states)
+        for _ in range(n - self.m):
+            new = [0] * len(vec)
+            for q, _a, r in self.aut.transitions:
+                new[r] += vec[q]
+            vec = new
+        return sum(vec)
+
+    def entropy(self):
+        A = self.aut.adjacency()
+        return math.log(max(S.perron_value(A[c][:, c])[0] for c in S._components(A)))
+
+    def extender_compare(self, v, w):
+        land_v = S._landing_states(self.aut, v)
+        land_w = S._landing_states(self.aut, w)
+        v_in_w = E._extender_contains(self.aut, land_v, land_w)
+        w_in_v = E._extender_contains(self.aut, land_w, land_v)
+        if v_in_w and w_in_v:
+            return E.EQUAL
+        return E.PROPER_SUBSET if v_in_w else E.PROPER_SUPERSET if w_in_v else E.INCOMPARABLE
+
+    @cached_property
+    def parry(self):
+        return M.parry_chain(self.aut.adjacency())
+
+    def mu_parry(self, w):
+        """Stationary weight of the block w starts with, times the path product."""
+        _lam, stationary, P = self.parry
+        if len(w) <= self.m:
+            return sum(p for q, p in zip(self.states, stationary) if q[: len(w)] == w)
+        i = self.index.get(w[: self.m])
+        prob = 0.0 if i is None else stationary[i]
+        for a in w[self.m :]:
+            j = None if i is None else self.aut.delta(i, a)
+            if j is None:
+                return 0.0
+            prob *= P[i, j]
+            i = j
+        return prob
+
+
+def assert_agrees(spec, member_len=8, count_len=30, pair_len=4):
+    ref = BlockGraph(spec)
+    alphabet = spec.alphabet
+    for n in range(member_len + 1):
+        for u in alphabet.words(n):
+            assert S.member(spec, u) == ref.member(u), u
+    for n in range(count_len + 1):
+        assert S.count_words(spec, n) == ref.count_words(n), n
+    words = [u for n in range(1, pair_len + 1) for u in S.enumerate_words(spec, n)]
+    for v, w in itertools.product(words, repeat=2):
+        assert E.extender_compare(spec, v, w) == ref.extender_compare(v, w), (v, w)
+    assert S.entropy(spec) == pytest.approx(ref.entropy(), rel=1e-14, abs=1e-15)
+    return ref, words
+
+
+@pytest.mark.parametrize("spec", FIXED_SPECS, ids=S.describe)
+def test_agrees_with_block_graph(spec):
+    ref, words = assert_agrees(spec, pair_len=5 if len(spec.alphabet.symbols) == 2 else 3)
+    for w in words:
+        assert S.is_synchronizing(spec, w) == all(
+            ref.aut.follower_contains(p, q)
+            for p, q in itertools.product(set(S._landing_states(ref.aut, w).values()), repeat=2)
+        )
+    if S.build_automaton(spec).irreducible:
+        model = M.parry(spec)
+        for w in words:
+            assert M.mu_parry(model, w) == pytest.approx(ref.mu_parry(w), rel=1e-12, abs=1e-15)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sft_specs())
+def test_random_sfts_agree_with_block_graph(spec):
+    try:
+        ref = BlockGraph(spec)
+    except EmptySubshiftError:
+        with pytest.raises(EmptySubshiftError):
+            S.build_automaton(spec)
+        return
+    assert len(S.build_automaton(spec).states) <= len(ref.states)
+    assert_agrees(spec, pair_len=3)
+
+
+@pytest.mark.parametrize("g", [1, 5, 19, 40, 200])
+def test_sgap_pair_has_one_state_per_gap_count(g):
+    spec = S.SGapShift(S.SGapSet((0, g)))
+    assert len(S.build_automaton(spec).states) == g + 1
+    # entropy() raises unless the graph agrees with the root of the gap equation
+    assert S.entropy(spec) == pytest.approx(math.log(S.sgap_lambda(spec.gaps)), abs=1e-9)
+
+
+def test_forbidden_word_off_the_alphabet_never_occurs():
+    spec = S.SftShift(W.BINARY, ("2", "11"))
+    assert [S.count_words(spec, n) for n in range(1, 6)] == [2, 3, 5, 8, 13]
+
+
+def test_long_forbidden_word_builds():
+    spec = S.SftShift(W.BINARY, ("1" * 40,))
+    aut = S.build_automaton(spec)
+    assert len(aut.states) == 40
+    assert S.count_words(spec, 39) == 2**39
+    assert S.count_words(spec, 40) == 2**40 - 1
+    assert S.member(spec, "1" * 39) and not S.member(spec, "1" * 40)
+
+
+@pytest.mark.parametrize("alphabet", [W.BINARY, TERNARY, MULTI])
+def test_full_shift_parry_is_uniform(alphabet):
+    # one state with a loop per symbol: each parallel edge carries 1/|A|
+    spec = S.FullShift(alphabet)
+    assert len(S.build_automaton(spec).states) == 1
+    model = M.parry(spec)
+    k = len(alphabet.symbols)
+    for n in range(5):
+        for w in alphabet.words(n):
+            assert M.mu_parry(model, w) == pytest.approx(k**-n, rel=1e-14)
+
+
+def test_states_are_labelled_by_synchronizing_words():
+    aut = S.build_automaton(S.SftShift(W.BINARY, ("111", "1001")))
+    for q, label in enumerate(aut.states):
+        assert set(S._landing_states(aut, label).values()) == {q}

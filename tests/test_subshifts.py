@@ -47,17 +47,17 @@ class TestSGapSet:
 
 class TestSpecSerialization:
     @pytest.mark.parametrize(
-        "doc",
+        "doc, expected",
         [
-            {"type": "full", "alphabet": ["0", "1"]},
-            {"type": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]},
-            {"type": "sgap", "finite": [0, 1]},
-            {"type": "sgap", "extra": [2], "from": 5},
+            ({"type": "full", "alphabet": ["0", "1"]}, FULL),
+            ({"type": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}, GOLDEN),
+            ({"type": "sgap", "finite": [0, 1]}, S.SGapShift(S.SGapSet((0, 1)))),
+            ({"type": "sgap", "extra": [2], "from": 5}, S.SGapShift(S.SGapSet((2,), 5))),
         ],
+        ids=["doc0", "doc1", "doc2", "doc3"],
     )
-    def test_round_trip(self, doc):
-        spec = S.spec_from_dict(doc)
-        assert S.spec_from_dict(S.spec_to_dict(spec)) == spec
+    def test_round_trip(self, doc, expected):
+        assert S.spec_from_dict(doc) == expected
 
     def test_unknown_type(self):
         with pytest.raises(SpecFormatError):

@@ -39,6 +39,7 @@ class TestIndividualChecks:
         rec = V.check_main_inequality(GOLDEN, 4, 1e-12)
         assert rec.status == "pass"
         assert rec.params["pairs"] > 0
+        assert rec.params["states"] == 2
 
     def test_zero_entropy_skipped(self):
         spec = S.SGapShift(S.SGapSet((1,)))
@@ -267,6 +268,20 @@ class TestSuite:
         errors = [r for r in broken.records if r.status == "error"]
         assert sorted(r.name for r in errors) == ["equality-corollary", "main-inequality"]
         assert all(r.reason.startswith("NumericalError") for r in errors)
+        assert len(broken.records) == len(report.records)
+
+    def test_wrong_spec_type_does_not_abort_suite(self, report):
+        # an SFT where an S-gap spec belongs: each check that reads it errors
+        sft = {"type": "sft", "alphabet": ["0", "1"], "forbidden": ["11"]}
+        broken = V.run_all(dict(SMALL_CONFIG, sgap_specs=[sft, SMALL_CONFIG["sgap_specs"][1]]))
+        errors = [r for r in broken.records if r.status == "error"]
+        assert sorted(r.name for r in errors) == [
+            "counting-limit",
+            "entropy-root",
+            "synchronized-formula",
+            "value-theorem",
+        ]
+        assert all(r.reason.startswith("SpecFormatError") for r in errors)
         assert len(broken.records) == len(report.records)
 
     def test_zero_entropy_pair_spec_is_skipped(self, report):

@@ -197,33 +197,3 @@ class TestRespectsTransition:
             exact, _ = W.respects_transition_exact(v, w)
             oracle, _ = W.respects_transition_bounded(v, w, 2 * len(v) + len(w) + 2)
             assert exact == oracle, (v, w)
-
-
-class TestRespectingExtension:
-    def test_golden_mean_search(self):
-        from symshift import subshifts as S
-
-        spec = S.SftShift(W.BINARY, ("11",))
-        left = "0010010100100101"
-        right = "0101001001010010"
-        found = W.find_respecting_extension(spec, "0", "00", left, right)
-        assert found is not None
-        alpha, beta = found
-        ok, _ = W.respects_transition_exact(alpha + "0" + beta, alpha + "00" + beta)
-        assert ok
-        suf, pref = W.affix_flags(alpha + "0" + beta, alpha + "00" + beta)
-        assert not suf and not pref
-
-    def test_periodic_context_exhausts(self):
-        from symshift import subshifts as S
-
-        spec = S.SftShift(W.BINARY, ("11",))
-        assert W.find_respecting_extension(spec, "0", "00", "0" * 12, "0" * 12) is None
-
-    def test_full_shift_prompt(self):
-        from symshift import subshifts as S
-
-        spec = S.FullShift(W.BINARY)
-        left = "00110100110001011100"
-        right = "1101001011"
-        assert W.find_respecting_extension(spec, "0", "1", left, right) is not None
