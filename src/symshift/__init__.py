@@ -25,6 +25,7 @@ from .words import (
     respects_transition_bounded,
     respects_transition_exact,
     self_overlaps,
+    transition_oracle,
 )
 from .subshifts import (
     FullShift,

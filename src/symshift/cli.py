@@ -177,7 +177,7 @@ def replace(u, v, w, positions):
 @click.argument("v")
 @click.argument("w")
 @click.option("--bounded", "bounded", type=int, default=None,
-              help="also sweep every word up to this length as an oracle")
+              help="also sweep every binary word up to this length as an oracle")
 @_library_errors
 def respects(v, w, bounded):
     """Decide whether replacing v by w never disturbs other occurrences."""

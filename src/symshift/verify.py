@@ -434,15 +434,13 @@ def check_replacement_lemmas(
         tolerance={},
     )
     pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
+    pairs = [(v, w) for v, w in itertools.product(pool, repeat=2) if v != w]
+    oracle = W.transition_oracle({(v, w): 2 * len(v) + len(w) + 2 for v, w in pairs}, alphabet)
     disagreements = 0
     respecting = []
-    for v, w in itertools.product(pool, repeat=2):
-        if v == w:
-            continue
+    for v, w in pairs:
         ok_exact, _ = W.respects_transition_exact(v, w)
-        ok_oracle, _ = W.respects_transition_bounded(
-            v, w, 2 * len(v) + len(w) + 2, alphabet
-        )
+        ok_oracle, _ = oracle[v, w]
         if ok_exact != ok_oracle:
             disagreements += 1
             _fail(record, {"lemma": "decider-vs-oracle", "v": v, "w": w})

@@ -19,7 +19,7 @@ from .errors import (
     ResourceLimitError,
 )
 
-# Words of this length or more would make exhaustive sweeps explode.
+# Most words one exhaustive sweep may visit, counted over all its lengths.
 _SWEEP_BUDGET = 1 << 22
 
 
@@ -56,17 +56,25 @@ BINARY = Alphabet(("0", "1"))
 def parse_word(text: str, alphabet: Alphabet):
     """Parse the serialized form of a word (tokens joined with '.')."""
     if alphabet.single_char:
-        for ch in text:
-            if ch not in alphabet.symbols:
-                raise InvalidWordError(f"symbol {ch!r} not in alphabet")
-        return text
-    if text == "":
-        return ()
-    tokens = tuple(text.split("."))
-    for tok in tokens:
-        if tok not in alphabet.symbols:
-            raise InvalidWordError(f"symbol {tok!r} not in alphabet")
-    return tokens
+        word = text
+    else:
+        word = tuple(text.split(".")) if text else ()
+    _check_over(word, alphabet)
+    return word
+
+
+def _check_over(word, alphabet: Alphabet) -> None:
+    """Raise InvalidWordError unless word is a word over alphabet.
+
+    The type must match too: a ``str`` never equals a tuple slice, so a word
+    of the wrong representation would silently occur nowhere.
+    """
+    kind = str if alphabet.single_char else tuple
+    if not isinstance(word, kind):
+        raise InvalidWordError(f"words over this alphabet are {kind.__name__}s, got {word!r}")
+    for s in word:
+        if s not in alphabet.symbols:
+            raise InvalidWordError(f"symbol {s!r} not in alphabet")
 
 
 def format_word(word) -> str:
@@ -92,17 +100,12 @@ def occurrences(u, v) -> list[int]:
     return [i for i in range(n - k + 1) if u[i : i + k] == v]
 
 
-def _occurs_at(u, v, i: int) -> bool:
-    """Whether v occurs in u at index i."""
-    # the bounds check comes first: a negative i would slice from the end
-    return 0 <= i <= len(u) - len(v) and u[i : i + len(v)] == v
-
-
 def replace_at(u, v, w, i: int):
     """Replace the occurrence of v at index i of u by w."""
     if len(v) == 0:
         raise InvalidWordError("occurrence pattern must be nonempty")
-    if not _occurs_at(u, v, i):
+    # the bounds check comes first: a negative i would slice from the end
+    if not (0 <= i <= len(u) - len(v) and u[i : i + len(v)] == v):
         raise InvalidPositionError(f"index {i} is not an occurrence of {format_word(v)!r}")
     return u[:i] + w + u[i + len(v) :]
 
@@ -224,23 +227,89 @@ def _check_conditions(u, v, w, i: int, occ_v: list, occ_w: list) -> Optional[Tra
     """Literal check of the four conditions for one (u, i).
 
     ``occ_v`` and ``occ_w`` are the occurrences of v and w in u, computed
-    once by the caller for all i on the same u.
+    once by the caller for all i on the same u; i must be one of ``occ_v``.
     """
-    shift = len(w) - len(v)
-    up = replace_at(u, v, w, i)
+    nv, nw = len(v), len(w)
+    shift = nw - nv
+    up = u[:i] + w + u[i + nv :]
+    # every index below is >= 0, and a slice that runs past the end is short
     for j in occ_v:
         if j > i:
             if j + shift <= i:
                 return TransitionWitness("iv", u, i, j)
-            if not _occurs_at(up, v, j + shift):
+            if up[j + shift : j + shift + nv] != v:
                 return TransitionWitness("i", u, i, j)
         elif j < i:
-            if not _occurs_at(up, v, j):
+            if up[j : j + nv] != v:
                 return TransitionWitness("ii", u, i, j)
     for j in occ_w:
-        if j < i and not _occurs_at(up, w, j):
+        if j < i and up[j : j + nw] != w:
             return TransitionWitness("iii", u, i, j)
     return None
+
+
+def transition_oracle(
+    pairs: dict, alphabet: Alphabet = BINARY
+) -> dict[tuple, tuple[bool, Optional[TransitionWitness]]]:
+    """Brute-force sweep of the four conditions for many (v, w) pairs at once.
+
+    ``pairs`` maps (v, w) to max_len; the result maps each pair to
+    (ok, witness).  A pair is checked on every word u over ``alphabet`` with
+    |v| <= |u| <= max_len and every occurrence i of v in u, in canonical
+    order, and stops at its first violation, so it gets the same answer as a
+    sweep of its own.  The words are enumerated once for all pairs, and the
+    occurrences of each pattern once per word.
+
+    Independent oracle for respects_transition_exact.  Each pair is
+    validated before any word is swept: v and w must be nonempty words over
+    ``alphabet``, max_len at least |v|, and the pair's own sweep, the sum of
+    |A|^L over its lengths, within the budget.
+    """
+    k = len(alphabet.symbols)
+    for (v, w), max_len in pairs.items():
+        if len(v) == 0 or len(w) == 0:
+            raise InvalidWordError("words must be nonempty")
+        if max_len < len(v):
+            raise InvalidWordError("max_len must be at least |v|")
+        _check_over(v, alphabet)
+        _check_over(w, alphabet)
+        total = sum(k**L for L in range(len(v), max_len + 1))
+        if total > _SWEEP_BUDGET:
+            raise ResourceLimitError(
+                f"sweep of {total} words exceeds budget; lower max_len or shrink the alphabet"
+            )
+    results = {pair: (True, None) for pair in pairs}
+    for L in range(1, max(pairs.values(), default=0) + 1):
+        live = [
+            (v, w)
+            for (v, w), max_len in pairs.items()
+            if len(v) <= L <= max_len and results[v, w][0]
+        ]
+        if not live:
+            continue
+        for u in alphabet.words(L):
+            occ = {}  # pattern -> its occurrences in u
+            failed = False
+            for v, w in live:
+                occ_v = occ.get(v)
+                if occ_v is None:
+                    occ_v = occ[v] = occurrences(u, v)
+                if not occ_v:
+                    continue
+                occ_w = occ.get(w)
+                if occ_w is None:
+                    occ_w = occ[w] = occurrences(u, w)
+                for i in occ_v:
+                    witness = _check_conditions(u, v, w, i, occ_v, occ_w)
+                    if witness is not None:
+                        results[v, w] = (False, witness)
+                        failed = True
+                        break
+            if failed:
+                live = [pair for pair in live if results[pair][0]]
+                if not live:
+                    break
+    return results
 
 
 def respects_transition_bounded(
@@ -248,25 +317,6 @@ def respects_transition_bounded(
 ) -> tuple[bool, Optional[TransitionWitness]]:
     """Brute-force sweep of the four conditions over all u with |u| <= max_len.
 
-    Independent oracle for respects_transition_exact; cost |A|^max_len.
+    One pair of transition_oracle, with its validation; cost |A|^max_len.
     """
-    if len(v) == 0 or len(w) == 0:
-        raise InvalidWordError("words must be nonempty")
-    if max_len < len(v):
-        raise InvalidWordError("max_len must be at least |v|")
-    total = sum(len(alphabet.symbols) ** L for L in range(len(v), max_len + 1))
-    if total > _SWEEP_BUDGET:
-        raise ResourceLimitError(
-            f"sweep of {total} words exceeds budget; lower max_len or shrink the alphabet"
-        )
-    for L in range(len(v), max_len + 1):
-        for u in alphabet.words(L):
-            occ_v = occurrences(u, v)
-            if not occ_v:
-                continue
-            occ_w = occurrences(u, w)
-            for i in occ_v:
-                witness = _check_conditions(u, v, w, i, occ_v, occ_w)
-                if witness is not None:
-                    return False, witness
-    return True, None
+    return transition_oracle({(v, w): max_len}, alphabet)[v, w]

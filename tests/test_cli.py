@@ -97,6 +97,12 @@ class TestBasicCommands:
         assert out["agrees"] is True
         assert out["witness"]["condition"] == "iv"
 
+    def test_respects_oracle_rejects_foreign_symbols(self, runner):
+        # "22" occurs in no binary word, so a sweep would pass vacuously
+        result = runner.invoke(cli.main, ["respects", "22", "2", "--bounded", "8"])
+        assert result.exit_code == 1
+        assert payload(result)["error"]["type"] == "InvalidWordError"
+
 
 class TestVerifyRun:
     CONFIG = {

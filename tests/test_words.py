@@ -197,3 +197,92 @@ class TestRespectsTransition:
             exact, _ = W.respects_transition_exact(v, w)
             oracle, _ = W.respects_transition_bounded(v, w, 2 * len(v) + len(w) + 2)
             assert exact == oracle, (v, w)
+
+
+def _reference_conditions(u, v, w, i, occ_v, occ_w):
+    """The four conditions for one (u, i), through replace_at (test reference)."""
+
+    def occurs_at(word, pattern, j):
+        return 0 <= j <= len(word) - len(pattern) and word[j : j + len(pattern)] == pattern
+
+    shift = len(w) - len(v)
+    up = W.replace_at(u, v, w, i)
+    for j in occ_v:
+        if j > i:
+            if j + shift <= i:
+                return W.TransitionWitness("iv", u, i, j)
+            if not occurs_at(up, v, j + shift):
+                return W.TransitionWitness("i", u, i, j)
+        elif j < i:
+            if not occurs_at(up, v, j):
+                return W.TransitionWitness("ii", u, i, j)
+    for j in occ_w:
+        if j < i and not occurs_at(up, w, j):
+            return W.TransitionWitness("iii", u, i, j)
+    return None
+
+
+def _reference_sweep(v, w, max_len, alphabet):
+    """One pair's own sweep over every word, first witness wins (test reference)."""
+    for L in range(len(v), max_len + 1):
+        for u in alphabet.words(L):
+            occ_v = W.occurrences(u, v)
+            if not occ_v:
+                continue
+            occ_w = W.occurrences(u, w)
+            for i in occ_v:
+                witness = _reference_conditions(u, v, w, i, occ_v, occ_w)
+                if witness is not None:
+                    return False, witness
+    return True, None
+
+
+class TestTransitionOracle:
+    @pytest.mark.parametrize(
+        "alphabet, v_maxlen",
+        [(W.BINARY, 3), (W.Alphabet(("a", "b", "c")), 2), (W.Alphabet(("x0", "x1", "y")), 2)],
+    )
+    def test_matches_per_pair_reference(self, alphabet, v_maxlen):
+        pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
+        pairs = {
+            (v, w): 2 * len(v) + len(w) + 2
+            for v, w in itertools.product(pool, repeat=2)
+            if v != w
+        }
+        batch = W.transition_oracle(pairs, alphabet)
+        assert list(batch) == list(pairs)
+        for (v, w), max_len in pairs.items():
+            ok, witness = batch[v, w]
+            assert (ok, witness) == _reference_sweep(v, w, max_len, alphabet), (v, w)
+            assert ok == W.respects_transition_exact(v, w)[0], (v, w)
+
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (("", "1", 3), InvalidWordError),
+            (("11", "1", 1), InvalidWordError),
+            (("1", "11", 30), ResourceLimitError),  # the budget is per pair
+        ],
+    )
+    def test_batch_raises_like_single_call(self, bad, error):
+        v, w, max_len = bad
+        with pytest.raises(error) as single:
+            W.respects_transition_bounded(v, w, max_len)
+        pairs = {("0", "1"): 10, ("1", "0"): 10, (v, w): max_len}
+        with pytest.raises(error) as batch:
+            W.transition_oracle(pairs)
+        assert str(batch.value) == str(single.value)
+
+    @pytest.mark.parametrize(
+        "v, w, alphabet",
+        [
+            ("22", "2", W.BINARY),  # symbols outside the alphabet
+            (("1",), ("0",), W.BINARY),  # tuples never equal a str slice
+            ("x0", "x1", W.Alphabet(("x0", "x1"))),  # a str never equals a tuple slice
+        ],
+    )
+    def test_rejects_words_not_over_the_alphabet(self, v, w, alphabet):
+        with pytest.raises(InvalidWordError):
+            W.respects_transition_bounded(v, w, 5, alphabet)
+        with pytest.raises(InvalidWordError):
+            W.transition_oracle({("0", "1"): 5, (v, w): 5}, alphabet)
