@@ -15,7 +15,8 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import subshifts as S
-from .errors import InvalidWordError, NumericalError, ReduciblePresentationError
+from .errors import NumericalError, ReduciblePresentationError
+from .words import BINARY, _check_over
 
 # ---------------------------------------------------------------------------
 # Parry model for irreducible presentations
@@ -49,14 +50,20 @@ class ParryModel:
     transition: np.ndarray
 
     @cached_property
-    def _hops(self) -> dict:
-        """(state, symbol) -> (target, probability of that one edge); parallel
+    def _steps(self) -> dict:
+        """symbol -> {state: (target, probability of that one edge)}; parallel
         edges share P[q, r] evenly, P[q, r] / A[q, r] each."""
         A = self.automaton.adjacency()
-        return {
-            (q, a): (r, float(self.transition[q, r] / A[q, r]))
-            for q, a, r in self.automaton.transitions
-        }
+        steps = {}
+        for q, a, r in self.automaton.transitions:
+            steps.setdefault(a, {})[q] = (r, float(self.transition[q, r] / A[q, r]))
+        return steps
+
+    @cached_property
+    def _cursor(self) -> tuple[list, list]:
+        """The last word queried, as a list of symbols, and the weights after
+        each of its prefixes; the empty prefix holds the stationary weights."""
+        return [], [dict(enumerate(self.stationary.tolist()))]
 
 
 def parry(spec) -> ParryModel:
@@ -73,16 +80,29 @@ def mu_parry(model: ParryModel, w) -> float:
 
     Sums, over the states w is readable from, the stationary weight times the
     edge probabilities along w's path; paths that meet in a state are merged.
+    Queries on one model resume from the prefix they share with the previous
+    query, so only the symbols after it are stepped through.
     """
-    weights = dict(enumerate(model.stationary.tolist()))
-    for a in w:
+    steps = model._steps
+    word, trail = model._cursor
+    k = 0
+    for a, b in zip(word, w):
+        if a != b:
+            break
+        k += 1
+    del word[k:], trail[k + 1 :]
+    weights = trail[k]
+    for a in w[k:]:
+        edges = steps.get(a, {})
         step = {}
         for q, p in weights.items():
-            hop = model._hops.get((q, a))
+            hop = edges.get(q)
             if hop is not None:
                 r, prob = hop
                 step[r] = step.get(r, 0.0) + p * prob
         weights = step
+        word.append(a)
+        trail.append(weights)
     return float(sum(weights.values()))
 
 
@@ -138,18 +158,19 @@ def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
     if gaps.finite and len(gaps.extra) == 1 and gaps.extra[0] == 0:
         return 1.0 if all(c == "1" for c in w) else 0.0
     chain = gap_chain(gaps)
-    vec = np.array(chain.stationary, dtype=float)
+    vec = chain.stationary.tolist()
     for a in w:
-        new = np.zeros_like(vec)
-        for i in range(chain.n_states):
-            if vec[i] == 0.0:
+        new = [0.0] * chain.n_states
+        for i, p in enumerate(vec):
+            if p == 0.0:
                 continue
             hop = chain.transition.get((i, a))
             if hop is not None:
-                j, p = hop
-                new[j] += vec[i] * p
+                j, prob = hop
+                new[j] += p * prob
         vec = new
-    return float(vec.sum())
+    # np.sum keeps numpy's pairwise rounding of the weights
+    return float(np.sum(vec))
 
 
 # ---------------------------------------------------------------------------
@@ -225,9 +246,7 @@ class SGapMME:
         self._memo: dict[str, MeasureCertificate] = {}
 
     def certificate(self, w: str) -> MeasureCertificate:
-        for c in w:
-            if c not in "01":
-                raise InvalidWordError(f"symbol {c!r} not binary")
+        _check_over(w, BINARY)
         cached = self._memo.get(w)
         if cached is None:
             cached = self._build(w)

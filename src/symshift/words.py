@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,7 +38,7 @@ class Alphabet:
         if len(set(self.symbols)) != len(self.symbols):
             raise InvalidWordError("alphabet contains duplicate symbols")
 
-    @property
+    @cached_property
     def single_char(self) -> bool:
         return all(len(s) == 1 for s in self.symbols)
 

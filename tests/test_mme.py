@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift import words as W
-from symshift.errors import ReduciblePresentationError
+from symshift.errors import InvalidWordError, ReduciblePresentationError
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -22,6 +23,70 @@ GAP_SETS = [
     S.SGapSet((), 1),
     S.SGapSet((2,), 5),
 ]
+
+
+class ReferenceParry:
+    """The from-scratch per-(state, symbol) loop mu_parry replaced (test reference)."""
+
+    def __init__(self, model):
+        A = model.automaton.adjacency()
+        self.stationary = model.stationary
+        self.hops = {
+            (q, a): (r, float(model.transition[q, r] / A[q, r]))
+            for q, a, r in model.automaton.transitions
+        }
+
+    def __call__(self, w):
+        weights = dict(enumerate(self.stationary.tolist()))
+        for a in w:
+            step = {}
+            for q, p in weights.items():
+                hop = self.hops.get((q, a))
+                if hop is not None:
+                    r, prob = hop
+                    step[r] = step.get(r, 0.0) + p * prob
+            weights = step
+        return float(sum(weights.values()))
+
+
+def reference_sgap_mu_oracle(gaps, w):
+    """The numpy-array loop sgap_mu_oracle replaced (test reference)."""
+    chain = M.gap_chain(gaps)
+    vec = np.array(chain.stationary, dtype=float)
+    for a in w:
+        new = np.zeros_like(vec)
+        for i in range(chain.n_states):
+            if vec[i] == 0.0:
+                continue
+            hop = chain.transition.get((i, a))
+            if hop is not None:
+                j, p = hop
+                new[j] += vec[i] * p
+        vec = new
+    return float(vec.sum())
+
+
+def query_orders(spec, foreign):
+    """Word sequences that share prefixes with their predecessors in every way.
+
+    Shortlex, reversed and shuffled L_0..L_6 with a word holding the symbol
+    ``foreign`` mixed in, and a walk that queries each word, then its prefixes
+    down to the empty word, then a word off the language.
+    """
+    words = [u for n in range(7) for u in S.enumerate_words(spec, n)]
+    empty = words[0]
+    bad = words[5] + foreign + words[3]
+    shuffled = words + [bad]
+    random.Random(8).shuffle(shuffled)
+    walk = []
+    for u in words[::7]:
+        walk += [u[:k] for k in range(len(u), -1, -1)] + [u + foreign, u]
+    return {
+        "shortlex": words + [bad, empty],
+        "reversed": [bad] + words[::-1],
+        "shuffled": shuffled,
+        "prefix walk": walk,
+    }
 
 
 class TestParry:
@@ -69,6 +134,31 @@ class TestParry:
         n = len(r)
         assert P.tolist() == [[A[i, j] * r[j] / (lam * r[i]) for j in range(n)] for i in range(n)]
 
+    @pytest.mark.parametrize(
+        "spec, foreign",
+        [
+            (GOLDEN, "2"),
+            (S.SGapShift(S.SGapSet((2,), 5)), "x"),
+            (S.SftShift(W.Alphabet(("a", "bb", "c")), (("bb", "bb"), ("a", "c", "a"))), ("b",)),
+        ],
+        ids=["golden-mean", "sgap", "multi-char-sft"],
+    )
+    def test_query_order_does_not_change_values(self, spec, foreign):
+        # queries resume from the prefix shared with the previous query; every
+        # value must still be bit-identical to a from-scratch evaluation
+        reference = ReferenceParry(M.parry(spec))
+        orders = query_orders(spec, foreign)
+        for name, words in orders.items():
+            model = M.parry(spec)
+            got = [M.mu_parry(model, u).hex() for u in words]
+            assert got == [reference(u).hex() for u in words], name
+        # two models of one spec keep separate cursors
+        first, second = M.parry(spec), M.parry(spec)
+        pairs = list(zip(orders["shortlex"], orders["prefix walk"]))
+        got = [(M.mu_parry(first, u).hex(), M.mu_parry(second, v).hex()) for u, v in pairs]
+        assert got == [(reference(u).hex(), reference(v).hex()) for u, v in pairs]
+        assert M.mu_parry(first, foreign) == 0.0
+
     def test_reducible_rejected(self):
         # two non-communicating letters once 01 and 10 are forbidden
         spec = S.SftShift(W.BINARY, ("01", "10"))
@@ -90,6 +180,19 @@ class TestGapChainOracle:
         for gaps in GAP_SETS:
             total = sum(M.sgap_mu_oracle(gaps, w) for w in W.BINARY.words(4))
             assert total == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "gaps, states",
+        [(S.SGapSet((0, 1)), 2), (S.SGapSet((1, 3, 5), 7), 8), (S.SGapSet((0, 19)), 20)],
+        ids=lambda x: x.describe() if isinstance(x, S.SGapSet) else str(x),
+    )
+    def test_matches_array_reference(self, gaps, states):
+        # fewer than, exactly and more than 8 states: numpy's pairwise sum
+        # rounds differently from a plain left-to-right sum from 8 terms on
+        assert M.gap_chain(gaps).n_states == states
+        words = [u for n in range(9) for u in W.BINARY.words(n)]
+        got = [M.sgap_mu_oracle(gaps, u).hex() for u in words]
+        assert got == [reference_sgap_mu_oracle(gaps, u).hex() for u in words]
 
 
 class TestValueRecursion:
@@ -123,6 +226,12 @@ class TestValueRecursion:
     def test_illegal_pinned_word_measure_zero(self):
         value, _ = M.sgap_mu(S.SGapSet((0, 1)), "1001")
         assert value == 0.0
+
+    @pytest.mark.parametrize("w", [("01",), ("",), ("0", "1"), "012", "0 1"], ids=repr)
+    def test_non_binary_word_rejected(self, w):
+        # ("01",) and ("",) used to pass a substring test and return mu("0")
+        with pytest.raises(InvalidWordError):
+            M.sgap_mu(S.SGapSet((0, 1)), w)
 
     def test_all_ones_gap_set(self):
         gaps = S.SGapSet((0,))
