@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import sys
 
 import click
@@ -204,11 +205,16 @@ def verify():
 
 @verify.command()
 @click.option("--config", "config_path", type=click.Path(), default=None)
-@click.option("--out", "out_path", type=click.Path(), default=None)
-@click.option("--csv", "csv_dir", type=click.Path(), default=None)
+@click.option("--out", "out_path", type=click.Path(dir_okay=False), default=None)
+@click.option("--csv", "csv_dir", type=click.Path(file_okay=False), default=None)
 @_library_errors
 def run(config_path, out_path, csv_dir):
     """Run every check and write the verification report."""
+    # a bad output path is a usage error, found before the suite runs
+    if out_path is not None:
+        parent = os.path.dirname(out_path) or "."
+        if not os.path.isdir(parent):
+            raise click.BadParameter(f"{parent!r} is not an existing directory", param_hint="'--out'")
     overrides = None if config_path is None else _read_json(config_path, "config")
     report = V.run_all(overrides)
     if out_path is not None:

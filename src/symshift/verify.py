@@ -8,6 +8,8 @@ never abort the suite.
 
 from __future__ import annotations
 
+import bisect
+import collections
 import itertools
 import json
 import math
@@ -20,7 +22,7 @@ from . import grid2d as G
 from . import mme as M
 from . import subshifts as S
 from . import words as W
-from .errors import SpecFormatError, SymshiftError
+from .errors import ResourceLimitError, SpecFormatError, SymshiftError
 
 
 @dataclass
@@ -338,77 +340,141 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
 # Replacement calculus lemmas
 
 
-def _replacement_walk(u, v, w, occ):
-    """Yield (S, image) for every nonempty subset S of the occurrences ``occ``.
+def _subset_levels(v, w, u_maxlen: int, alphabet: W.Alphabet):
+    """Yield (u, live, broken) for every word u, |u| <= u_maxlen, in which v occurs.
 
-    A depth-first walk: S grows in increasing order, and each step splices w
-    into the image of S minus its last element at ``s + m(|w|-|v|)``, the
-    step rule of ``words.replace_seq``.  If no occurrence of v is left there,
-    it yields (S, None) and skips every extension of S, since replace_seq
-    breaks on all of them at the same step.
+    ``live`` holds (S, image, failed) for each nonempty subset S of v's
+    occurrences in u on which ``words.replace_seq`` goes through: image is
+    replace_seq(u, v, w, S), and failed lists the sites whose window fails in
+    it, persistence for a site of S and survival for the others.  ``broken``
+    holds S[:step] for each S on which replace_seq breaks at that step.
+
+    Words come level by level, each level in canonical order, and u = u'a is
+    built from its prefix u'.  Every node of u' carries over with image + a.
+    When |w| >= |v| each window of an old site lies inside the old image, so
+    its verdict stands; otherwise the old sites are checked again.  If v
+    ends u at t, t is the one new site, and in the image of any S it sits
+    last: it survives exactly when that image ends with v.  Then S + (t,)
+    takes the image with that v spliced to w.  When |w| >= |v| a window of
+    a site s ends at least t - s - |v| letters before the splice, so only
+    the sites that overlap t are checked again; otherwise all of them are.
+    If t does not survive, S + (t,) is broken, and a broken S is never
+    extended.  A level is dropped once the next one is built.
     """
-    nv = len(v)
-    shift = len(w) - nv
-    n = len(occ)
-    stack = [((), u, 0)]
-    while stack:
-        prefix, cur, start = stack.pop()
-        m = len(prefix)
-        for k in range(start, n):
-            s = occ[k]
-            sub = prefix + (s,)
-            pos = s + m * shift
-            if pos < 0 or cur[pos : pos + nv] != v:
-                yield sub, None
-                continue
-            img = cur[:pos] + w + cur[pos + nv :]
-            yield sub, img
-            if k + 1 < n:
-                stack.append((sub, img, k + 1))
+    nv, nw = len(v), len(w)
+    shift = nw - nv
+
+    def failed_sites(img, sub, sites):
+        # sites is a tail of the occurrences; m counts the sites of sub to
+        # the left, so each site sits at s + m * shift in img
+        m = bisect.bisect_left(sub, sites[0])
+        size = len(sub)
+        failed = []
+        for s in sites:
+            p = s + m * shift
+            if m < size and sub[m] == s:
+                m += 1
+                if img[p : p + nw] != w:
+                    failed.append(s)
+            elif p < 0 or img[p : p + nv] != v:
+                failed.append(s)
+        return tuple(failed)
+
+    if alphabet.single_char:
+        level = [("", [], [], [])]
+        letters = alphabet.symbols
+    else:
+        level = [((), [], [], [])]
+        letters = [(a,) for a in alphabet.symbols]
+    for L in range(1, u_maxlen + 1):
+        t = L - nv
+        grown_level = []
+        for u0, occ0, live0, broken0 in level:
+            for a in letters:
+                u = u0 + a
+                live = [(sub, img + a, failed) for sub, img, failed in live0]
+                if shift < 0:
+                    live = [(sub, img, failed_sites(img, sub, occ0)) for sub, img, _ in live]
+                occ, broken = occ0, broken0
+                if t >= 0 and u[t:] == v:
+                    occ = occ0 + [t]
+                    broken = list(broken0)
+                    # the old sites whose windows can reach the splice
+                    near = occ0[bisect.bisect_right(occ0, t - nv) if shift >= 0 else 0 :]
+                    cut = near[0] if near else t
+                    grown = []
+                    for sub, img, failed in [((), u, ())] + live:
+                        new = sub + (t,)
+                        if img[-nv:] != v:
+                            grown.append((sub, img, failed + (t,)))
+                            broken.append(new)
+                            continue
+                        if sub:
+                            grown.append((sub, img, failed))
+                        spliced = img[:-nv] + w  # t carries w at its end
+                        if failed:
+                            failed = tuple(s for s in failed if s < cut)
+                        if near:
+                            failed += failed_sites(spliced, new, near)
+                        grown.append((new, spliced, failed))
+                    live = grown
+                if live or broken:
+                    yield u, live, broken
+                if L < u_maxlen:
+                    grown_level.append((u, occ, live, broken))
+        level = grown_level
 
 
 def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: bool):
     """One pass over all (u, S): persistence, survival, injectivity, preimage.
 
-    A step of the walk that finds no occurrence of v to replace counts as a
-    violation with a "broken-step" witness; the sweep goes on.
+    A step of ``words.replace_seq`` that finds no occurrence of v to replace
+    counts as a violation with a "broken-step" witness; the sweep goes on.
+    Marking the first letter of each chosen occurrence maps each (u, S) to
+    its own word over |A| + 1 letters, which bounds a level's nodes.
     """
-    nv, nw = len(v), len(w)
-    shift = nw - nv
+    nodes = (len(alphabet.symbols) + 1) ** u_maxlen
+    if nodes > W._SWEEP_BUDGET:
+        raise ResourceLimitError(
+            f"a subset-sweep level of up to {nodes} nodes exceeds the budget; lower u_maxlen"
+        )
+    # str.count skips overlapping matches, and a w without self-overlap has none
+    plain = isinstance(w, str) and not W.self_overlaps(w)
     violations = 0
-    for L in range(nv, u_maxlen + 1):
+
+    def preimage_check(preimages):
         # (u', m) -> count; a preimage of (u', m) has length |u'| - m * shift,
-        # so all of them are among the words of this length
-        preimages = {}
-        for u in alphabet.words(L):
-            occ = W.occurrences(u, v)
-            if not occ:
-                continue
-            images = {}
-            for sub, img in _replacement_walk(u, v, w, occ):
-                if img is None:
-                    violations += 1
-                    _fail(record, {"lemma": "broken-step", "u": u, "S": list(sub)})
-                    continue
-                size = len(sub)
-                # one pass over the occurrences; m counts the replaced sites
-                # to the left, so each site sits at s + m * shift in img
-                m = 0
-                for s in occ:
-                    p = s + m * shift
-                    if m < size and sub[m] == s:
-                        m += 1
-                        # persistence: every replaced site now carries w
-                        if img[p : p + nw] != w:
-                            violations += 1
-                            _fail(record, {"lemma": "persistence", "u": u, "S": list(sub), "m": s})
-                    elif p < 0 or img[p : p + nv] != v:
-                        # survival: unreplaced occurrences shift predictably
-                        violations += 1
-                        _fail(record, {"lemma": "survival", "u": u, "S": list(sub), "m": s})
-                if check_inj:
-                    key = (img, size)
-                    preimages[key] = preimages.get(key, 0) + 1
+        # so all of them are among the words of one level
+        found = 0
+        for (img, m), count in preimages.items():
+            bound = math.comb(img.count(w) if plain else len(W.occurrences(img, w)), m)
+            if count > bound:
+                found += 1
+                _fail(record, {"lemma": "preimage", "u'": img, "m": m, "count": count, "bound": bound})
+        return found
+
+    preimages = collections.Counter()
+    level = len(v)
+    for u, live, broken in _subset_levels(v, w, u_maxlen, alphabet):
+        if len(u) > level:
+            violations += preimage_check(preimages)
+            preimages = collections.Counter()
+            level = len(u)
+        for sub in broken:
+            violations += 1
+            _fail(record, {"lemma": "broken-step", "u": u, "S": list(sub)})
+        for sub, img, failed in live:
+            for s in failed:
+                violations += 1
+                lemma = "persistence" if s in sub else "survival"
+                _fail(record, {"lemma": lemma, "u": u, "S": list(sub), "m": s})
+        if check_inj:
+            keys = [(img, len(sub)) for sub, img, _ in live]
+            preimages.update(keys)
+            # injectivity: subsets of one size of one u give distinct images
+            if len(set(keys)) < len(keys):
+                images = {}
+                for (sub, _, _), key in zip(live, keys):
                     first = images.setdefault(key, sub)
                     if first is not sub:
                         violations += 1
@@ -416,12 +482,7 @@ def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: 
                             record,
                             {"lemma": "injectivity", "u": u, "S": list(sub), "S'": list(first)},
                         )
-        for (img, m), count in preimages.items():
-            bound = math.comb(len(W.occurrences(img, w)), m)
-            if count > bound:
-                violations += 1
-                _fail(record, {"lemma": "preimage", "u'": img, "m": m, "count": count, "bound": bound})
-    return violations
+    return violations + preimage_check(preimages)
 
 
 def check_replacement_lemmas(
@@ -505,19 +566,38 @@ DEFAULT_CONFIG = {
 
 
 def merge_config(overrides: dict | None) -> dict:
+    """DEFAULT_CONFIG with ``overrides`` applied; a bad field raises SpecFormatError.
+
+    Fields whose default is an integer take integers >= 0, list fields take
+    lists, and tolerances take real numbers.
+    """
     config = json.loads(json.dumps(DEFAULT_CONFIG))
-    if overrides:
-        unknown = set(overrides) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise SpecFormatError(f"unknown config fields: {sorted(unknown)}")
-        for key, value in overrides.items():
-            if key == "tolerances":
-                bad = set(value) - set(config["tolerances"])
-                if bad:
-                    raise SpecFormatError(f"unknown tolerance fields: {sorted(bad)}")
-                config["tolerances"].update(value)
-            else:
-                config[key] = value
+    if overrides is None:
+        return config
+    if not isinstance(overrides, dict):
+        raise SpecFormatError(f"config must be an object, not {overrides!r}")
+    unknown = set(overrides) - set(DEFAULT_CONFIG)
+    if unknown:
+        raise SpecFormatError(f"unknown config fields: {sorted(unknown)}")
+    for key, value in overrides.items():
+        default = DEFAULT_CONFIG[key]
+        if key == "tolerances":
+            if not isinstance(value, dict):
+                raise SpecFormatError(f"tolerances must be an object, not {value!r}")
+            bad = set(value) - set(default)
+            if bad:
+                raise SpecFormatError(f"unknown tolerance fields: {sorted(bad)}")
+            for name, tol in value.items():
+                if isinstance(tol, bool) or not isinstance(tol, (int, float)) or math.isnan(tol):
+                    raise SpecFormatError(f"tolerance {name!r} must be a real number, not {tol!r}")
+            config["tolerances"].update(value)
+            continue
+        if isinstance(default, list):
+            if not isinstance(value, list):
+                raise SpecFormatError(f"config field {key!r} must be a list, not {value!r}")
+        elif not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise SpecFormatError(f"config field {key!r} must be an integer >= 0, not {value!r}")
+        config[key] = value
     return config
 
 

@@ -143,6 +143,40 @@ class TestVerifyRun:
         assert result.exit_code == 1
         assert payload(result)["error"]["type"] == "SpecFormatError"
 
+    def test_mistyped_config_is_an_error(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"replacement_u_maxlen": "8"}))
+        result = runner.invoke(cli.main, ["verify", "run", "--config", str(config)])
+        assert result.exit_code == 1
+        assert payload(result)["error"]["type"] == "SpecFormatError"
+
+    def test_sweep_over_budget_is_an_error_record(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(self.CONFIG, replacement_u_maxlen=30)))
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            cli.main, ["verify", "run", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert payload(result)["checks"]["error"] == 1
+        errors = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "error"]
+        assert [c["name"] for c in errors] == ["replacement-lemmas"]
+        assert errors[0]["reason"].startswith("ResourceLimitError")
+
+    @pytest.mark.parametrize(
+        "flag, target",
+        [("--out", "missing/report.json"), ("--out", "."), ("--csv", "report.json")],
+    )
+    def test_bad_output_path_is_a_usage_error(self, runner, tmp_path, monkeypatch, flag, target):
+        # checked before the suite runs: run_all must not be reached
+        (tmp_path / "report.json").write_text("{}")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(V, "run_all", lambda *args: pytest.fail("suite ran"))
+        result = runner.invoke(cli.main, ["verify", "run", flag, target])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert f"Invalid value for '{flag}'" in result.output
+
 
 class TestGrid2d:
     def test_check_gtheorem(self, runner, hardsq_files):

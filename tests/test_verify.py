@@ -1,3 +1,4 @@
+import collections
 import itertools
 import json
 import math
@@ -10,7 +11,12 @@ from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift import words as W
-from symshift.errors import NumericalError, ReplacementBrokenError, SpecFormatError
+from symshift.errors import (
+    NumericalError,
+    ReplacementBrokenError,
+    ResourceLimitError,
+    SpecFormatError,
+)
 
 GOLDEN = S.SftShift(W.BINARY, ("11",))
 
@@ -171,17 +177,110 @@ class TestExtenderSweep:
             assert max(wit[label] for wit in rec.witnesses) == rec.residuals[f"max {label}"]
 
 
+def _reference_walk(u, v, w, occ):
+    """Yield (S, image) for every nonempty subset S of the occurrences ``occ``.
+
+    The depth-first walk the level sweep replaced, kept as its reference: S
+    grows in increasing order, and each step splices w into the image of S
+    minus its last element at ``s + m(|w|-|v|)``.  If no occurrence of v is
+    left there, it yields (S, None) and skips every extension of S.
+    """
+    nv = len(v)
+    shift = len(w) - nv
+    n = len(occ)
+    stack = [((), u, 0)]
+    while stack:
+        prefix, cur, start = stack.pop()
+        m = len(prefix)
+        for k in range(start, n):
+            s = occ[k]
+            sub = prefix + (s,)
+            pos = s + m * shift
+            if pos < 0 or cur[pos : pos + nv] != v:
+                yield sub, None
+                continue
+            img = cur[:pos] + w + cur[pos + nv :]
+            yield sub, img
+            if k + 1 < n:
+                stack.append((sub, img, k + 1))
+
+
+def _reference_sweep(record, v, w, u_maxlen, alphabet, check_inj):
+    """The per-word sweep over ``_reference_walk`` that ``V._subset_sweep`` replaced."""
+    nv, nw = len(v), len(w)
+    shift = nw - nv
+    violations = 0
+    for L in range(nv, u_maxlen + 1):
+        preimages = {}
+        for u in alphabet.words(L):
+            occ = W.occurrences(u, v)
+            if not occ:
+                continue
+            images = {}
+            for sub, img in _reference_walk(u, v, w, occ):
+                if img is None:
+                    violations += 1
+                    V._fail(record, {"lemma": "broken-step", "u": u, "S": list(sub)})
+                    continue
+                size = len(sub)
+                m = 0
+                for s in occ:
+                    p = s + m * shift
+                    if m < size and sub[m] == s:
+                        m += 1
+                        if img[p : p + nw] != w:
+                            violations += 1
+                            V._fail(record, {"lemma": "persistence", "u": u, "S": list(sub), "m": s})
+                    elif p < 0 or img[p : p + nv] != v:
+                        violations += 1
+                        V._fail(record, {"lemma": "survival", "u": u, "S": list(sub), "m": s})
+                if check_inj:
+                    key = (img, size)
+                    preimages[key] = preimages.get(key, 0) + 1
+                    first = images.setdefault(key, sub)
+                    if first is not sub:
+                        violations += 1
+                        V._fail(
+                            record,
+                            {"lemma": "injectivity", "u": u, "S": list(sub), "S'": list(first)},
+                        )
+        for (img, m), count in preimages.items():
+            bound = math.comb(len(W.occurrences(img, w)), m)
+            if count > bound:
+                violations += 1
+                V._fail(
+                    record, {"lemma": "preimage", "u'": img, "m": m, "count": count, "bound": bound}
+                )
+    return violations
+
+
+def _pairs(alphabet, maxlen):
+    pool = [u for n in range(1, maxlen + 1) for u in alphabet.words(n)]
+    return [(v, w) for v, w in itertools.product(pool, repeat=2) if v != w]
+
+
+def _sweep(sweep, v, w, u_maxlen, alphabet, check_inj):
+    rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+    return sweep(rec, v, w, u_maxlen, alphabet, check_inj), rec.witnesses
+
+
 class TestReplacementWalk:
     def test_walk_matches_replace_seq(self):
-        # replace_seq is the reference: the walk yields its image for every
-        # subset, and (S[:step], None) where replace_seq breaks at that step
-        pool = [u for n in range(1, 4) for u in W.BINARY.words(n)]
+        # replace_seq is the reference: each word's level table holds its
+        # image for every subset, and the marker S[:step] where replace_seq
+        # breaks at that step; every word with an occurrence comes once, by
+        # length and then in canonical order
         contexts = [u for n in range(1, 9) for u in W.BINARY.words(n)]
-        for v, w in itertools.product(pool, repeat=2):
-            if v == w:
-                continue
+        for v, w in _pairs(W.BINARY, 3):
             respecting, _ = W.respects_transition_exact(v, w)
-            for u in contexts:
+            tables = {}
+            for u, live, broken in V._subset_levels(v, w, 8, W.BINARY):
+                table = {sub: img for sub, img, _ in live}
+                table.update((sub, None) for sub in broken)
+                assert len(table) == len(live) + len(broken), (v, w, u)
+                tables[u] = table
+            assert list(tables) == [u for u in contexts if W.occurrences(u, v)], (v, w)
+            for u, table in tables.items():
                 occ = W.occurrences(u, v)
                 expected = {}
                 for size in range(1, len(occ) + 1):
@@ -190,9 +289,7 @@ class TestReplacementWalk:
                             expected[sub] = W.replace_seq(u, v, w, sub)
                         except ReplacementBrokenError as err:
                             expected[sub[: err.step]] = None
-                walked = list(V._replacement_walk(u, v, w, occ))
-                assert len(walked) == len(dict(walked)), (v, w, u)
-                assert dict(walked) == expected, (v, w, u)
+                assert table == expected, (v, w, u)
                 if respecting:
                     assert None not in expected.values(), (v, w, u)
 
@@ -216,6 +313,67 @@ class TestReplacementWalk:
         violations = V._subset_sweep(rec, "00", "1", 9, W.BINARY, check_inj=True)
         keys = {json.dumps(wit, sort_keys=True) for wit in rec.witnesses}
         assert violations == len(rec.witnesses) == len(keys) == 4984
+
+
+TUPLES = W.Alphabet(("x0", "x1"))
+V4_PAIRS = [
+    (v, w)
+    for v in W.BINARY.words(4)
+    for w in ("0", "1", "01", "10", "0000", "0110", "11111")
+    if v != w
+]
+
+
+class TestSweepMatchesReference:
+    @pytest.mark.parametrize(
+        "alphabet, pairs, u_maxlen, violations",
+        [
+            (W.BINARY, _pairs(W.BINARY, 3), 7, 48976),
+            (W.Alphabet(("a", "b", "c")), _pairs(W.Alphabet(("a", "b", "c")), 2), 5, 7728),
+            (TUPLES, _pairs(TUPLES, 2), 6, 4584),
+            (W.BINARY, V4_PAIRS, 8, 7469),
+        ],
+        ids=["binary-3-at-7", "abc-2-at-5", "tuples-2-at-6", "v4-at-8"],
+    )
+    def test_same_violations_as_reference(self, alphabet, pairs, u_maxlen, violations):
+        # both injectivity modes, so every failure path runs; only the order
+        # within a word and the earlier S' a duplicate names may differ
+        def collisions(v, w, witnesses):
+            found = collections.Counter()
+            for wit in witnesses:
+                image = W.replace_seq(wit["u"], v, w, wit["S"])
+                assert W.replace_seq(wit["u"], v, w, wit["S'"]) == image
+                assert len(wit["S'"]) == len(wit["S"])
+                found[json.dumps([wit["u"], image, len(wit["S"])])] += 1
+            return found
+
+        total = 0
+        for v, w in pairs:
+            for check_inj in (True, False):
+                ref_count, ref = _sweep(_reference_sweep, v, w, u_maxlen, alphabet, check_inj)
+                count, got = _sweep(V._subset_sweep, v, w, u_maxlen, alphabet, check_inj)
+                assert count == ref_count == len(got), (v, w, check_inj)
+                split = {}
+                for side, witnesses in (("ref", ref), ("new", got)):
+                    inj = [x for x in witnesses if x["lemma"] == "injectivity"]
+                    rest = [x for x in witnesses if x["lemma"] != "injectivity"]
+                    split[side] = (
+                        collections.Counter(x["lemma"] for x in witnesses),
+                        collections.Counter(json.dumps(x, sort_keys=True) for x in rest),
+                        collisions(v, w, inj),
+                    )
+                assert split["new"] == split["ref"], (v, w, check_inj)
+                total += count
+        assert total == violations
+
+    def test_budget_bounds_a_level(self):
+        # a level holds at most (|A| + 1)^L nodes: binary |u| <= 13 fits, 14 does not
+        v = "0" * 14
+        assert _sweep(V._subset_sweep, v, "1", 13, W.BINARY, True) == (0, [])
+        with pytest.raises(ResourceLimitError):
+            _sweep(V._subset_sweep, v, "1", 14, W.BINARY, True)
+        with pytest.raises(ResourceLimitError):
+            _sweep(V._subset_sweep, ("x0",), ("x1",), 12, W.Alphabet(("x0", "x1", "x2")), True)
 
 
 @pytest.fixture(scope="module")
@@ -307,3 +465,32 @@ class TestSuite:
     def test_unknown_tolerance_rejected(self):
         with pytest.raises(SpecFormatError):
             V.merge_config({"tolerances": {"bogus": 1.0}})
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"replacement_u_maxlen": "8"},
+            {"maxlen_pairs": "x"},
+            {"tolerances": {"value": "a"}},
+            {"limit_n": True},
+            {"maxlen_value": -1},
+            {"maxlen_value": 8.0},
+            {"synch_words": "0"},
+            {"tolerances": {"value": float("nan")}},
+            {"tolerances": 1e-9},
+            ["replacement_u_maxlen"],
+        ],
+        ids=json.dumps,
+    )
+    def test_mistyped_config_value_rejected(self, overrides):
+        # each of these used to escape run_all as a bare TypeError, or to
+        # pass every check against a NaN tolerance
+        with pytest.raises(SpecFormatError):
+            V.run_all(overrides)
+
+    def test_sweep_over_budget_is_an_error_record(self, report):
+        broken = V.run_all(dict(SMALL_CONFIG, replacement_u_maxlen=30))
+        errors = [r for r in broken.records if r.status == "error"]
+        assert [r.name for r in errors] == ["replacement-lemmas"]
+        assert errors[0].reason.startswith("ResourceLimitError")
+        assert len(broken.records) == len(report.records)
