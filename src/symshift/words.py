@@ -224,17 +224,17 @@ def respects_transition_exact(v, w) -> tuple[bool, Optional[TransitionWitness]]:
     return True, None
 
 
-def _check_conditions(u, v, w, i: int, occ_v: list, occ_w: list) -> Optional[TransitionWitness]:
+def _check_conditions(u, v, w, i: int, sites_v, sites_w) -> Optional[TransitionWitness]:
     """Literal check of the four conditions for one (u, i).
 
-    ``occ_v`` and ``occ_w`` are the occurrences of v and w in u, computed
-    once by the caller for all i on the same u; i must be one of ``occ_v``.
+    i must be an occurrence of v in u; ``sites_v`` and ``sites_w`` are the
+    occurrences of v and of w in u to test against it.
     """
     nv, nw = len(v), len(w)
     shift = nw - nv
     up = u[:i] + w + u[i + nv :]
     # every index below is >= 0, and a slice that runs past the end is short
-    for j in occ_v:
+    for j in sites_v:
         if j > i:
             if j + shift <= i:
                 return TransitionWitness("iv", u, i, j)
@@ -243,7 +243,7 @@ def _check_conditions(u, v, w, i: int, occ_v: list, occ_w: list) -> Optional[Tra
         elif j < i:
             if up[j : j + nv] != v:
                 return TransitionWitness("ii", u, i, j)
-    for j in occ_w:
+    for j in sites_w:
         if j < i and up[j : j + nw] != w:
             return TransitionWitness("iii", u, i, j)
     return None
@@ -256,10 +256,19 @@ def transition_oracle(
 
     ``pairs`` maps (v, w) to max_len; the result maps each pair to
     (ok, witness).  A pair is checked on every word u over ``alphabet`` with
-    |v| <= |u| <= max_len and every occurrence i of v in u, in canonical
-    order, and stops at its first violation, so it gets the same answer as a
-    sweep of its own.  The words are enumerated once for all pairs, and the
-    occurrences of each pattern once per word.
+    |v| <= |u| <= max_len and every occurrence i of v in u against every
+    other site j, in canonical order, and stops at its first violation, so
+    it gets the same answer as a sweep of its own.  The words are enumerated
+    once for all pairs.
+
+    Only the site pairs with min(i, j) = 0 are tested.  The check of (i, j)
+    reads u from a = min(i, j) on: every slice starts there or later, and
+    the splice sits at i >= a.  So it has the verdict of the (i - a, j - a)
+    check on u[a:], a shorter word containing v that the sweep visited at
+    an earlier length while the pair was live, and there it passed.  The
+    first failing check, and so the witness, is the same as when every site
+    pair is tested.  A word is therefore looked at only for the live pairs
+    whose v or w it starts with.
 
     Independent oracle for respects_transition_exact.  Each pair is
     validated before any word is swept: v and w must be nonempty words over
@@ -281,35 +290,42 @@ def transition_oracle(
             )
     results = {pair: (True, None) for pair in pairs}
     for L in range(1, max(pairs.values(), default=0) + 1):
-        live = [
-            (v, w)
-            for (v, w), max_len in pairs.items()
-            if len(v) <= L <= max_len and results[v, w][0]
-        ]
+        by_prefix = {}  # pattern -> the live pairs with that v or w
+        live = 0
+        for (v, w), max_len in pairs.items():
+            if len(v) <= L <= max_len and results[v, w][0]:
+                live += 1
+                for pattern in (v, w):
+                    by_prefix.setdefault(pattern, []).append((v, w))
         if not live:
             continue
+        lengths = sorted({len(p) for p in by_prefix if len(p) <= L})
         for u in alphabet.words(L):
-            occ = {}  # pattern -> its occurrences in u
-            failed = False
-            for v, w in live:
+            # a pair met through both of its words is checked once
+            reached = dict.fromkeys(
+                pair for n in lengths for pair in by_prefix.get(u[:n], ())
+            )
+            occ = {}  # v -> its occurrences in u
+            for v, w in reached:
+                if not results[v, w][0]:
+                    continue
                 occ_v = occ.get(v)
                 if occ_v is None:
                     occ_v = occ[v] = occurrences(u, v)
-                if not occ_v:
-                    continue
-                occ_w = occ.get(w)
-                if occ_w is None:
-                    occ_w = occ[w] = occurrences(u, w)
+                head_v = (0,) if u[: len(v)] == v else ()
+                head_w = (0,) if u[: len(w)] == w else ()
                 for i in occ_v:
-                    witness = _check_conditions(u, v, w, i, occ_v, occ_w)
+                    # site 0 against the later sites, a later site against site 0
+                    if i == 0:
+                        witness = _check_conditions(u, v, w, 0, occ_v, ())
+                    else:
+                        witness = _check_conditions(u, v, w, i, head_v, head_w)
                     if witness is not None:
                         results[v, w] = (False, witness)
-                        failed = True
+                        live -= 1
                         break
-            if failed:
-                live = [pair for pair in live if results[pair][0]]
-                if not live:
-                    break
+            if not live:
+                break
     return results
 
 

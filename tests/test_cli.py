@@ -163,6 +163,19 @@ class TestVerifyRun:
         assert [c["name"] for c in errors] == ["replacement-lemmas"]
         assert errors[0]["reason"].startswith("ResourceLimitError")
 
+    def test_strip_width_over_cap_is_an_error_record(self, runner, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict(self.CONFIG, strip_widths=[100])))
+        out = tmp_path / "report.json"
+        result = runner.invoke(
+            cli.main, ["verify", "run", "--config", str(config), "--out", str(out)]
+        )
+        assert result.exit_code == 1
+        assert payload(result)["checks"]["error"] == 1
+        errors = [c for c in json.loads(out.read_text())["checks"] if c["status"] == "error"]
+        assert [c["name"] for c in errors] == ["gtheorem-strips"]
+        assert errors[0]["reason"].startswith("ResourceLimitError")
+
     @pytest.mark.parametrize(
         "flag, target",
         [("--out", "missing/report.json"), ("--out", "."), ("--csv", "report.json")],

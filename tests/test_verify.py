@@ -479,14 +479,40 @@ class TestSuite:
             {"tolerances": {"value": float("nan")}},
             {"tolerances": 1e-9},
             ["replacement_u_maxlen"],
+            {"strip_widths": ["a"]},
+            {"synch_words": [5]},
+            {"strip_widths": [True]},
         ],
         ids=json.dumps,
     )
     def test_mistyped_config_value_rejected(self, overrides):
-        # each of these used to escape run_all as a bare TypeError, or to
-        # pass every check against a NaN tolerance
+        # each of these used to escape run_all as a bare TypeError, to pass
+        # every check against a NaN tolerance, or to run True as width 1
         with pytest.raises(SpecFormatError):
             V.run_all(overrides)
+
+    @pytest.mark.parametrize(
+        "widths, error", [([100], "ResourceLimitError"), ([0], "InvalidWordError")]
+    )
+    def test_strip_width_error_is_a_record(self, report, widths, error):
+        # the strip check used to run outside the per-check guard
+        broken = V.run_all(dict(SMALL_CONFIG, strip_widths=widths))
+        errors = [r for r in broken.records if r.status == "error"]
+        assert [r.name for r in errors] == ["gtheorem-strips"]
+        assert errors[0].reason.startswith(error)
+        assert len(broken.records) == len(report.records)
+
+    def test_foreign_synch_word_is_an_error_record(self, report):
+        # "2" is no binary word: an error per S-gap spec, where before the
+        # checks vanished; "11" is binary but not in the second spec's language
+        broken = V.run_all(dict(SMALL_CONFIG, synch_words=["2"]))
+        errors = [r for r in broken.records if r.status == "error"]
+        assert [r.name for r in errors] == ["synchronized-formula"] * 2
+        assert all(r.reason.startswith("InvalidWordError") for r in errors)
+        assert len(broken.records) == len(report.records)
+        absent = V.run_all(dict(SMALL_CONFIG, synch_words=["11"]))
+        assert absent.passed
+        assert len(absent.records) == len(report.records) - 1
 
     def test_sweep_over_budget_is_an_error_record(self, report):
         broken = V.run_all(dict(SMALL_CONFIG, replacement_u_maxlen=30))

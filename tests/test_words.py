@@ -237,24 +237,65 @@ def _reference_sweep(v, w, max_len, alphabet):
     return True, None
 
 
+def _all_pairs(alphabet, v_maxlen):
+    """Every pair of distinct words of length <= v_maxlen, at the decider's max_len."""
+    pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
+    return {
+        (v, w): 2 * len(v) + len(w) + 2 for v, w in itertools.product(pool, repeat=2) if v != w
+    }
+
+
 class TestTransitionOracle:
     @pytest.mark.parametrize(
         "alphabet, v_maxlen",
         [(W.BINARY, 3), (W.Alphabet(("a", "b", "c")), 2), (W.Alphabet(("x0", "x1", "y")), 2)],
     )
     def test_matches_per_pair_reference(self, alphabet, v_maxlen):
-        pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
-        pairs = {
-            (v, w): 2 * len(v) + len(w) + 2
-            for v, w in itertools.product(pool, repeat=2)
-            if v != w
-        }
+        pairs = _all_pairs(alphabet, v_maxlen)
         batch = W.transition_oracle(pairs, alphabet)
         assert list(batch) == list(pairs)
         for (v, w), max_len in pairs.items():
             ok, witness = batch[v, w]
             assert (ok, witness) == _reference_sweep(v, w, max_len, alphabet), (v, w)
             assert ok == W.respects_transition_exact(v, w)[0], (v, w)
+
+    def test_matches_per_pair_reference_when_w_is_shorter(self):
+        # max_len 9 is short of the decider's 2|v| + |w| + 2, so only the
+        # reference sweep is compared
+        pairs = {(v, w): 9 for v in W.BINARY.words(4) for w in ("0", "1", "00", "11")}
+        batch = W.transition_oracle(pairs)
+        assert list(batch) == list(pairs)
+        for (v, w), max_len in pairs.items():
+            assert batch[v, w] == _reference_sweep(v, w, max_len, W.BINARY), (v, w)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.lists(
+                st.tuples(
+                    st.text(alphabet="abc"[:k], min_size=1, max_size=3),
+                    st.text(alphabet="abc"[:k], min_size=1, max_size=3),
+                    st.integers(0, 5),
+                ),
+                min_size=1,
+                max_size=4,
+            ).map(lambda triples: (k, triples))
+        )
+    )
+    def test_random_batch_matches_reference(self, drawn):
+        k, triples = drawn
+        alphabet = W.Alphabet(tuple("abc"[:k]))
+        pairs = {(v, w): min(len(v) + extra, 8) for v, w, extra in triples}
+        batch = W.transition_oracle(pairs, alphabet)
+        for (v, w), max_len in pairs.items():
+            assert batch[v, w] == _reference_sweep(v, w, max_len, alphabet), (v, w)
+
+    def test_binary_batch_witnesses_every_condition(self):
+        # each condition's first failure needs a different site pair with
+        # min(i, j) = 0: (0, j) for i and iv, (i, 0) for ii and iii
+        batch = W.transition_oracle(_all_pairs(W.BINARY, 3))
+        conditions = {witness.condition for ok, witness in batch.values() if not ok}
+        assert conditions == {"i", "ii", "iii", "iv"}
 
     @pytest.mark.parametrize(
         "bad, error",
