@@ -49,10 +49,8 @@ from .extender import (
     INCOMPARABLE,
     PROPER_SUBSET,
     PROPER_SUPERSET,
-    compare_windowed,
     extender_compare,
     extender_descriptor,
-    extender_windowed,
 )
 from .mme import (
     MeasureCertificate,

@@ -14,9 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import subshifts as S
 from . import words as W
-from .errors import InvalidWordError, ResourceLimitError
+from .errors import InvalidWordError
 
 EQUAL = "equal"
 PROPER_SUBSET = "proper-subset"
@@ -68,13 +70,26 @@ def extender_descriptor(spec, w) -> ExtenderDescriptor:
     )
 
 
-def _extender_contains(aut, land_v: dict, land_w: dict) -> bool:
-    """E(v) subset-or-equal E(w) from landing maps on a shared automaton."""
-    for q, rv in land_v.items():
-        rw = land_w.get(q)
-        if rw is None or not aut.follower_contains(rv, rw):
-            return False
-    return True
+# entries of one (v rows x w rows x states) block of ``_contains``
+_BLOCK = 1 << 20
+
+
+def _contains(C: np.ndarray, Lv: np.ndarray, Lw: np.ndarray) -> np.ndarray:
+    """sub[i, j] = E(v_i) subset-or-equal E(w_j) for every pair of landing rows
+    (``subshifts._landing_row``) Lv[i] and Lw[j] on one automaton, whose
+    ``_containment_table`` is C.
+
+    E(v) is in E(w) iff for every start q with Lv[q] >= 0, Lw[q] >= 0 and
+    C[Lv[q], Lw[q]].  Index -1 is C's dead state: its empty follower set is
+    contained in every follower set and contains no live state's, so the rule
+    reads C[Lv[q], Lw[q]] at every q.  The v rows go in chunks, so that one
+    block stays within _BLOCK entries.
+    """
+    sub = np.empty((len(Lv), len(Lw)), dtype=bool)
+    step = max(1, _BLOCK // Lw.size)
+    for s in range(0, len(Lv), step):
+        sub[s : s + step] = C[Lv[s : s + step, None], Lw].all(axis=2)
+    return sub
 
 
 def extender_compare(spec, v, w) -> str:
@@ -84,47 +99,9 @@ def extender_compare(spec, v, w) -> str:
         if not S.member(spec, word):
             raise InvalidWordError(f"{W.format_word(word)!r} is not in the language")
     aut = S.build_automaton(spec)
-    land_v = S._landing_states(aut, v)
-    land_w = S._landing_states(aut, w)
-    v_in_w = _extender_contains(aut, land_v, land_w)
-    w_in_v = _extender_contains(aut, land_w, land_v)
-    if v_in_w and w_in_v:
-        return EQUAL
-    if v_in_w:
-        return PROPER_SUBSET
-    if w_in_v:
-        return PROPER_SUPERSET
-    return INCOMPARABLE
-
-
-@dataclass(frozen=True)
-class WindowedExtender:
-    """Finite-window approximation: legal (left, right) context pairs."""
-
-    word: str
-    window: int
-    pairs: frozenset
-
-
-def extender_windowed(spec, w, window: int) -> WindowedExtender:
-    if window < 1:
-        raise InvalidWordError("window must be >= 1")
-    contexts = S.enumerate_words(spec, window)
-    if len(contexts) ** 2 > 1 << 22:
-        raise ResourceLimitError("windowed extender enumeration exceeds budget")
-    pairs = frozenset(
-        (a, b) for a in contexts for b in contexts if S.member(spec, a + w + b)
-    )
-    return WindowedExtender(word=W.format_word(w), window=window, pairs=pairs)
-
-
-def compare_windowed(spec, v, w, window: int) -> str:
-    """Window-limited comparison; containment here is a necessary condition
-    for true containment, and exact for SFTs once window >= memory."""
-    ev = extender_windowed(spec, v, window).pairs
-    ew = extender_windowed(spec, w, window).pairs
-    v_in_w = all(S.member(spec, a + w + b) for a, b in ev)
-    w_in_v = all(S.member(spec, a + v + b) for a, b in ew)
+    rows = np.array([S._landing_row(aut, v), S._landing_row(aut, w)])
+    sub = _contains(aut._containment_table, rows, rows)
+    v_in_w, w_in_v = sub[0, 1], sub[1, 0]
     if v_in_w and w_in_v:
         return EQUAL
     if v_in_w:

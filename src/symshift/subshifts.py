@@ -193,19 +193,23 @@ class Automaton:
     word_graph: tuple  # node -> {symbol: node}
 
     @cached_property
-    def _delta_map(self) -> dict:
-        return {(q, a): r for q, a, r in self.transitions}
+    def column(self) -> dict:
+        """symbol -> its column of ``T``, in alphabet order."""
+        return {a: k for k, a in enumerate(self.alphabet.symbols)}
 
-    def delta(self, q: int, a) -> Optional[int]:
-        return self._delta_map.get((q, a))
+    @cached_property
+    def T(self) -> np.ndarray:
+        """Transition table: T[q, column[a]] is the target of the edge labelled a
+        from state q, or -1 where there is none.
 
-    def read(self, q: int, word) -> Optional[int]:
-        """Follow the path labeled by word from state q; None if it dies."""
-        for a in word:
-            q = self.delta(q, a)
-            if q is None:
-                return None
-        return q
+        Its one extra, last row is all -1: the dead state, which index -1
+        reads, so a landing row steps one symbol as T[row, column[a]] and
+        -1 stays -1.  Columns are contiguous, for that step.
+        """
+        table = np.full((len(self.states) + 1, len(self.column)), -1, dtype=np.intp, order="F")
+        for q, a, r in self.transitions:
+            table[q, self.column[a]] = r
+        return table
 
     def adjacency(self) -> np.ndarray:
         n = len(self.states)
@@ -220,30 +224,26 @@ class Automaton:
 
     def follower_contains(self, p: int, q: int) -> bool:
         """Whether every legal right ray from p is legal from q."""
-        return self._containment_table[p][q]
+        return bool(self._containment_table[p, q])
 
     @cached_property
-    def _containment_table(self) -> list:
-        """Greatest fixed point of follower containment; built on first query."""
-        n = len(self.states)
-        out = {q: {} for q in range(n)}
-        for q, a, r in self.transitions:
-            out[q][a] = r
-        table = [[True] * n for _ in range(n)]
-        changed = True
-        while changed:
-            changed = False
-            for p in range(n):
-                for q in range(n):
-                    if not table[p][q]:
-                        continue
-                    for a, r in out[p].items():
-                        rq = out[q].get(a)
-                        if rq is None or not table[r][rq]:
-                            table[p][q] = False
-                            changed = True
-                            break
-        return table
+    def _containment_table(self) -> np.ndarray:
+        """Greatest fixed point of follower containment; built on first query.
+
+        An (n + 1) x (n + 1) boolean array over the states and, last, the dead
+        state of ``T``, whose follower set is empty: it is contained in every
+        follower set, and no live state's is contained in it.  C[p, q] holds
+        when C[T[p, a], T[q, a]] does for every symbol a.
+        """
+        table = np.ones((len(self.T),) * 2, dtype=bool)
+        table[:-1, -1] = False
+        while True:
+            kept = table.copy()
+            for col in self.T.T:
+                kept &= table[col[:, None], col[None, :]]
+            if (kept == table).all():
+                return table
+            table = kept
 
 
 def _sgap_forbidden(gaps: SGapSet):
@@ -575,17 +575,23 @@ def is_synchronizing(spec, w) -> bool:
     aut = build_automaton(spec)
     if not member(spec, w):
         raise InvalidWordError(f"{W.format_word(w)!r} is not in the language")
-    return len(set(_landing_states(aut, w).values())) == 1
+    row = _landing_row(aut, w)
+    return len(np.unique(row[row >= 0])) == 1
+
+
+def _landing_row(aut: Automaton, w) -> np.ndarray:
+    """Per start state, the state reached by reading w, or -1 where w dies.
+    Every symbol of w must be in the alphabet."""
+    row = np.arange(len(aut.states))
+    for a in w:
+        row = aut.T[:, aut.column[a]][row]
+    return row
 
 
 def _landing_states(aut: Automaton, w) -> dict[int, int]:
     """start state -> state reached by reading w, for starts where w is readable."""
-    out = {}
-    for i in range(len(aut.states)):
-        r = aut.read(i, w)
-        if r is not None:
-            out[i] = r
-    return out
+    row = _landing_row(aut, w)
+    return {int(q): int(row[q]) for q in np.flatnonzero(row >= 0)}
 
 
 def specification_distance_holds(spec, N: int) -> bool:
@@ -594,31 +600,28 @@ def specification_distance_holds(spec, N: int) -> bool:
         raise InvalidWordError("distance must be nonnegative")
     aut = build_automaton(spec)
     n = len(aut.states)
-    adj = [[0] * n for _ in range(n)]
-    for q, _a, r in aut.transitions:
-        adj[q][r] = 1
-    # N-step reachability sets
-    reach = []
-    for p in range(n):
-        cur = {p}
-        for _ in range(N):
-            cur = {r for q in cur for r in range(n) if adj[q][r]}
-        reach.append(cur)
-    # family of left-context classes {LC(w) : w in L}, via right-to-left closure
-    pre = {a: {} for a in aut.alphabet.symbols}
-    for q, a, r in aut.transitions:
-        pre[a].setdefault(r, set()).add(q)
-    full = frozenset(range(n))
-    family = {full}
+    # N-step reachability: a 0/1 matrix power by repeated squaring
+    step = (aut.adjacency() > 0).astype(float)
+    reach = np.eye(n)
+    while N:
+        if N & 1:
+            reach = (reach @ step > 0).astype(float)
+        step = (step @ step > 0).astype(float)
+        N >>= 1
+    # family of left-context classes {LC(w) : w in L}, via right-to-left closure:
+    # the preimage of Q under a symbol is {q : T[q, a] in Q}
+    full = np.ones(n, dtype=bool)
+    family = {full.tobytes(): full}
     stack = [full]
     while stack:
         Q = stack.pop()
-        for a in aut.alphabet.symbols:
-            newQ = frozenset(q for r in Q for q in pre[a].get(r, ()))
-            if newQ and newQ not in family:
-                family.add(newQ)
-                stack.append(newQ)
-    return all(reach[p] & Q for p in range(n) for Q in family)
+        for col in aut.T[:-1].T:
+            pre = (col >= 0) & Q[col]
+            if pre.any() and pre.tobytes() not in family:
+                family[pre.tobytes()] = pre
+                stack.append(pre)
+    # every N-step reach set meets every class
+    return bool((reach @ np.array(list(family.values())).T > 0).all())
 
 
 def is_i_hereditary_bounded(spec, max_len: int) -> bool:

@@ -17,6 +17,8 @@ import re
 import time
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import extender as E
 from . import grid2d as G
 from . import mme as M
@@ -80,15 +82,37 @@ def _fail(record: CheckRecord, witness) -> None:
 # Measure inequality / equality under extender containment
 
 
-def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, relations) -> CheckRecord:
-    """Check mu(v) <= mu(w) e^{h(|w|-|v|)} on the pairs of L_1..L_maxlen whose extender
-    relation is in ``relations``; without PROPER_SUBSET it checks equality, both ways.
+def _landing_levels(spec, maxlen: int):
+    """Yield (n, words, rows) for n = 1..maxlen: the words of L_n from
+    ``subshifts.enumerate_words`` and, per word, its landing row (the state
+    reached from each start state, or -1: ``subshifts._landing_row``).
 
-    E(v) vs E(w) depends only on the landing maps, so ``extender_compare`` runs
-    once per pair of landing classes.  Rounding is monotone, so the worst pair
-    of two length buckets is found from their extreme mu values.
+    Each row is built from its one-symbol-shorter prefix's row of the level
+    before, in one step per level: rows[u + a] = T[rows[u], a], where -1
+    reads the dead state's row of -1s.
     """
-    two_sided = E.PROPER_SUBSET not in relations
+    aut = S.build_automaton(spec)
+    index = {("" if aut.alphabet.single_char else ()): 0}
+    rows = np.arange(len(aut.states))[None]
+    for n in range(1, maxlen + 1):
+        words = S.enumerate_words(spec, n)
+        prefix = rows[[index[u[:-1]] for u in words]]
+        last = np.array([aut.column[u[-1]] for u in words])
+        rows = aut.T[prefix, last[:, None]]
+        index = {u: i for i, u in enumerate(words)}
+        yield n, words, rows
+
+
+def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_sided: bool) -> CheckRecord:
+    """Check mu(v) <= mu(w) e^{h(|w|-|v|)} on the pairs of L_1..L_maxlen with
+    E(v) subset-or-equal E(w); when ``two_sided``, on the pairs with E(v) = E(w),
+    and equality both ways.
+
+    E(v) vs E(w) depends only on the landing rows, so the words are grouped
+    into landing classes and every class pair is decided in one array pass.
+    Rounding is monotone, so the worst pair of two length buckets is found
+    from their extreme mu values.
+    """
     label = "gap" if two_sided else "excess"
     record = CheckRecord(
         name=f"{name}[{S.describe(spec)}]",
@@ -103,20 +127,25 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, relation
         return record
     model = M.parry(spec)
     aut = S.build_automaton(spec)
-    classes = {}  # landing map -> length -> [(mu, word), ...]
-    for n in range(1, maxlen + 1):
-        for u in S.enumerate_words(spec, n):
-            land = tuple(S._landing_states(aut, u).items())
-            classes.setdefault(land, {}).setdefault(n, []).append((M.mu_parry(model, u), u))
+    class_of = {}  # landing row (bytes) -> class index, in order of first word
+    reps = []  # class -> its landing row
+    classes = []  # class -> length -> [(mu, word), ...]
+    for n, words, rows in _landing_levels(spec, maxlen):
+        for u, row in zip(words, rows):
+            c = class_of.setdefault(row.tobytes(), len(reps))
+            if c == len(reps):
+                reps.append(row)
+                classes.append({})
+            classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
     # per class: [(length, count, (min mu, word), (max mu, word)), ...]
-    summary = [[(n, len(b), min(b), max(b)) for n, b in by_len.items()] for by_len in classes.values()]
+    summary = [[(n, len(b), min(b), max(b)) for n, b in by_len.items()] for by_len in classes]
+    reps = np.array(reps)
+    below = E._contains(aut._containment_table, reps, reps)
     worst = 0.0
     pairs = 0
-    for buckets_v, buckets_w in itertools.product(summary, repeat=2):
-        # any word of a class stands for it: take the least-mu word of its first bucket
-        if E.extender_compare(spec, buckets_v[0][2][1], buckets_w[0][2][1]) not in relations:
-            continue
-        for (nv, kv, lo_v, hi_v), (nw, kw, lo_w, hi_w) in itertools.product(buckets_v, buckets_w):
+    # np.nonzero walks the class pairs in row-major order, as a product would
+    for i, j in zip(*np.nonzero(below & below.T if two_sided else below)):
+        for (nv, kv, lo_v, hi_v), (nw, kw, lo_w, hi_w) in itertools.product(summary[i], summary[j]):
             pairs += kv * kw
             scale = math.exp(h * (nw - nv))
             residual, v, w = hi_v[0] - lo_w[0] * scale, hi_v[1], lo_w[1]
@@ -133,12 +162,11 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, relation
 
 
 def check_main_inequality(spec, maxlen: int, tol: float) -> CheckRecord:
-    relations = {E.PROPER_SUBSET, E.EQUAL}
-    return _extender_sweep(spec, maxlen, "main-inequality", "inequality", tol, relations)
+    return _extender_sweep(spec, maxlen, "main-inequality", "inequality", tol, two_sided=False)
 
 
 def check_equality_corollary(spec, maxlen: int, tol: float) -> CheckRecord:
-    return _extender_sweep(spec, maxlen, "equality-corollary", "equality", tol, {E.EQUAL})
+    return _extender_sweep(spec, maxlen, "equality-corollary", "equality", tol, two_sided=True)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from symshift import extender as E
 from symshift import subshifts as S
 from symshift import words as W
 from symshift.errors import EmptySubshiftError
+from test_extender import compare_windowed
 
 SYMBOLS = ("0", "1", "2")
 
@@ -54,7 +55,7 @@ def test_extender_compare_agrees_with_window(spec, data):
     for _ in range(4):
         v = data.draw(st.sampled_from(words))
         w = data.draw(st.sampled_from(words))
-        assert E.extender_compare(spec, v, w) == E.compare_windowed(spec, v, w, aut.memory)
+        assert E.extender_compare(spec, v, w) == compare_windowed(spec, v, w, aut.memory)
 
 
 @settings(max_examples=200, deadline=None)

@@ -2,12 +2,15 @@
 
 The m-block builder below is kept only here, as a reference: its states are
 the legal blocks of length m (the longest forbidden word minus one), and a
-word of length n >= m is read from the state of its first m letters.
+word of length n >= m is read from the state of its first m letters.  So are
+the dict walk over the transitions and the Python fixed point of follower
+containment that the library's array layer replaced, and the set-based
+structural predicates built on them.
 """
 
 import itertools
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,97 @@ FIXED_SPECS = [
     S.SGapShift(S.SGapSet((), 1)),
     S.SGapShift(S.SGapSet((2,), 5)),
 ]
+
+
+@lru_cache(maxsize=16)
+def delta_map(aut):
+    return {(p, a): r for p, a, r in aut.transitions}
+
+
+def read(aut, q, word):
+    """Follow the path labelled word from state q; None if it dies."""
+    delta = delta_map(aut)
+    for a in word:
+        q = delta.get((q, a))
+        if q is None:
+            return None
+    return q
+
+
+def landing_states(aut, w):
+    """start state -> state reached by reading w, for starts where w is readable."""
+    out = {}
+    for i in range(len(aut.states)):
+        r = read(aut, i, w)
+        if r is not None:
+            out[i] = r
+    return out
+
+
+def containment_table(aut):
+    """Greatest fixed point of follower containment, by a Python loop that
+    updates the table in place until a round changes nothing."""
+    n = len(aut.states)
+    out = {q: {} for q in range(n)}
+    for q, a, r in aut.transitions:
+        out[q][a] = r
+    table = [[True] * n for _ in range(n)]
+    changed = True
+    while changed:
+        changed = False
+        for p in range(n):
+            for q in range(n):
+                if not table[p][q]:
+                    continue
+                for a, r in out[p].items():
+                    rq = out[q].get(a)
+                    if rq is None or not table[r][rq]:
+                        table[p][q] = False
+                        changed = True
+                        break
+    return table
+
+
+def extender_contains(table, land_v, land_w):
+    """E(v) subset-or-equal E(w) from landing maps on a shared automaton."""
+    for q, rv in land_v.items():
+        rw = land_w.get(q)
+        if rw is None or not table[rv][rw]:
+            return False
+    return True
+
+
+def is_synchronizing(aut, w):
+    return len(set(landing_states(aut, w).values())) == 1
+
+
+def specification_distance_holds(aut, N):
+    """Any two legal words joined by a connector of length N, by N-step
+    reachability sets and the family of left-context sets."""
+    n = len(aut.states)
+    adj = [[0] * n for _ in range(n)]
+    for q, _a, r in aut.transitions:
+        adj[q][r] = 1
+    reach = []
+    for p in range(n):
+        cur = {p}
+        for _ in range(N):
+            cur = {r for q in cur for r in range(n) if adj[q][r]}
+        reach.append(cur)
+    pre = {a: {} for a in aut.alphabet.symbols}
+    for q, a, r in aut.transitions:
+        pre[a].setdefault(r, set()).add(q)
+    full = frozenset(range(n))
+    family = {full}
+    stack = [full]
+    while stack:
+        Q = stack.pop()
+        for a in aut.alphabet.symbols:
+            newQ = frozenset(q for r in Q for q in pre[a].get(r, ()))
+            if newQ and newQ not in family:
+                family.add(newQ)
+                stack.append(newQ)
+    return all(reach[p] & Q for p in range(n) for Q in family)
 
 
 class BlockGraph:
@@ -69,7 +163,7 @@ class BlockGraph:
         self.m = m
         self.states = tuple(sorted(alive))
         self.index = {q: i for i, q in enumerate(self.states)}
-        # the library's automaton type, so landing maps and containment run on it
+        # the library's automaton type, read only through the references above
         self.aut = S.Automaton(
             alphabet=alphabet,
             memory=m,
@@ -87,7 +181,7 @@ class BlockGraph:
         if len(u) < self.m:
             return any(q[: len(u)] == u for q in self.states)
         start = self.index.get(u[: self.m])
-        return start is not None and self.aut.read(start, u[self.m :]) is not None
+        return start is not None and read(self.aut, start, u[self.m :]) is not None
 
     def count_words(self, n):
         if n <= self.m:
@@ -104,11 +198,15 @@ class BlockGraph:
         A = self.aut.adjacency()
         return math.log(max(S.perron_value(A[c][:, c])[0] for c in S._components(A)))
 
+    @cached_property
+    def containment(self):
+        return containment_table(self.aut)
+
     def extender_compare(self, v, w):
-        land_v = S._landing_states(self.aut, v)
-        land_w = S._landing_states(self.aut, w)
-        v_in_w = E._extender_contains(self.aut, land_v, land_w)
-        w_in_v = E._extender_contains(self.aut, land_w, land_v)
+        land_v = landing_states(self.aut, v)
+        land_w = landing_states(self.aut, w)
+        v_in_w = extender_contains(self.containment, land_v, land_w)
+        w_in_v = extender_contains(self.containment, land_w, land_v)
         if v_in_w and w_in_v:
             return E.EQUAL
         return E.PROPER_SUBSET if v_in_w else E.PROPER_SUPERSET if w_in_v else E.INCOMPARABLE
@@ -125,7 +223,7 @@ class BlockGraph:
         i = self.index.get(w[: self.m])
         prob = 0.0 if i is None else stationary[i]
         for a in w[self.m :]:
-            j = None if i is None else self.aut.delta(i, a)
+            j = None if i is None else delta_map(self.aut).get((i, a))
             if j is None:
                 return 0.0
             prob *= P[i, j]
@@ -144,6 +242,10 @@ def assert_agrees(spec, member_len=8, count_len=30, pair_len=4):
     words = [u for n in range(1, pair_len + 1) for u in S.enumerate_words(spec, n)]
     for v, w in itertools.product(words, repeat=2):
         assert E.extender_compare(spec, v, w) == ref.extender_compare(v, w), (v, w)
+    aut = S.build_automaton(spec)
+    assert aut._containment_table[:-1, :-1].tolist() == containment_table(aut)
+    for w in words:
+        assert S._landing_states(aut, w) == landing_states(aut, w), w
     assert S.entropy(spec) == pytest.approx(ref.entropy(), rel=1e-14, abs=1e-15)
     return ref, words
 
@@ -153,8 +255,8 @@ def test_agrees_with_block_graph(spec):
     ref, words = assert_agrees(spec, pair_len=5 if len(spec.alphabet.symbols) == 2 else 3)
     for w in words:
         assert S.is_synchronizing(spec, w) == all(
-            ref.aut.follower_contains(p, q)
-            for p, q in itertools.product(set(S._landing_states(ref.aut, w).values()), repeat=2)
+            ref.containment[p][q]
+            for p, q in itertools.product(set(landing_states(ref.aut, w).values()), repeat=2)
         )
     if S.build_automaton(spec).irreducible:
         model = M.parry(spec)
@@ -181,6 +283,29 @@ def test_sgap_pair_has_one_state_per_gap_count(g):
     assert len(S.build_automaton(spec).states) == g + 1
     # entropy() raises unless the graph agrees with the root of the gap equation
     assert S.entropy(spec) == pytest.approx(math.log(S.sgap_lambda(spec.gaps)), abs=1e-9)
+
+
+@pytest.mark.parametrize("g", [40, 200])
+def test_containment_table_matches_reference_on_long_gaps(g):
+    aut = S.build_automaton(S.SGapShift(S.SGapSet((0, g))))
+    assert aut._containment_table[:-1, :-1].tolist() == containment_table(aut)
+
+
+PREDICATE_SPECS = FIXED_SPECS + [
+    S.SGapShift(S.SGapSet((0, 12))),
+    S.SGapShift(S.SGapSet((1, 4, 6))),
+    S.SGapShift(S.SGapSet((3,), 7)),
+]
+
+
+@pytest.mark.parametrize("spec", PREDICATE_SPECS, ids=S.describe)
+def test_structural_predicates_match_set_reference(spec):
+    aut = S.build_automaton(spec)
+    for n in range(1, 7 if len(spec.alphabet.symbols) == 2 else 5):
+        for w in S.enumerate_words(spec, n):
+            assert S.is_synchronizing(spec, w) == is_synchronizing(aut, w), w
+    for N in range(61):
+        assert S.specification_distance_holds(spec, N) == specification_distance_holds(aut, N), N
 
 
 def test_forbidden_word_off_the_alphabet_never_occurs():

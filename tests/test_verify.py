@@ -17,6 +17,7 @@ from symshift.errors import (
     ResourceLimitError,
     SpecFormatError,
 )
+from test_presentation import landing_states
 
 GOLDEN = S.SftShift(W.BINARY, ("11",))
 
@@ -119,10 +120,12 @@ class TestIndividualChecks:
         assert rec.residuals["decider vs oracle disagreements"] == 0
 
 
+SGAP_01 = S.SGapShift(S.SGapSet((0, 1)))
+SFT_7 = S.SftShift(W.BINARY, ("111", "1001"))
 SWEEP_SPECS = [
     GOLDEN,
-    S.SGapShift(S.SGapSet((0, 1))),
-    S.SftShift(W.BINARY, ("111", "1001")),
+    SGAP_01,
+    SFT_7,
     S.SftShift(W.Alphabet(("a", "b", "c")), ("aa", "bc")),
     S.SftShift(W.Alphabet(("x0", "x1")), (("x1", "x1"),)),
 ]
@@ -155,6 +158,44 @@ class TestExtenderSweep:
         assert (ineq.params["pairs"], ineq.residuals["max excess"]) == (n_ineq, worst_excess)
         assert (eq.params["pairs"], eq.residuals["max gap"]) == (n_eq, worst_gap)
         assert 0 < ineq.params["classes"] == eq.params["classes"] <= len(language)
+
+    @pytest.mark.parametrize(
+        "spec, maxlen, two_sided, pairs, classes, states, residual",
+        [
+            pytest.param(GOLDEN, 7, False, 4327, 4, 2, "0x1p-54", id="golden-inequality"),
+            pytest.param(GOLDEN, 7, True, 2058, 4, 2, "0x1p-52", id="golden-equality"),
+            pytest.param(SGAP_01, 7, False, 4327, 4, 2, "0x1p-53", id="S01-inequality"),
+            pytest.param(SGAP_01, 7, True, 2058, 4, 2, "0x1p-50", id="S01-equality"),
+            pytest.param(SFT_7, 7, False, 3569, 28, 5, "0x1p-53", id="111,1001-inequality"),
+            pytest.param(SFT_7, 7, True, 809, 28, 5, "0x1p-53", id="111,1001-equality"),
+            pytest.param(
+                S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.53cp-43",
+                id="S040-inequality",
+            ),
+        ],
+    )
+    def test_pinned_records(self, spec, maxlen, two_sided, pairs, classes, states, residual):
+        # counts and residuals, bit for bit, of the benchmark's extender specs
+        # and of a presentation with many landing classes
+        if two_sided:
+            rec, label = V.check_equality_corollary(spec, maxlen, 1e-9), "max gap"
+        else:
+            rec, label = V.check_main_inequality(spec, maxlen, 1e-12), "max excess"
+        assert rec.status == "pass"
+        assert rec.params == {"maxlen": maxlen, "pairs": pairs, "classes": classes, "states": states}
+        assert rec.residuals[label].hex() == float.fromhex(residual).hex()
+
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
+    def test_prefix_built_rows_match_landing_states(self, spec):
+        aut = S.build_automaton(spec)
+        levels = list(V._landing_levels(spec, 6))
+        assert [n for n, _, _ in levels] == list(range(1, 7))
+        for n, words, rows in levels:
+            assert words == S.enumerate_words(spec, n)
+            assert rows.shape == (len(words), len(aut.states))
+            for u, row in zip(words, rows.tolist()):
+                landing = {q: r for q, r in enumerate(row) if r >= 0}
+                assert landing == S._landing_states(aut, u) == landing_states(aut, u), u
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
     def test_witnesses_are_real_pairs(self, spec):
