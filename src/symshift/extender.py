@@ -83,10 +83,10 @@ def _contains(C: np.ndarray, Lv: np.ndarray, Lw: np.ndarray) -> np.ndarray:
     C[Lv[q], Lw[q]].  Index -1 is C's dead state: its empty follower set is
     contained in every follower set and contains no live state's, so the rule
     reads C[Lv[q], Lw[q]] at every q.  The v rows go in chunks, so that one
-    block stays within _BLOCK entries.
+    block stays within _BLOCK entries; either array may have no rows.
     """
     sub = np.empty((len(Lv), len(Lw)), dtype=bool)
-    step = max(1, _BLOCK // Lw.size)
+    step = max(1, _BLOCK // max(1, Lw.size))
     for s in range(0, len(Lv), step):
         sub[s : s + step] = C[Lv[s : s + step, None], Lw].all(axis=2)
     return sub
@@ -99,9 +99,9 @@ def extender_compare(spec, v, w) -> str:
         if not S.member(spec, word):
             raise InvalidWordError(f"{W.format_word(word)!r} is not in the language")
     aut = S.build_automaton(spec)
-    rows = np.array([S._landing_row(aut, v), S._landing_row(aut, w)])
-    sub = _contains(aut._containment_table, rows, rows)
-    v_in_w, w_in_v = sub[0, 1], sub[1, 0]
+    rv, rw = S._landing_row(aut, v), S._landing_row(aut, w)
+    C = aut._containment_table
+    v_in_w, w_in_v = C[rv, rw].all(), C[rw, rv].all()
     if v_in_w and w_in_v:
         return EQUAL
     if v_in_w:

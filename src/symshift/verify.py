@@ -139,7 +139,7 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
             classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
     # per class: [(length, count, (min mu, word), (max mu, word)), ...]
     summary = [[(n, len(b), min(b), max(b)) for n, b in by_len.items()] for by_len in classes]
-    reps = np.array(reps)
+    reps = np.array(reps, dtype=np.intp).reshape(len(reps), len(aut.states))
     below = E._contains(aut._containment_table, reps, reps)
     worst = 0.0
     pairs = 0

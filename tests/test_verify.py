@@ -131,6 +131,22 @@ SWEEP_SPECS = [
 ]
 
 
+# counts and residuals, bit for bit, of the benchmark's extender specs and
+# of a presentation with many landing classes
+PINNED_SWEEPS = [
+    pytest.param(GOLDEN, 7, False, 4327, 4, 2, "0x1p-54", id="golden-inequality"),
+    pytest.param(GOLDEN, 7, True, 2058, 4, 2, "0x1p-52", id="golden-equality"),
+    pytest.param(SGAP_01, 7, False, 4327, 4, 2, "0x1p-53", id="S01-inequality"),
+    pytest.param(SGAP_01, 7, True, 2058, 4, 2, "0x1p-50", id="S01-equality"),
+    pytest.param(SFT_7, 7, False, 3569, 28, 5, "0x1p-53", id="111,1001-inequality"),
+    pytest.param(SFT_7, 7, True, 809, 28, 5, "0x1p-53", id="111,1001-equality"),
+    pytest.param(
+        S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.53cp-43",
+        id="S040-inequality",
+    ),
+]
+
+
 class TestExtenderSweep:
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
     @pytest.mark.parametrize("maxlen", [1, 3, 5])
@@ -160,23 +176,9 @@ class TestExtenderSweep:
         assert 0 < ineq.params["classes"] == eq.params["classes"] <= len(language)
 
     @pytest.mark.parametrize(
-        "spec, maxlen, two_sided, pairs, classes, states, residual",
-        [
-            pytest.param(GOLDEN, 7, False, 4327, 4, 2, "0x1p-54", id="golden-inequality"),
-            pytest.param(GOLDEN, 7, True, 2058, 4, 2, "0x1p-52", id="golden-equality"),
-            pytest.param(SGAP_01, 7, False, 4327, 4, 2, "0x1p-53", id="S01-inequality"),
-            pytest.param(SGAP_01, 7, True, 2058, 4, 2, "0x1p-50", id="S01-equality"),
-            pytest.param(SFT_7, 7, False, 3569, 28, 5, "0x1p-53", id="111,1001-inequality"),
-            pytest.param(SFT_7, 7, True, 809, 28, 5, "0x1p-53", id="111,1001-equality"),
-            pytest.param(
-                S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.53cp-43",
-                id="S040-inequality",
-            ),
-        ],
+        "spec, maxlen, two_sided, pairs, classes, states, residual", PINNED_SWEEPS
     )
     def test_pinned_records(self, spec, maxlen, two_sided, pairs, classes, states, residual):
-        # counts and residuals, bit for bit, of the benchmark's extender specs
-        # and of a presentation with many landing classes
         if two_sided:
             rec, label = V.check_equality_corollary(spec, maxlen, 1e-9), "max gap"
         else:
@@ -184,6 +186,40 @@ class TestExtenderSweep:
         assert rec.status == "pass"
         assert rec.params == {"maxlen": maxlen, "pairs": pairs, "classes": classes, "states": states}
         assert rec.residuals[label].hex() == float.fromhex(residual).hex()
+
+    @pytest.mark.parametrize(
+        "spec, maxlen, two_sided, pairs, classes, states, residual", PINNED_SWEEPS
+    )
+    def test_pinned_records_in_small_blocks(
+        self, monkeypatch, spec, maxlen, two_sided, pairs, classes, states, residual
+    ):
+        # every class-pair pass here spans many chunks of _contains
+        monkeypatch.setattr(E, "_BLOCK", 64)
+        self.test_pinned_records(spec, maxlen, two_sided, pairs, classes, states, residual)
+
+    @pytest.mark.parametrize("block", [1, 7, 64, 1000])
+    def test_chunks_match_one_block(self, monkeypatch, block):
+        aut = S.build_automaton(SFT_7)
+        rows = np.concatenate([r for _, _, r in V._landing_levels(SFT_7, 5)])
+        reps = np.unique(rows, axis=0)
+        C = aut._containment_table
+        whole = E._contains(C, reps, reps)
+        assert whole.any() and not whole.all()
+        monkeypatch.setattr(E, "_BLOCK", block)
+        assert np.array_equal(E._contains(C, reps, reps), whole)
+        assert np.array_equal(E._contains(C, reps[:5], reps), whole[:5])
+        assert np.array_equal(E._contains(C, reps, reps[3:9]), whole[:, 3:9])
+        for Lv, Lw in ((reps[:0], reps), (reps, reps[:0]), (reps[:0], reps[:0])):
+            assert E._contains(C, Lv, Lw).shape == (len(Lv), len(Lw))
+
+    @pytest.mark.parametrize(
+        "check, label", [(V.check_main_inequality, "max excess"), (V.check_equality_corollary, "max gap")]
+    )
+    def test_no_words_gives_empty_record(self, check, label):
+        rec = check(GOLDEN, 0, 1e-12)
+        assert rec.status == "pass"
+        assert rec.params == {"maxlen": 0, "pairs": 0, "classes": 0, "states": 2}
+        assert rec.residuals == {label: 0.0}
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
     def test_prefix_built_rows_match_landing_states(self, spec):
@@ -496,6 +532,15 @@ class TestSuite:
             "main-inequality",
         ]
         assert all(r.status == "skipped" for r in pair_records)
+        assert rerun.passed
+        assert len(rerun.records) == len(report.records)
+
+    def test_zero_maxlen_pairs_gives_empty_pair_records(self, report):
+        rerun = V.run_all(dict(SMALL_CONFIG, maxlen_pairs=0))
+        pair_records = [r for r in rerun.records if r.name.split("[")[0] in ("main-inequality", "equality-corollary")]
+        assert len(pair_records) == 2 * len(SMALL_CONFIG["pair_specs"])
+        assert all(r.status == "pass" for r in pair_records)
+        assert all((r.params["pairs"], r.params["classes"]) == (0, 0) for r in pair_records)
         assert rerun.passed
         assert len(rerun.records) == len(report.records)
 
