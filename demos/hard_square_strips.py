@@ -18,8 +18,8 @@ print("replaceability (0 -> 1):", replaceability_windowed(hs, zero, one, 1))
 print()
 print("width   mu_W(1)      mu_W(0)      margin")
 for width in (4, 5, 6, 7, 8):
-    mu1 = strip_mme_mu(hs, width, one).value
-    mu0 = strip_mme_mu(hs, width, zero).value
+    mu1 = strip_mme_mu(hs, width, one)
+    mu0 = strip_mme_mu(hs, width, zero)
     print(f"{width:5d}   {mu1:.8f}   {mu0:.8f}   {mu0 - mu1:.8f}")
 print()
 print("The density of 1s approaches the known hard-square value ~0.2266")

@@ -31,19 +31,12 @@ class ExtenderDescriptor:
     """Finite certificate of a word's extender set.
 
     ``left_classes`` are the labels of the states from which the word is
-    readable; ``right_classes`` the labels of the landing states; ``landing``
-    maps each left class to its landing state (the coupling matters for words
-    that do not synchronize, i.e. land in more than one state).
+    readable; ``right_classes`` the labels of the landing states.
     """
 
     word: str
     left_classes: tuple[str, ...]
     right_classes: tuple[str, ...]
-    landing: tuple[tuple[str, str], ...]
-
-    @property
-    def empty(self) -> bool:
-        return not self.left_classes
 
     def to_dict(self) -> dict:
         return {
@@ -58,15 +51,11 @@ def extender_descriptor(spec, w) -> ExtenderDescriptor:
         raise InvalidWordError(f"{W.format_word(w)!r} is not in the language")
     aut = S.build_automaton(spec)
     landing = S._landing_states(aut, w)
-    pairs = tuple(
-        (W.format_word(aut.states[q]), W.format_word(aut.states[r]))
-        for q, r in sorted(landing.items())
-    )
+    label = [W.format_word(s) for s in aut.states]
     return ExtenderDescriptor(
         word=W.format_word(w),
-        left_classes=tuple(p for p, _ in pairs),
-        right_classes=tuple(sorted({r for _, r in pairs})),
-        landing=pairs,
+        left_classes=tuple(label[q] for q in sorted(landing)),
+        right_classes=tuple(sorted({label[r] for r in landing.values()})),
     )
 
 

@@ -114,8 +114,6 @@ def mu_parry(model: ParryModel, w) -> float:
 class GapChain:
     """Markov chain on 'zeros seen since the last 1', capped for cofinite sets."""
 
-    gaps: S.SGapSet
-    lam: float
     stationary: np.ndarray
     transition: dict  # (state, symbol) -> (target, probability)
     n_states: int
@@ -143,20 +141,14 @@ def gap_chain(gaps: S.SGapSet) -> GapChain:
             edges.append((i, "1", 0))
     if not S._strongly_connected(A):
         raise ReduciblePresentationError("gap-counter chain is reducible")
-    lam, r = S.perron_value(A)
-    _, l = S.perron_value(A.T)
-    stationary = l * r
-    stationary /= stationary.sum()
-    transition = {}
-    for i, a, j in edges:
-        transition[(i, a)] = (j, float(r[j] / (lam * r[i])))
-    return GapChain(gaps=gaps, lam=lam, stationary=stationary, transition=transition, n_states=n)
+    _, stationary, P = parry_chain(A)
+    # parallel edges (a 0 and a 1 from state 0 back to 0 when S = [0, inf)) share P evenly
+    transition = {(i, a): (j, float(P[i, j] / A[i, j])) for i, a, j in edges}
+    return GapChain(stationary=stationary, transition=transition, n_states=n)
 
 
 def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
     """mu(w) from the gap-counter Parry chain (independent of the recursion)."""
-    if gaps.finite and len(gaps.extra) == 1 and gaps.extra[0] == 0:
-        return 1.0 if all(c == "1" for c in w) else 0.0
     chain = gap_chain(gaps)
     vec = chain.stationary.tolist()
     for a in w:
@@ -203,7 +195,6 @@ def weighted_tail(t: float, J: int) -> float:
 class MeasureCertificate:
     """mu(w) = offset + mu1 * poly(t) with integer offset and coefficients."""
 
-    word: str
     offset: int
     coeffs: tuple[int, ...]
 
@@ -259,11 +250,11 @@ class SGapMME:
     def _build(self, w: str) -> MeasureCertificate:
         n = len(w)
         if n == 0:
-            return MeasureCertificate("", 1, ())
+            return MeasureCertificate(1, ())
         if n == 1:
             if w == "1":
-                return MeasureCertificate("1", 0, (1,))
-            return MeasureCertificate("0", 1, (-1,))
+                return MeasureCertificate(0, (1,))
+            return MeasureCertificate(1, (-1,))
         z = w[1:-1]
         one_z_one = self._pinned("1" + z + "1")
         if w[0] == "1" and w[-1] == "1":
@@ -272,11 +263,11 @@ class SGapMME:
         c1z = self.certificate("1" + z)
         if w[0] == "1":  # 1 z 0
             return MeasureCertificate(
-                w, c1z.offset - one_z_one.offset, _poly_add(c1z.coeffs, one_z_one.coeffs, -1)
+                c1z.offset - one_z_one.offset, _poly_add(c1z.coeffs, one_z_one.coeffs, -1)
             )
         if w[-1] == "1":  # 0 z 1
             return MeasureCertificate(
-                w, cz1.offset - one_z_one.offset, _poly_add(cz1.coeffs, one_z_one.coeffs, -1)
+                cz1.offset - one_z_one.offset, _poly_add(cz1.coeffs, one_z_one.coeffs, -1)
             )
         # 0 z 0: mu(z) minus the three sibling extensions of the z-cylinder
         cz = self.certificate(z)
@@ -284,14 +275,14 @@ class SGapMME:
         coeffs = _poly_add(
             _poly_add(cz.coeffs, _poly_add(c1z.coeffs, cz1.coeffs), -1), one_z_one.coeffs
         )
-        return MeasureCertificate(w, offset, coeffs)
+        return MeasureCertificate(offset, coeffs)
 
     def _pinned(self, w: str) -> MeasureCertificate:
         """Certificate for a word starting and ending with 1: mu(1) t^(|w|-1)
         when legal (its extender set matches that of the synchronizing 1)."""
         if self._legal_pinned(w):
-            return MeasureCertificate(w, 0, _monomial(len(w) - 1))
-        return MeasureCertificate(w, 0, ())
+            return MeasureCertificate(0, _monomial(len(w) - 1))
+        return MeasureCertificate(0, ())
 
     def _legal_pinned(self, w: str) -> bool:
         gap = None

@@ -267,16 +267,11 @@ def _as_sft(spec) -> SftShift:
     raise SpecFormatError(f"no automaton presentation for {type(spec).__name__}")
 
 
-def _token(alphabet: W.Alphabet, a):
-    """The one-symbol word of symbol a."""
-    return a if alphabet.single_char else (a,)
-
-
 def _aho_corasick(alphabet: W.Alphabet, forbidden) -> dict:
     """Aho–Corasick automaton of the forbidden words, less every transition
     that completes one: state -> {symbol: state}.  A state is the longest
     suffix of the past that is a proper prefix of a forbidden word."""
-    empty = "" if alphabet.single_char else ()
+    empty = alphabet.empty
     # a word with a symbol outside the alphabet never occurs: drop it
     forbidden = {f for f in forbidden if all(a in alphabet.symbols for a in f)}
     prefixes = {f[:i] for f in forbidden for i in range(len(f) + 1)} | {empty}
@@ -286,8 +281,8 @@ def _aho_corasick(alphabet: W.Alphabet, forbidden) -> dict:
             fail[s] = goto[fail[s[:-1]]][s[-1]] if len(s) > 1 else empty
             banned[s] = s in forbidden or banned[fail[s]]
         goto[s] = {}
-        for a in alphabet.symbols:
-            t = s + _token(alphabet, a)
+        for a, letter in alphabet.letters.items():
+            t = s + letter
             goto[s][a] = t if t in prefixes else goto[fail[s]][a] if s else empty
     return {
         s: {a: t for a, t in out.items() if not banned[t]}
@@ -348,7 +343,7 @@ def build_automaton(spec) -> Automaton:
 
     # word graph: subset construction from all states, breadth-first in shortlex order
     sets = [frozenset(range(len(delta)))]
-    words = ["" if alphabet.single_char else ()]
+    words = [alphabet.empty]
     node_of = {sets[0]: 0}
     word_graph = []
     for Q, w in zip(sets, words):  # both lists grow while they are walked
@@ -362,7 +357,7 @@ def build_automaton(spec) -> Automaton:
                     raise ResourceLimitError(f"word graph exceeds {_ENUM_BUDGET} nodes")
                 node_of[R] = len(sets)
                 sets.append(R)
-                words.append(w + _token(alphabet, a))
+                words.append(w + alphabet.letters[a])
             out[a] = node_of[R]
         word_graph.append(out)
 
@@ -457,10 +452,11 @@ def enumerate_words(spec, n: int) -> list:
     aut = build_automaton(spec)
     if count_words(spec, n) > _ENUM_BUDGET:
         raise ResourceLimitError(f"enumerating length-{n} words exceeds the budget")
-    frontier = [("" if aut.alphabet.single_char else (), 0)]
+    letters = aut.alphabet.letters
+    frontier = [(aut.alphabet.empty, 0)]
     for _ in range(n):
         frontier = [
-            (u + _token(aut.alphabet, a), r)
+            (u + letters[a], r)
             for u, node in frontier
             for a, r in aut.word_graph[node].items()
         ]
@@ -471,7 +467,7 @@ def enumerate_words(spec, n: int) -> list:
 # Entropy
 
 
-def perron_value(A: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
+def perron_value(A: np.ndarray, max_iter: int = 200000):
     """Perron eigenvalue and positive right eigenvector of a nonnegative matrix.
 
     Power iteration runs on A + I so periodic irreducible graphs converge too.
@@ -491,7 +487,7 @@ def perron_value(A: np.ndarray, tol: float = 1e-14, max_iter: int = 200000):
         x = y
     lam = float(x @ (A @ x) / (x @ x))
     residual = float(np.max(np.abs(A @ x - lam * x)))
-    if residual > max(tol * 100, 1e-12) * max(1.0, lam):
+    if residual > 1e-12 * max(1.0, lam):
         raise NumericalError(f"power iteration residual {residual:.3e} too large")
     return lam, x
 
@@ -627,8 +623,7 @@ def specification_distance_holds(spec, N: int) -> bool:
 def is_i_hereditary_bounded(spec, max_len: int) -> bool:
     """Necessary condition sweep: every 0-insertion into a legal word stays legal."""
     aut = build_automaton(spec)
-    zero = aut.alphabet.symbols[0]
-    zero_tok = zero if aut.alphabet.single_char else (zero,)
+    zero_tok = aut.alphabet.letters[aut.alphabet.symbols[0]]
     for n in range(1, max_len + 1):
         for u in enumerate_words(spec, n):
             for i in range(n + 1):

@@ -15,7 +15,7 @@ import json
 import math
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,17 +40,7 @@ class CheckRecord:
     series: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "spec": self.spec,
-            "params": self.params,
-            "tolerance": self.tolerance,
-            "residuals": self.residuals,
-            "status": self.status,
-            "reason": self.reason,
-            "witnesses": self.witnesses,
-            "series": self.series,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -92,7 +82,7 @@ def _landing_levels(spec, maxlen: int):
     reads the dead state's row of -1s.
     """
     aut = S.build_automaton(spec)
-    index = {("" if aut.alphabet.single_char else ()): 0}
+    index = {aut.alphabet.empty: 0}
     rows = np.arange(len(aut.states))[None]
     for n in range(1, maxlen + 1):
         words = S.enumerate_words(spec, n)
@@ -224,8 +214,12 @@ def check_limit(
         record.status = "skipped"
         record.reason = f"mixing hypothesis fails: gcd(S+1) = {gaps.gcd_shifted()}"
         return record
-    spec = S.SGapShift(gaps)
     lam = S.sgap_lambda(gaps)
+    if lam <= 1.0:
+        record.status = "skipped"
+        record.reason = "positive-entropy hypothesis fails"
+        return record
+    spec = S.SGapShift(gaps)
     a_prev = S.count_words_scaled(spec, N - 1, lam)
     a_N = S.count_words_scaled(spec, N, lam)
     cf = limit_closed_form(gaps)
@@ -328,15 +322,19 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
         params={"n_max": n_max, "specification_distance": dist},
         tolerance={"bound": tol},
     )
-    if not S.is_i_hereditary_bounded(spec, max_len=6):
+    # the alphabet's first symbol plays 0, as in the insertion sweep, which stops
+    # at length 6; the ratios below read 0^(n_max+1) and 0^(dist+1)
+    low, *others = spec.alphabet.symbols
+    zero = spec.alphabet.letters[low]
+    if not (
+        S.is_i_hereditary_bounded(spec, max_len=6)
+        and S.member(spec, zero * (max(n_max, dist) + 1))
+    ):
         record.status = "skipped"
         record.reason = "insertion-hereditary sweep fails"
         return record
     h = S.entropy(spec)
     model = M.parry(spec)
-    # the alphabet's first symbol plays 0, as in the insertion sweep
-    low, *others = spec.alphabet.symbols
-    zero = low if spec.alphabet.single_char else (low,)
     worst = 0.0
     for n in range(1, n_max + 1):
         ratio = math.log(M.mu_parry(model, zero * n) / M.mu_parry(model, zero * (n + 1)))
@@ -357,7 +355,7 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
         record.params["specification_holds"] = False
     mu_zero = M.mu_parry(model, zero)
     for a in others:
-        mu_a = M.mu_parry(model, a if spec.alphabet.single_char else (a,))
+        mu_a = M.mu_parry(model, spec.alphabet.letters[a])
         record.residuals[f"mu({a}) - mu({low})"] = mu_a - mu_zero
         if mu_a - mu_zero > tol:
             _fail(record, {f"mu({a})": mu_a, f"mu({low})": mu_zero})
@@ -408,12 +406,8 @@ def _subset_levels(v, w, u_maxlen: int, alphabet: W.Alphabet):
                 failed.append(s)
         return tuple(failed)
 
-    if alphabet.single_char:
-        level = [("", [], [], [])]
-        letters = alphabet.symbols
-    else:
-        level = [((), [], [], [])]
-        letters = [(a,) for a in alphabet.symbols]
+    level = [(alphabet.empty, [], [], [])]
+    letters = list(alphabet.letters.values())
     for L in range(1, u_maxlen + 1):
         t = L - nv
         grown_level = []
@@ -552,7 +546,6 @@ def check_replacement_lemmas(
 
 
 DEFAULT_CONFIG = {
-    "seed": 0,
     "maxlen_pairs": 5,
     "maxlen_value": 8,
     "limit_n": 200,
@@ -709,24 +702,13 @@ def run_all(config: dict | None = None) -> VerificationReport:
         one = G.Pattern2D((((0, 0), "1"),))
         zero = G.Pattern2D((((0, 0), "0"),))
         gt = G.check_gtheorem(G.hard_square(), one, zero, cfg["strip_widths"], tol["gtheorem"])
-        return CheckRecord(
-            name=gt["name"],
-            spec=gt["spec"],
-            params=gt["params"],
-            tolerance={"inequality": gt["tolerance"]},
-            residuals=gt["residuals"],
-            status=gt["status"],
-            reason=gt["reason"],
-            witnesses=gt["witnesses"],
-            series={
-                "strip": {"columns": ["width", "mu_v", "mu_w"], "rows": gt["series"]["strip"]}
-            },
-        )
+        strip = {"columns": ["width", "mu_v", "mu_w"], "rows": gt["series"]["strip"]}
+        tolerance = {"inequality": gt["tolerance"]}
+        return CheckRecord(**dict(gt, tolerance=tolerance, series={"strip": strip}))
 
     run("gtheorem-strips", gtheorem)
 
     meta = {
-        "seed": cfg["seed"],
         "config": cfg,
         "timestamps": {
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),

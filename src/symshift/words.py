@@ -42,6 +42,16 @@ class Alphabet:
     def single_char(self) -> bool:
         return all(len(s) == 1 for s in self.symbols)
 
+    @cached_property
+    def empty(self):
+        """The empty word, in this alphabet's word representation."""
+        return "" if self.single_char else ()
+
+    @cached_property
+    def letters(self) -> dict:
+        """symbol -> the one-symbol word of it, in symbol order."""
+        return {a: a if self.single_char else (a,) for a in self.symbols}
+
     def words(self, length: int):
         """Yield all words of the given length in canonical order."""
         if self.single_char:

@@ -256,8 +256,8 @@ def test_criterion_09_grid_inequality_and_lemmas():
     assert G.replaceability_windowed(hs, one, zero, 1)
     margins = []
     for width in (4, 6, 8):
-        mu1 = G.strip_mme_mu(hs, width, one).value
-        mu0 = G.strip_mme_mu(hs, width, zero).value
+        mu1 = G.strip_mme_mu(hs, width, one)
+        mu0 = G.strip_mme_mu(hs, width, zero)
         assert mu1 <= mu0
         margins.append(mu0 - mu1)
     assert min(margins) > 0.2

@@ -203,6 +203,21 @@ class TestGrid2d:
         assert out["status"] == "pass"
         assert len(out["series"]["strip"]) == 2
 
+    def test_no_widths_is_skipped_and_valid_json(self, runner, hardsq_files):
+        spec, v, w = hardsq_files
+        result = runner.invoke(
+            cli.main,
+            ["grid2d", "check-gtheorem", "--spec", spec, "--v", v, "--w", w, "--widths", ""],
+        )
+        assert result.exit_code == 0, result.output
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        out = json.loads(result.output, parse_constant=reject)
+        assert out["status"] == "skipped"
+        assert out["residuals"] == {}
+
     def test_needs_grid_spec(self, runner, golden_spec, hardsq_files):
         _, v, w = hardsq_files
         result = runner.invoke(

@@ -13,6 +13,12 @@ from symshift.errors import (
     SpecFormatError,
 )
 
+
+def pattern_from_grid(rows: list[str]) -> G.Pattern2D:
+    """Dense rectangle from strings, row y=0 first."""
+    return G.Pattern2D(tuple(((x, y), s) for y, row in enumerate(rows) for x, s in enumerate(row)))
+
+
 HS = G.hard_square()
 ONE = G.Pattern2D((((0, 0), "1"),))
 ZERO = G.Pattern2D((((0, 0), "0"),))
@@ -20,8 +26,8 @@ ZERO = G.Pattern2D((((0, 0), "0"),))
 THREE = G.Grid2dSpec(
     W.Alphabet(("a", "b", "c")),
     (
-        G.pattern_from_grid(["a", "a"]),
-        G.pattern_from_grid(["bb"]),
+        pattern_from_grid(["a", "a"]),
+        pattern_from_grid(["bb"]),
         G.Pattern2D((((0, 0), "c"), ((1, 1), "a"))),
     ),
 )
@@ -38,7 +44,7 @@ class TestPattern:
             G.Pattern2D((((0, 0), "1"), ((0, 0), "0")))
 
     def test_json_round_trip(self):
-        p = G.pattern_from_grid(["10", "01"])
+        p = pattern_from_grid(["10", "01"])
         assert G.pattern_from_dict(p.to_dict()) == p
 
     def test_bad_cell_entry(self):
@@ -75,35 +81,35 @@ class TestSparseReplacement:
         assert G.f_sparse_check(sites, F)
 
     def test_occurrences(self):
-        u = G.pattern_from_grid(["100", "000", "001"])
+        u = pattern_from_grid(["100", "000", "001"])
         assert G.occurrences_2d(u, ONE) == [(0, 0), (2, 2)]
 
     def test_replace_to_zero(self):
-        u = G.pattern_from_grid(["100", "000", "001"])
+        u = pattern_from_grid(["100", "000", "001"])
         out = G.replace_sparse(u, ONE, ZERO, [(0, 0), (2, 2)])
         assert all(s == "0" for _, s in out.cells)
 
     def test_empty_site_set_is_identity(self):
-        u = G.pattern_from_grid(["10", "00"])
+        u = pattern_from_grid(["10", "00"])
         assert G.replace_sparse(u, ONE, ZERO, []) == u
 
     def test_non_occurrence_rejected(self):
-        u = G.pattern_from_grid(["00", "00"])
+        u = pattern_from_grid(["00", "00"])
         with pytest.raises(InvalidPositionError):
             G.replace_sparse(u, ONE, ZERO, [(0, 0)])
 
     def test_not_sparse_rejected(self):
         dom = G.Pattern2D((((0, 0), "1"), ((1, 0), "1")))
-        big = G.pattern_from_grid(["111"])
+        big = pattern_from_grid(["111"])
         with pytest.raises(InvalidPositionError):
             G.replace_sparse(big, dom, G.Pattern2D((((0, 0), "0"), ((1, 0), "0"))), [(0, 0), (1, 0)])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(InvalidWordError):
-            G.replace_sparse(G.pattern_from_grid(["1"]), ONE, G.pattern_from_grid(["00"]), [])
+            G.replace_sparse(pattern_from_grid(["1"]), ONE, pattern_from_grid(["00"]), [])
 
     def test_order_independence(self):
-        u = G.pattern_from_grid(["101", "000", "101"])
+        u = pattern_from_grid(["101", "000", "101"])
         sites = G.occurrences_2d(u, ONE)
         base = G.replace_sparse(u, ONE, ZERO, sites)
         rng = random.Random(7)
@@ -116,14 +122,14 @@ class TestSparseReplacement:
 class TestStripMME:
     def test_hard_square_single_cells(self):
         for width in (4, 6):
-            mu0 = G.strip_mme_mu(HS, width, ZERO).value
-            mu1 = G.strip_mme_mu(HS, width, ONE).value
+            mu0 = G.strip_mme_mu(HS, width, ZERO)
+            mu1 = G.strip_mme_mu(HS, width, ONE)
             assert 0.5 < mu0 < 1.0
             assert mu0 + mu1 == pytest.approx(1.0, abs=1e-12)
 
     def test_forbidden_pattern_has_measure_zero(self):
-        adjacent = G.pattern_from_grid(["11"])
-        assert G.strip_mme_mu(HS, 6, adjacent).value == pytest.approx(0.0, abs=1e-15)
+        adjacent = pattern_from_grid(["11"])
+        assert G.strip_mme_mu(HS, 6, adjacent) == pytest.approx(0.0, abs=1e-15)
 
     def test_pattern_must_fit(self):
         tall = G.Pattern2D(tuple(((0, y), "0") for y in range(6)))
@@ -135,13 +141,13 @@ class TestStripMME:
             G.strip_mme_mu(HS, 20, ZERO)
 
     def test_three_column_forbidden_rejected(self):
-        wide = G.Grid2dSpec(W.BINARY, (G.pattern_from_grid(["111"]),))
+        wide = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["111"]),))
         with pytest.raises(ResourceLimitError):
             G.strip_mme_mu(wide, 6, ZERO)
 
     def test_flat_boundary_also_orders(self):
-        mu0 = G.strip_mme_mu(HS, 6, ZERO, torus=False).value
-        mu1 = G.strip_mme_mu(HS, 6, ONE, torus=False).value
+        mu0 = G.strip_mme_mu(HS, 6, ZERO, torus=False)
+        mu1 = G.strip_mme_mu(HS, 6, ONE, torus=False)
         assert mu1 < mu0
 
 
@@ -192,7 +198,7 @@ class TestReplaceability:
         assert not G.replaceability_windowed(HS, ZERO, ONE, 1)
 
     def test_full_shift_everything(self):
-        free = G.Grid2dSpec(W.BINARY, (G.pattern_from_grid(["11"]),))
+        free = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["11"]),))
         assert G.replaceability_windowed(free, ONE, ZERO, 1)
 
     def test_wide_window_exceeds_budget(self):

@@ -194,6 +194,20 @@ class TestGapChainOracle:
         got = [M.sgap_mu_oracle(gaps, u).hex() for u in words]
         assert got == [reference_sgap_mu_oracle(gaps, u).hex() for u in words]
 
+    def test_single_gap_zero_charges_only_ones(self):
+        # S = {0}: the one point 1^inf; its chain has one state and no 0 edge
+        gaps = S.SGapSet((0,))
+        for n in range(8):
+            for w in W.BINARY.words(n):
+                assert M.sgap_mu_oracle(gaps, w) == (0.0 if "0" in w else 1.0)
+
+    def test_all_gaps_is_the_fair_coin(self):
+        # S = [0, inf) is the full 2-shift: one state with a 0 and a 1 loop
+        gaps = S.SGapSet((), 0)
+        for n in range(8):
+            for w in W.BINARY.words(n):
+                assert M.sgap_mu_oracle(gaps, w) == 2.0**-n
+
 
 class TestValueRecursion:
     @pytest.mark.parametrize("gaps", GAP_SETS, ids=lambda g: g.describe())

@@ -148,7 +148,7 @@ class BlockGraph:
         edges = {}
         for q in blocks:
             for a in alphabet.symbols:
-                window = q + S._token(alphabet, a)
+                window = q + alphabet.letters[a]
                 if window[1:] in blocks and legal(window):
                     edges.setdefault(q, {})[a] = window[1:]
         alive = blocks

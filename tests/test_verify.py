@@ -114,6 +114,15 @@ class TestIndividualChecks:
         rec = V.check_hereditary_entropy(spec, 3, 1, 1e-9)
         assert rec.status == "skipped"
 
+    def test_hereditary_forbidden_zero_power_skipped(self):
+        # 0^8 is forbidden but the insertion sweep stops at length 6; the
+        # ratio at n = 7 would divide by mu(0^8) = 0
+        spec = S.SftShift(W.BINARY, ("00000000",))
+        assert S.is_i_hereditary_bounded(spec, 6)
+        rec = V.check_hereditary_entropy(spec, 8, 1, 1e-9)
+        assert rec.status == "skipped"
+        assert V.check_hereditary_entropy(spec, 6, 1, 1e-9).status != "skipped"
+
     def test_replacement_lemmas_small(self):
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
         assert rec.status == "pass"
@@ -599,6 +608,42 @@ class TestSuite:
         absent = V.run_all(dict(SMALL_CONFIG, synch_words=["11"]))
         assert absent.passed
         assert len(absent.records) == len(report.records) - 1
+
+    def test_single_gap_zero_spec_keeps_its_other_records(self, report):
+        # S = {0} has lambda = 1, and the counting limit's closed form divides
+        # by lambda - 1: a ZeroDivisionError used to abort run_all
+        doc = {"type": "sgap", "finite": [0]}
+        rerun = V.run_all(dict(SMALL_CONFIG, sgap_specs=[doc], synch_words=["1"]))
+        records = {r.name: r for r in rerun.records if r.spec == "S-gap shift, S={0}"}
+        assert {name: r.status for name, r in records.items()} == {
+            "entropy-root[S={0}]": "pass",
+            "counting-limit[S={0}]": "skipped",
+            "value-theorem[S={0}]": "pass",
+            "synchronized-formula[S={0},u=1]": "pass",
+        }
+        assert records["counting-limit[S={0}]"].reason == "positive-entropy hypothesis fails"
+        assert rerun.passed
+
+    def test_forbidden_zero_power_keeps_the_suite(self, report):
+        # a ZeroDivisionError at n = 7 used to abort run_all
+        doc = {"type": "sft", "alphabet": ["0", "1"], "forbidden": ["00000000"]}
+        rerun = V.run_all(dict(SMALL_CONFIG, hereditary_specs=[doc], hereditary_nmax=8))
+        [rec] = [r for r in rerun.records if r.name.startswith("hereditary-entropy")]
+        assert rec.status == "skipped"
+        assert len(rerun.records) == len(report.records)
+
+    def test_no_strip_widths_gives_valid_json(self, report):
+        # max(mu_v - mu_w) over no widths was -inf, written as -Infinity
+        rerun = V.run_all(dict(SMALL_CONFIG, strip_widths=[]))
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        doc = json.loads(rerun.to_json(), parse_constant=reject)
+        [rec] = [c for c in doc["checks"] if c["name"] == "gtheorem-strips"]
+        assert rec["status"] == "skipped"
+        assert rec["residuals"] == {}
+        assert len(rerun.records) == len(report.records)
 
     def test_sweep_over_budget_is_an_error_record(self, report):
         broken = V.run_all(dict(SMALL_CONFIG, replacement_u_maxlen=30))

@@ -30,6 +30,12 @@ class TestAlphabet:
         assert not ab.single_char
         assert ("aa", "b") in list(ab.words(2))
 
+    def test_empty_word_and_letters_follow_the_representation(self):
+        ab = W.Alphabet(("aa", "b"))
+        assert ab.empty == () and ab.letters == {"aa": ("aa",), "b": ("b",)}
+        assert W.BINARY.empty == "" and W.BINARY.letters == {"0": "0", "1": "1"}
+        assert list(ab.letters) == list(ab.symbols)
+
     def test_parse_format_roundtrip_multichar(self):
         ab = W.Alphabet(("aa", "b"))
         w = ("aa", "b", "aa")
