@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import click
 
@@ -150,13 +151,7 @@ def mme(spec_path, word):
     parsed = W.parse_word(word, spec.alphabet)
     if isinstance(spec, S.SGapShift):
         value, cert = M.sgap_mu(spec.gaps, parsed)
-        _emit(
-            {
-                "word": word,
-                "mu": value,
-                "certificate": {"offset": cert.offset, "coeffs": list(cert.coeffs)},
-            }
-        )
+        _emit({"word": word, "mu": value, "certificate": asdict(cert)})
     else:
         model = M.parry(spec)
         _emit({"word": word, "mu": M.mu_parry(model, parsed)})
@@ -185,12 +180,7 @@ def respects(v, w, bounded):
     ok, witness = W.respects_transition_exact(v, w)
     payload = {"v": v, "w": w, "respects": ok}
     if witness is not None:
-        payload["witness"] = {
-            "condition": witness.condition,
-            "u": W.format_word(witness.u),
-            "i": witness.i,
-            "j": witness.j,
-        }
+        payload["witness"] = asdict(witness)
     if bounded is not None:
         ok_b, _ = W.respects_transition_bounded(v, w, bounded)
         payload["bounded"] = ok_b

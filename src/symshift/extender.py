@@ -12,7 +12,7 @@ follower-language containment at each shared left class.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -39,11 +39,7 @@ class ExtenderDescriptor:
     right_classes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "word": self.word,
-            "left_classes": list(self.left_classes),
-            "right_classes": list(self.right_classes),
-        }
+        return asdict(self)
 
 
 def extender_descriptor(spec, w) -> ExtenderDescriptor:

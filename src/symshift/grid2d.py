@@ -54,9 +54,6 @@ class Pattern2D:
     def mapping(self) -> dict:
         return dict(self.cells)
 
-    def __len__(self) -> int:
-        return len(self.cells)
-
     def bounding_box(self) -> tuple[int, int, int, int]:
         """(xmin, ymin, xmax, ymax); raises on the empty pattern."""
         if not self.cells:
@@ -72,9 +69,6 @@ class Pattern2D:
         """Translate so the bounding box corner sits at the origin."""
         xmin, ymin, _, _ = self.bounding_box()
         return self.translate(-xmin, -ymin)
-
-    def to_dict(self) -> dict:
-        return {"cells": [[x, y, s] for (x, y), s in self.cells]}
 
 
 def pattern_from_dict(data: dict) -> Pattern2D:
@@ -115,13 +109,6 @@ class Grid2dSpec:
             xmin, ymin, xmax, ymax = p.bounding_box()
             r = max(r, xmax - xmin, ymax - ymin)
         return r
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "grid2d",
-            "alphabet": list(self.alphabet.symbols),
-            "forbidden": [p.to_dict() for p in self.forbidden],
-        }
 
 
 def grid_spec_from_dict(data: dict) -> Grid2dSpec:

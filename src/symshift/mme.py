@@ -244,9 +244,6 @@ class SGapMME:
             self._memo[w] = cached
         return cached
 
-    def mu(self, w: str) -> float:
-        return self.certificate(w).evaluate(self.mu1, self.t)
-
     def _build(self, w: str) -> MeasureCertificate:
         n = len(w)
         if n == 0:

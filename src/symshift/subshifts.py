@@ -446,7 +446,7 @@ def count_words_scaled(spec, n: int, lam: float) -> float:
 
 
 def enumerate_words(spec, n: int) -> list:
-    """All of L_n in canonical symbol order."""
+    """All of L_n in alphabet order, the order of ``Alphabet.words``."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
     aut = build_automaton(spec)
@@ -454,13 +454,14 @@ def enumerate_words(spec, n: int) -> list:
         raise ResourceLimitError(f"enumerating length-{n} words exceeds the budget")
     letters = aut.alphabet.letters
     frontier = [(aut.alphabet.empty, 0)]
+    # each node's edges are in symbol order, so each level is in alphabet order
     for _ in range(n):
         frontier = [
             (u + letters[a], r)
             for u, node in frontier
             for a, r in aut.word_graph[node].items()
         ]
-    return sorted(u for u, _ in frontier)
+    return [u for u, _ in frontier]
 
 
 # ---------------------------------------------------------------------------
@@ -516,7 +517,7 @@ def perron_eigenvalue(spec) -> float:
     return max(perron_value(A[np.ix_(c, c)])[0] for c in _components(A))
 
 
-def sgap_lambda(gaps: SGapSet, tol: float = 1e-14) -> float:
+def sgap_lambda(gaps: SGapSet) -> float:
     """Unique root > 1 of sum over S of x^(-n-1) = 1 (lambda = 1 degenerate case)."""
 
     def f(x: float) -> float:
@@ -545,7 +546,7 @@ def sgap_lambda(gaps: SGapSet, tol: float = 1e-14) -> float:
     # Newton polish
     for _ in range(50):
         fx = f(lam) - 1.0
-        if abs(fx) <= tol:
+        if abs(fx) <= 1e-14:
             break
         eps = 1e-7
         dfx = (f(lam + eps) - f(lam - eps)) / (2 * eps)

@@ -14,6 +14,7 @@ import itertools
 import json
 import math
 import re
+import sys
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -24,7 +25,7 @@ from . import grid2d as G
 from . import mme as M
 from . import subshifts as S
 from . import words as W
-from .errors import ResourceLimitError, SpecFormatError, SymshiftError
+from .errors import NumericalError, ResourceLimitError, SpecFormatError, SymshiftError
 
 
 @dataclass
@@ -38,9 +39,6 @@ class CheckRecord:
     reason: str = ""
     witnesses: list = field(default_factory=list)
     series: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 @dataclass
@@ -56,7 +54,7 @@ class VerificationReport:
         return {
             "meta": self.meta,
             "passed": self.passed,
-            "checks": [r.to_dict() for r in sorted(self.records, key=lambda r: r.name)],
+            "checks": [asdict(r) for r in sorted(self.records, key=lambda r: r.name)],
         }
 
     def to_json(self) -> str:
@@ -66,6 +64,13 @@ class VerificationReport:
 def _fail(record: CheckRecord, witness) -> None:
     record.status = "fail"
     record.witnesses.append(witness)
+
+
+def _bound(record: CheckRecord, key: str, residual: float, tol: float, witness) -> None:
+    """Record ``residual`` under ``key``; above ``tol`` the check fails with ``witness``."""
+    record.residuals[key] = residual
+    if residual > tol:
+        _fail(record, witness)
 
 
 # ---------------------------------------------------------------------------
@@ -181,13 +186,10 @@ def check_entropy_root(gaps: S.SGapSet, tol_root: float, tol_cross: float) -> Ch
         tolerance={"root": tol_root, "cross": tol_cross},
     )
     lam = S.sgap_lambda(gaps)
-    record.residuals["root equation"] = _root_equation_residual(gaps, lam)
+    _bound(record, "root equation", _root_equation_residual(gaps, lam), tol_root, {"lambda": lam})
     h_graph = math.log(S.perron_eigenvalue(S.SGapShift(gaps)))
-    record.residuals["log-lambda vs graph entropy"] = abs(math.log(lam) - h_graph)
-    if record.residuals["root equation"] > tol_root:
-        _fail(record, {"lambda": lam})
-    if record.residuals["log-lambda vs graph entropy"] > tol_cross:
-        _fail(record, {"lambda": lam, "h_graph": h_graph})
+    _bound(record, "log-lambda vs graph entropy", abs(math.log(lam) - h_graph), tol_cross,
+           {"lambda": lam, "h_graph": h_graph})
     return record
 
 
@@ -204,6 +206,8 @@ def limit_closed_form(gaps: S.SGapSet) -> float:
 def check_limit(
     gaps: S.SGapSet, N: int, exact_n: int, tol: float, rel_tol: float
 ) -> CheckRecord:
+    if N < 1:
+        raise SpecFormatError(f"limit_n must be at least 1, not {N}: a_N is compared with a_(N-1)")
     record = CheckRecord(
         name=f"counting-limit[S={gaps.describe()}]",
         spec=S.describe(S.SGapShift(gaps)),
@@ -223,38 +227,35 @@ def check_limit(
     a_prev = S.count_words_scaled(spec, N - 1, lam)
     a_N = S.count_words_scaled(spec, N, lam)
     cf = limit_closed_form(gaps)
-    record.residuals["|a_N - closed form|"] = abs(a_N - cf)
-    record.residuals["|a_N - a_{N-1}|"] = abs(a_N - a_prev)
+    _bound(record, "|a_N - closed form|", abs(a_N - cf), tol, {"a_N": a_N, "closed_form": cf})
+    _bound(record, "|a_N - a_{N-1}|", abs(a_N - a_prev), tol, {"a_N": a_N, "a_prev": a_prev})
     rows = []
     worst_rel = 0.0
     for n in range(1, exact_n + 1):
         exact = S.count_words(spec, n)
         scaled = S.count_words_scaled(spec, n, lam)
         rows.append([n, exact, scaled])
-        worst_rel = max(worst_rel, abs(exact / lam**n - scaled) / scaled)
-    record.residuals["exact vs scaled (relative)"] = worst_rel
+        try:
+            worst_rel = max(worst_rel, abs(exact / lam**n - scaled) / scaled)
+        except OverflowError:
+            raise NumericalError(f"|L_{n}| / lambda^{n} overflows; lower limit_exact_n") from None
     record.series["growth"] = {"columns": ["n", "count", "count_over_lambda_n"], "rows": rows}
-    if record.residuals["|a_N - closed form|"] > tol:
-        _fail(record, {"a_N": a_N, "closed_form": cf})
-    if record.residuals["|a_N - a_{N-1}|"] > tol:
-        _fail(record, {"a_N": a_N, "a_prev": a_prev})
-    if worst_rel > rel_tol:
-        _fail(record, {"worst_relative": worst_rel})
+    _bound(record, "exact vs scaled (relative)", worst_rel, rel_tol, {"worst_relative": worst_rel})
     return record
 
 
 def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord:
+    words = 2 ** (maxlen + 1) - 2  # the binary words of lengths 1..maxlen
+    if words > W._SWEEP_BUDGET:
+        raise ResourceLimitError(f"a sweep of {words} words exceeds the budget; lower maxlen_value")
     record = CheckRecord(
         name=f"value-theorem[S={gaps.describe()}]",
         spec=S.describe(S.SGapShift(gaps)),
         params={"maxlen": maxlen},
         tolerance={"value": tol},
     )
-    record.residuals["mu(1) formula vs oracle"] = abs(
-        M.sgap_mu1(gaps) - M.sgap_mu_oracle(gaps, "1")
-    )
-    if record.residuals["mu(1) formula vs oracle"] > tol:
-        _fail(record, {"word": "1"})
+    mu1_gap = abs(M.sgap_mu1(gaps) - M.sgap_mu_oracle(gaps, "1"))
+    _bound(record, "mu(1) formula vs oracle", mu1_gap, tol, {"word": "1"})
     worst = 0.0
     integral = True
     for n in range(1, maxlen + 1):
@@ -305,9 +306,8 @@ def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> Che
     if any(b < a - 1e-15 for a, b in zip(partial, partial[1:])):
         _fail(record, {"monotonicity": "violated"})
     target, _ = M.sgap_mu(gaps, u)
-    record.residuals["|T(maxgap) - mu(u)|"] = abs(partial[-1] - target)
-    if record.residuals["|T(maxgap) - mu(u)|"] > tol:
-        _fail(record, {"T": partial[-1], "mu": target})
+    _bound(record, "|T(maxgap) - mu(u)|", abs(partial[-1] - target), tol,
+           {"T": partial[-1], "mu": target})
     return record
 
 
@@ -335,9 +335,17 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
         return record
     h = S.entropy(spec)
     model = M.parry(spec)
+
+    def log_ratio(n):
+        # mu(0^(n+1)) <= mu(0^n); below the normal floats it has lost its digits
+        small = M.mu_parry(model, zero * (n + 1))
+        if small < sys.float_info.min:
+            raise NumericalError(f"mu({low}^{n + 1}) is subnormal at n = {n}; lower n_max")
+        return math.log(M.mu_parry(model, zero * n) / small)
+
     worst = 0.0
     for n in range(1, n_max + 1):
-        ratio = math.log(M.mu_parry(model, zero * n) / M.mu_parry(model, zero * (n + 1)))
+        ratio = log_ratio(n)
         excess = ratio - h
         if excess > worst:
             worst = excess
@@ -345,20 +353,16 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
                 _fail(record, {"n": n, "log ratio": ratio, "h": h})
     record.residuals["max(log ratio - h)"] = worst
     if S.specification_distance_holds(spec, dist):
-        ratio = math.log(
-            M.mu_parry(model, zero * dist) / M.mu_parry(model, zero * (dist + 1))
-        )
-        record.residuals["|h - log ratio| at specification distance"] = abs(h - ratio)
-        if record.residuals["|h - log ratio| at specification distance"] > tol:
-            _fail(record, {"N": dist, "log ratio": ratio, "h": h})
+        ratio = log_ratio(dist)
+        _bound(record, "|h - log ratio| at specification distance", abs(h - ratio), tol,
+               {"N": dist, "log ratio": ratio, "h": h})
     else:
         record.params["specification_holds"] = False
     mu_zero = M.mu_parry(model, zero)
     for a in others:
         mu_a = M.mu_parry(model, spec.alphabet.letters[a])
-        record.residuals[f"mu({a}) - mu({low})"] = mu_a - mu_zero
-        if mu_a - mu_zero > tol:
-            _fail(record, {f"mu({a})": mu_a, f"mu({low})": mu_zero})
+        _bound(record, f"mu({a}) - mu({low})", mu_a - mu_zero, tol,
+               {f"mu({a})": mu_a, f"mu({low})": mu_zero})
     return record
 
 

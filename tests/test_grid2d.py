@@ -44,8 +44,8 @@ class TestPattern:
             G.Pattern2D((((0, 0), "1"), ((0, 0), "0")))
 
     def test_json_round_trip(self):
-        p = pattern_from_grid(["10", "01"])
-        assert G.pattern_from_dict(p.to_dict()) == p
+        doc = {"cells": [[1, 1, "1"], [0, 0, "1"], [1, 0, "0"], [0, 1, "0"]]}
+        assert G.pattern_from_dict(doc) == pattern_from_grid(["10", "01"])
 
     def test_bad_cell_entry(self):
         with pytest.raises(SpecFormatError):
@@ -61,7 +61,15 @@ class TestSpec:
         assert HS.interaction_range == 1
 
     def test_round_trip(self):
-        assert G.grid_spec_from_dict(HS.to_dict()) == HS
+        doc = {
+            "type": "grid2d",
+            "alphabet": ["0", "1"],
+            "forbidden": [
+                {"cells": [[0, 0, "1"], [1, 0, "1"]]},
+                {"cells": [[0, 1, "1"], [0, 0, "1"]]},
+            ],
+        }
+        assert G.grid_spec_from_dict(doc) == HS
 
     def test_alien_symbol_rejected(self):
         with pytest.raises(SpecFormatError):

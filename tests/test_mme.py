@@ -224,7 +224,8 @@ class TestValueRecursion:
             cert = model.certificate(w)
             assert isinstance(cert.offset, int)
             assert all(isinstance(c, int) for c in cert.coeffs)
-            assert cert.evaluate(model.mu1, model.t) == pytest.approx(model.mu(w), abs=0)
+            value, _ = M.sgap_mu(gaps, w)
+            assert cert.evaluate(model.mu1, model.t) == value
 
     def test_mu1_formula(self):
         gaps = S.SGapSet((0, 1))

@@ -125,6 +125,14 @@ class TestLanguage:
             assert words == sorted(words)
             assert all(S.member(GOLDEN, w) for w in words)
 
+    @pytest.mark.parametrize("symbols", [("b", "a"), ("x9", "x10")])
+    def test_enumerate_in_alphabet_order(self, symbols):
+        # a sort put ("x10", ...) before ("x9", ...), against Alphabet.words
+        alphabet = W.Alphabet(symbols)
+        spec = S.SftShift(alphabet, (alphabet.letters[symbols[1]] * 2,))
+        for n in range(5):
+            assert S.enumerate_words(spec, n) == [u for u in alphabet.words(n) if S.member(spec, u)]
+
     def test_enumerate_budget(self):
         with pytest.raises(ResourceLimitError):
             S.enumerate_words(FULL, 30)

@@ -123,6 +123,12 @@ class TestIndividualChecks:
         assert rec.status == "skipped"
         assert V.check_hereditary_entropy(spec, 6, 1, 1e-9).status != "skipped"
 
+    def test_hereditary_underflow_is_a_numerical_error(self):
+        # mu(0^1473) is subnormal: the ratios after it lost their digits and
+        # used to give a false fail, with witness n = 1505
+        with pytest.raises(NumericalError, match="at n = 1472"):
+            V.check_hereditary_entropy(GOLDEN, 1560, 1, 1e-9)
+
     def test_replacement_lemmas_small(self):
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
         assert rec.status == "pass"
@@ -643,6 +649,61 @@ class TestSuite:
         [rec] = [c for c in doc["checks"] if c["name"] == "gtheorem-strips"]
         assert rec["status"] == "skipped"
         assert rec["residuals"] == {}
+        assert len(rerun.records) == len(report.records)
+
+    def test_every_bound_fails_below_zero_tolerance(self):
+        tolerances = {key: -1 for key in V.DEFAULT_CONFIG["tolerances"]}
+        rerun = V.run_all(dict(SMALL_CONFIG, tolerances=tolerances))
+        checked = [r for r in rerun.records if r.tolerance and r.status != "skipped"]
+        assert len(checked) == len(rerun.records) - 2  # replacement-lemmas, one gcd gate
+        for rec in checked:
+            assert rec.status == "fail" and rec.witnesses, rec.name
+        witnesses = {r.name: len(r.witnesses) for r in checked}
+        assert witnesses["entropy-root[S={0,1}]"] == witnesses["entropy-root[S={1}]"] == 2
+        assert witnesses["counting-limit[S={0,1}]"] == 3
+        assert witnesses["synchronized-formula[S={0,1},u=0]"] == 1
+
+    def test_hereditary_underflow_is_an_error_record(self, report):
+        # mu(0^1501) = 2^-1501 is 0.0 in floats: a bare ZeroDivisionError
+        # used to abort run_all
+        doc = {"type": "full", "alphabet": ["0", "1"]}
+        rerun = V.run_all(dict(SMALL_CONFIG, hereditary_specs=[doc], hereditary_nmax=1500))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["hereditary-entropy"]
+        assert errors[0].reason.startswith("NumericalError") and "n = 1022" in errors[0].reason
+        assert len(rerun.records) == len(report.records)
+
+    def test_counting_limit_overflow_is_an_error_record(self, report):
+        # lambda^n leaves the floats at n = 1024 for S = [0, inf): a bare
+        # OverflowError used to abort run_all
+        doc = {"type": "sgap", "extra": [], "from": 0}
+        rerun = V.run_all(dict(SMALL_CONFIG, sgap_specs=[doc], limit_exact_n=1100))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["counting-limit"]
+        assert errors[0].reason.startswith("NumericalError")
+        assert "limit_exact_n" in errors[0].reason
+
+    def test_zero_limit_n_names_the_field(self, report):
+        # a_{N-1} at N = 0 used to give "length must be nonnegative"
+        rerun = V.run_all(dict(SMALL_CONFIG, limit_n=0))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["counting-limit"] * 2
+        assert all(r.reason.startswith("SpecFormatError: limit_n") for r in errors)
+        assert len(rerun.records) == len(report.records)
+
+    def test_value_sweep_over_budget_is_an_error_record(self, report, monkeypatch):
+        # 2^31 words used to be swept and memoized; stop a sweep that starts
+        sgap_mu, calls = M.sgap_mu, itertools.count()
+
+        def guarded(gaps, w):
+            assert next(calls) < 1000, "the value-theorem sweep started"
+            return sgap_mu(gaps, w)
+
+        monkeypatch.setattr(M, "sgap_mu", guarded)
+        rerun = V.run_all(dict(SMALL_CONFIG, maxlen_value=30))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["value-theorem"] * 2
+        assert all(r.reason.startswith("ResourceLimitError") for r in errors)
         assert len(rerun.records) == len(report.records)
 
     def test_sweep_over_budget_is_an_error_record(self, report):
