@@ -226,13 +226,11 @@ class SGapMME:
     """Unique MME of an S-gap shift, via the synchronization recursion."""
 
     gaps: S.SGapSet
-    lam: float = field(init=False)
     t: float = field(init=False)
     mu1: float = field(init=False)
 
     def __post_init__(self):
-        self.lam = S.sgap_lambda(self.gaps)
-        self.t = 1.0 / self.lam
+        self.t = 1.0 / S.sgap_lambda(self.gaps)
         self.mu1 = sgap_mu1(self.gaps)
         self._memo: dict[str, MeasureCertificate] = {}
 
@@ -276,26 +274,10 @@ class SGapMME:
 
     def _pinned(self, w: str) -> MeasureCertificate:
         """Certificate for a word starting and ending with 1: mu(1) t^(|w|-1)
-        when legal (its extender set matches that of the synchronizing 1)."""
-        if self._legal_pinned(w):
+        when each of its gaps is in S (its extender set is that of the 1)."""
+        if all(len(run) in self.gaps for run in w.split("1")[1:-1]):
             return MeasureCertificate(0, _monomial(len(w) - 1))
         return MeasureCertificate(0, ())
-
-    def _legal_pinned(self, w: str) -> bool:
-        gap = None
-        seen_one = False
-        for c in w:
-            if c == "1":
-                if seen_one and gap not in self.gaps:
-                    return False
-                seen_one = True
-                gap = 0
-            else:
-                if gap is not None:
-                    gap += 1
-        if self.gaps.finite and not seen_one:
-            return False
-        return True
 
 
 @lru_cache(maxsize=None)

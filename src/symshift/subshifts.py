@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -417,51 +418,73 @@ def member(spec, u) -> bool:
     return True
 
 
+def _counts(spec):
+    """Yield |L_0|, |L_1|, ...: path counts on the word graph (big integers)."""
+    graph = build_automaton(spec).word_graph
+    edges = [(i, r) for i, out in enumerate(graph) for r in out.values()]
+    vec = [1] + [0] * (len(graph) - 1)
+    while True:
+        yield sum(vec)
+        new = [0] * len(graph)
+        for i, r in edges:
+            new[r] += vec[i]
+        vec = new
+
+
+def _scaled_counts(spec, lam: float):
+    """Yield |L_n| / lam^n for n = 0, 1, ...: a floating DP renormalized each step."""
+    graph = build_automaton(spec).word_graph
+    src, dst = np.array([(i, r) for i, out in enumerate(graph) for r in out.values()]).T
+    vec = np.zeros(len(graph))
+    vec[0] = 1.0
+    while True:
+        yield float(vec.sum())
+        vec = np.bincount(dst, weights=vec[src], minlength=len(graph)) / lam
+
+
 def count_words(spec, n: int) -> int:
     """Exact |L_n| via path counting on the word graph (big integers)."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    graph = build_automaton(spec).word_graph
-    vec = {0: 1}
-    for _ in range(n):
-        new = {}
-        for node, k in vec.items():
-            for r in graph[node].values():
-                new[r] = new.get(r, 0) + k
-        vec = new
-    return sum(vec.values())
+    return next(itertools.islice(_counts(spec), n, None))
 
 
 def count_words_scaled(spec, n: int, lam: float) -> float:
     """|L_n| / lam^n via per-step renormalized floating DP."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    graph = build_automaton(spec).word_graph
-    src, dst = np.array([(i, r) for i, out in enumerate(graph) for r in out.values()]).T
-    vec = np.zeros(len(graph))
-    vec[0] = 1.0
-    for _ in range(n):
-        vec = np.bincount(dst, weights=vec[src], minlength=len(graph)) / lam
-    return float(vec.sum())
+    return next(itertools.islice(_scaled_counts(spec, lam), n, None))
+
+
+def _word_levels(spec, maxlen: int):
+    """Yield L_1, ..., L_maxlen in alphabet order, each built from the one
+    before, as (words, prefix, last): words[i] is the word at prefix[i] of
+    the level before followed by the symbol of column last[i] of ``T``.
+
+    |L_n| never shrinks, since every word extends to the right, so the
+    budget is checked once, on L_maxlen, before any level is built.
+    """
+    if count_words(spec, maxlen) > _ENUM_BUDGET:
+        raise ResourceLimitError(f"enumerating length-{maxlen} words exceeds the budget")
+    aut = build_automaton(spec)
+    # the word graph as a table: step[node, column[a]] is the node after a, or -1
+    step = np.array([[out.get(a, -1) for a in aut.column] for out in aut.word_graph], dtype=np.intp)
+    letters = list(aut.alphabet.letters.values())
+    words, nodes = [aut.alphabet.empty], np.zeros(1, dtype=np.intp)
+    for _ in range(maxlen):
+        # row-major: word by word, and each word's extensions in alphabet order
+        prefix, last = np.nonzero(step[nodes] >= 0)
+        nodes = step[nodes[prefix], last]
+        words = [words[i] + letters[c] for i, c in zip(prefix.tolist(), last.tolist())]
+        yield words, prefix, last
 
 
 def enumerate_words(spec, n: int) -> list:
     """All of L_n in alphabet order, the order of ``Alphabet.words``."""
-    if n < 0:
-        raise InvalidWordError("length must be nonnegative")
-    aut = build_automaton(spec)
-    if count_words(spec, n) > _ENUM_BUDGET:
-        raise ResourceLimitError(f"enumerating length-{n} words exceeds the budget")
-    letters = aut.alphabet.letters
-    frontier = [(aut.alphabet.empty, 0)]
-    # each node's edges are in symbol order, so each level is in alphabet order
-    for _ in range(n):
-        frontier = [
-            (u + letters[a], r)
-            for u, node in frontier
-            for a, r in aut.word_graph[node].items()
-        ]
-    return [u for u, _ in frontier]
+    words = [build_automaton(spec).alphabet.empty]
+    for words, _, _ in _word_levels(spec, n):
+        pass
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -591,6 +614,21 @@ def _landing_states(aut: Automaton, w) -> dict[int, int]:
     return {int(q): int(row[q]) for q in np.flatnonzero(row >= 0)}
 
 
+def _landing_levels(spec, maxlen: int):
+    """Yield (n, words, rows) for n = 1..maxlen: L_n as ``_word_levels``
+    builds it and, per word, its landing row (``_landing_row``).
+
+    Each row is its prefix's row of the level before, stepped by the last
+    symbol: rows[u + a] = T[rows[u], column[a]], where -1 reads the dead
+    state's row of -1s.
+    """
+    aut = build_automaton(spec)
+    rows = np.arange(len(aut.states))[None]
+    for n, (words, prefix, last) in enumerate(_word_levels(spec, maxlen), 1):
+        rows = aut.T[rows[prefix], last[:, None]]
+        yield n, words, rows
+
+
 def specification_distance_holds(spec, N: int) -> bool:
     """Whether any two legal words can be joined by some connector of length N."""
     if N < 0:
@@ -625,9 +663,9 @@ def is_i_hereditary_bounded(spec, max_len: int) -> bool:
     """Necessary condition sweep: every 0-insertion into a legal word stays legal."""
     aut = build_automaton(spec)
     zero_tok = aut.alphabet.letters[aut.alphabet.symbols[0]]
-    for n in range(1, max_len + 1):
-        for u in enumerate_words(spec, n):
-            for i in range(n + 1):
+    for words, _, _ in _word_levels(spec, max_len):
+        for u in words:
+            for i in range(len(u) + 1):
                 if not member(spec, u[:i] + zero_tok + u[i:]):
                     return False
     return True

@@ -77,27 +77,6 @@ def _bound(record: CheckRecord, key: str, residual: float, tol: float, witness) 
 # Measure inequality / equality under extender containment
 
 
-def _landing_levels(spec, maxlen: int):
-    """Yield (n, words, rows) for n = 1..maxlen: the words of L_n from
-    ``subshifts.enumerate_words`` and, per word, its landing row (the state
-    reached from each start state, or -1: ``subshifts._landing_row``).
-
-    Each row is built from its one-symbol-shorter prefix's row of the level
-    before, in one step per level: rows[u + a] = T[rows[u], a], where -1
-    reads the dead state's row of -1s.
-    """
-    aut = S.build_automaton(spec)
-    index = {aut.alphabet.empty: 0}
-    rows = np.arange(len(aut.states))[None]
-    for n in range(1, maxlen + 1):
-        words = S.enumerate_words(spec, n)
-        prefix = rows[[index[u[:-1]] for u in words]]
-        last = np.array([aut.column[u[-1]] for u in words])
-        rows = aut.T[prefix, last[:, None]]
-        index = {u: i for i, u in enumerate(words)}
-        yield n, words, rows
-
-
 def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_sided: bool) -> CheckRecord:
     """Check mu(v) <= mu(w) e^{h(|w|-|v|)} on the pairs of L_1..L_maxlen with
     E(v) subset-or-equal E(w); when ``two_sided``, on the pairs with E(v) = E(w),
@@ -125,7 +104,7 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
     class_of = {}  # landing row (bytes) -> class index, in order of first word
     reps = []  # class -> its landing row
     classes = []  # class -> length -> [(mu, word), ...]
-    for n, words, rows in _landing_levels(spec, maxlen):
+    for n, words, rows in S._landing_levels(spec, maxlen):
         for u, row in zip(words, rows):
             c = class_of.setdefault(row.tobytes(), len(reps))
             if c == len(reps):
@@ -224,19 +203,18 @@ def check_limit(
         record.reason = "positive-entropy hypothesis fails"
         return record
     spec = S.SGapShift(gaps)
-    a_prev = S.count_words_scaled(spec, N - 1, lam)
-    a_N = S.count_words_scaled(spec, N, lam)
+    # one pass of each DP: a[n] = |L_n| / lambda^n from the scaled one
+    a = list(itertools.islice(S._scaled_counts(spec, lam), max(N, exact_n) + 1))
+    a_prev, a_N = a[N - 1], a[N]
     cf = limit_closed_form(gaps)
     _bound(record, "|a_N - closed form|", abs(a_N - cf), tol, {"a_N": a_N, "closed_form": cf})
     _bound(record, "|a_N - a_{N-1}|", abs(a_N - a_prev), tol, {"a_N": a_N, "a_prev": a_prev})
     rows = []
     worst_rel = 0.0
-    for n in range(1, exact_n + 1):
-        exact = S.count_words(spec, n)
-        scaled = S.count_words_scaled(spec, n, lam)
-        rows.append([n, exact, scaled])
+    for n, exact in enumerate(itertools.islice(S._counts(spec), 1, exact_n + 1), 1):
+        rows.append([n, exact, a[n]])
         try:
-            worst_rel = max(worst_rel, abs(exact / lam**n - scaled) / scaled)
+            worst_rel = max(worst_rel, abs(exact / lam**n - a[n]) / a[n])
         except OverflowError:
             raise NumericalError(f"|L_{n}| / lambda^{n} overflows; lower limit_exact_n") from None
     record.series["growth"] = {"columns": ["n", "count", "count_over_lambda_n"], "rows": rows}
@@ -278,6 +256,9 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
 
 
 def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> CheckRecord:
+    # (maxgap + 1)^2 member calls, and partial sums over as many terms for each gap
+    if (maxgap + 1) ** 3 > W._SWEEP_BUDGET:
+        raise ResourceLimitError(f"synch_maxgap {maxgap} exceeds the budget of the truncation sweep")
     record = CheckRecord(
         name=f"synchronized-formula[S={gaps.describe()},u={u}]",
         spec=S.describe(S.SGapShift(gaps)),

@@ -43,6 +43,8 @@ def test_member_agrees_with_enumeration(spec):
     for n in range(7):
         language = set(S.enumerate_words(spec, n))
         assert {u for u in spec.alphabet.words(n) if S.member(spec, u)} == language
+    sizes = [len(words) for words, _, _ in S._word_levels(spec, 6)]
+    assert sizes == [S.count_words(spec, n) for n in range(1, 7)]
 
 
 @settings(max_examples=200, deadline=None)

@@ -248,6 +248,20 @@ class TestValueRecursion:
         with pytest.raises(InvalidWordError):
             M.sgap_mu(S.SGapSet((0, 1)), w)
 
+    @pytest.mark.parametrize(
+        "gaps",
+        GAP_SETS + [S.SGapSet((0,)), S.SGapSet((3,)), S.SGapSet((), 0), S.SGapSet((0, 40))],
+        ids=lambda g: g.describe(),
+    )
+    def test_pinned_rule_is_membership(self, gaps):
+        # 1z1 is legal exactly when each run of 0s between two 1s is a gap in S
+        model = M.sgap_model(gaps)
+        spec = S.SGapShift(gaps)
+        for n in range(13):
+            for z in W.BINARY.words(n):
+                w = "1" + z + "1"
+                assert (model._pinned(w).coeffs != ()) == S.member(spec, w), w
+
     def test_all_ones_gap_set(self):
         gaps = S.SGapSet((0,))
         assert M.sgap_mu(gaps, "111")[0] == 1.0

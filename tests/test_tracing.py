@@ -15,11 +15,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPT = """
 import json
 import tracing
-from symshift import subshifts as S, words as W
+from symshift import subshifts as S, verify as V, words as W
 
 tracer = tracing.Tracer()
 tracer.install()
-S.entropy(S.SftShift(W.BINARY, ("11",)))
+golden = S.SftShift(W.BINARY, ("11",))
+S.entropy(golden)
+# the level walk and both counting DPs run under the wrappers too
+assert V.check_main_inequality(golden, 3, 1e-12).status == "pass"
+assert V.check_limit(S.SGapSet((0, 1)), 40, 10, 1e-3, 1e-9).status == "pass"
 print(json.dumps(tracer.metrics()))
 """
 
@@ -36,4 +40,5 @@ def test_tracer_installs_and_reports():
     assert result.returncode == 0, result.stderr
     metrics = json.loads(result.stdout)
     assert metrics["subshifts.perron_value.calls"] >= 1
-    assert metrics["subshifts.automaton_states"] == 2
+    assert metrics["subshifts.automaton_states"] == 2 + 2  # golden mean, S = {0,1}
+    assert metrics["verify.checks"] == 2

@@ -78,6 +78,23 @@ class TestIndividualChecks:
         assert rows[0][:2] == [1, 2]
         assert len(rows) == 20
 
+    @pytest.mark.parametrize("doc", V.DEFAULT_CONFIG["sgap_specs"], ids=json.dumps)
+    def test_limit_series_is_the_per_n_counts(self, doc):
+        # both DPs run once; each row must still be what a per-n count gives
+        gaps = V._gaps(doc)
+        rec = V.check_limit(gaps, 200, 300, 1e-3, 1e-9)
+        if gaps.gcd_shifted() != 1:
+            assert rec.status == "skipped"
+            return
+        spec, lam = S.SGapShift(gaps), S.sgap_lambda(gaps)
+        rows = rec.series["growth"]["rows"]
+        assert [row[0] for row in rows] == list(range(1, 301))
+        for n, exact, scaled in rows:
+            assert exact == S.count_words(spec, n)
+            assert scaled.hex() == S.count_words_scaled(spec, n, lam).hex()
+        a_prev, a_N = (S.count_words_scaled(spec, n, lam) for n in (199, 200))
+        assert rec.residuals["|a_N - a_{N-1}|"] == abs(a_N - a_prev)
+
     def test_value_theorem(self):
         rec = V.check_value_theorem(S.SGapSet((1, 3)), 5, 1e-9)
         assert rec.status == "pass"
@@ -215,7 +232,7 @@ class TestExtenderSweep:
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
     def test_chunks_match_one_block(self, monkeypatch, block):
         aut = S.build_automaton(SFT_7)
-        rows = np.concatenate([r for _, _, r in V._landing_levels(SFT_7, 5)])
+        rows = np.concatenate([r for _, _, r in S._landing_levels(SFT_7, 5)])
         reps = np.unique(rows, axis=0)
         C = aut._containment_table
         whole = E._contains(C, reps, reps)
@@ -239,14 +256,33 @@ class TestExtenderSweep:
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
     def test_prefix_built_rows_match_landing_states(self, spec):
         aut = S.build_automaton(spec)
-        levels = list(V._landing_levels(spec, 6))
+        assert list(S._landing_levels(spec, 0)) == list(S._word_levels(spec, 0)) == []
+        levels = list(S._landing_levels(spec, 6))
         assert [n for n, _, _ in levels] == list(range(1, 7))
-        for n, words, rows in levels:
-            assert words == S.enumerate_words(spec, n)
+        letters = list(aut.alphabet.letters.values())
+        before = S.enumerate_words(spec, 0)
+        assert before == [aut.alphabet.empty]
+        for (n, words, rows), (walked, prefix, last) in zip(levels, S._word_levels(spec, 6)):
+            assert words == walked == S.enumerate_words(spec, n)
+            # each word is its prefix in the level before plus its last symbol
+            assert [before[i] + letters[c] for i, c in zip(prefix, last)] == words
+            before = words
             assert rows.shape == (len(words), len(aut.states))
             for u, row in zip(words, rows.tolist()):
                 landing = {q: r for q, r in enumerate(row) if r >= 0}
                 assert landing == S._landing_states(aut, u) == landing_states(aut, u), u
+
+    @pytest.mark.parametrize("check", [V.check_main_inequality, V.check_equality_corollary])
+    def test_over_budget_sweep_is_refused_before_any_measure(self, monkeypatch, check):
+        # |L_4| = 64^4 is over the budget: the 266,304 words of L_1..L_3 used
+        # to be measured first
+        def unreachable(model, w):
+            raise AssertionError("a cylinder measure was computed")
+
+        monkeypatch.setattr(M, "mu_parry", unreachable)
+        spec = S.FullShift(W.Alphabet(tuple(f"s{i}" for i in range(64))))
+        with pytest.raises(ResourceLimitError):
+            check(spec, 4, 1e-12)
 
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
     def test_witnesses_are_real_pairs(self, spec):
@@ -705,6 +741,27 @@ class TestSuite:
         assert [r.name for r in errors] == ["value-theorem"] * 2
         assert all(r.reason.startswith("ResourceLimitError") for r in errors)
         assert len(rerun.records) == len(report.records)
+
+    def test_synch_truncation_over_budget_is_an_error_record(self, report, monkeypatch):
+        # the (maxgap + 1)^2 membership tests used to run unbudgeted (4.5 s at
+        # maxgap 320); stop a truncation sweep that starts
+        member, calls = S.member, itertools.count()
+
+        def guarded(spec, u):
+            assert next(calls) < 50_000, "the truncation sweep started"
+            return member(spec, u)
+
+        monkeypatch.setattr(S, "member", guarded)
+        rerun = V.run_all(dict(SMALL_CONFIG, synch_maxgap=1000))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["synchronized-formula"] * 2
+        assert all(r.reason.startswith("ResourceLimitError: synch_maxgap") for r in errors)
+        assert len(rerun.records) == len(report.records)
+        # the bound is (maxgap + 1)^3 <= budget
+        monkeypatch.setattr(W, "_SWEEP_BUDGET", 27)
+        assert V.check_synch_formula(S.SGapSet((), 1), "01", 2, 1.0).status == "pass"
+        with pytest.raises(ResourceLimitError, match="synch_maxgap 3"):
+            V.check_synch_formula(S.SGapSet((), 1), "01", 3, 1.0)
 
     def test_sweep_over_budget_is_an_error_record(self, report):
         broken = V.run_all(dict(SMALL_CONFIG, replacement_u_maxlen=30))
