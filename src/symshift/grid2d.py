@@ -253,25 +253,34 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     return StripMME(columns=C, stationary=stationary, transition=P)
 
 
-def strip_mme_mu(spec: Grid2dSpec, width: int, pattern: Pattern2D, torus: bool = True) -> float:
-    """Approximate cylinder probability of the pattern on a width-W strip."""
+def _strip_window(spec: Grid2dSpec, width: int, pattern: Pattern2D) -> tuple[Pattern2D, int]:
+    """The normalized pattern and its row offset inside a width-W strip."""
     r = spec.interaction_range
     p = pattern.normalized()
-    _, _, xmax, ymax = p.bounding_box()
+    ymax = p.bounding_box()[3]
     if ymax + 1 + 2 * r > width:
         raise InvalidWordError(
             f"pattern of height {ymax + 1} does not fit the interior of a width-{width} strip"
         )
-    model = strip_mme(spec, width, torus)
-    yoff = (width - (ymax + 1)) // 2  # centered; irrelevant on the torus
+    return p, (width - (ymax + 1)) // 2  # centered; irrelevant on the torus
+
+
+def _strip_mu(model: StripMME, p: Pattern2D, yoff: int) -> float:
+    """Cylinder probability of a normalized pattern at row offset yoff."""
 
     def mask(x: int) -> np.ndarray:
         return _matches(model.columns, [cell for cell in p.cells if cell[0][0] == x], [yoff])[0]
 
     vec = model.stationary * mask(0)
-    for x in range(1, xmax + 1):
+    for x in range(1, p.bounding_box()[2] + 1):
         vec = (vec @ model.transition) * mask(x)
     return float(vec.sum())
+
+
+def strip_mme_mu(spec: Grid2dSpec, width: int, pattern: Pattern2D, torus: bool = True) -> float:
+    """Approximate cylinder probability of the pattern on a width-W strip."""
+    p, yoff = _strip_window(spec, width, pattern)
+    return _strip_mu(strip_mme(spec, width, torus), p, yoff)
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +368,12 @@ def check_gtheorem(spec: Grid2dSpec, v: Pattern2D, w: Pattern2D, widths, tol: fl
         return record
     worst = -float("inf")
     for width in widths:
-        mu_v = strip_mme_mu(spec, width, v)
-        mu_w = strip_mme_mu(spec, width, w)
+        # one strip model per width serves v and w; v's fit is checked before
+        # the model is built, as in strip_mme_mu
+        v_at = _strip_window(spec, width, v)
+        model = strip_mme(spec, width)
+        mu_v = _strip_mu(model, *v_at)
+        mu_w = _strip_mu(model, *_strip_window(spec, width, w))
         record["series"]["strip"].append([width, mu_v, mu_w])
         worst = max(worst, mu_v - mu_w)
         if mu_v > mu_w + tol:

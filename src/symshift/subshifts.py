@@ -491,28 +491,72 @@ def enumerate_words(spec, n: int) -> list:
 # Entropy
 
 
-def perron_value(A: np.ndarray, max_iter: int = 200000):
+# Up to _DENSE_N states the start vector is numpy.linalg.eig's; above it power
+# iteration runs first and, up to _RESTART_N states, restarts from eig's vector
+# if it has not certified a result after n steps.
+_DENSE_N = 64
+_RESTART_N = 1024
+_MAX_STEPS = 200000
+
+
+def _dense_vector(A: np.ndarray) -> np.ndarray:
+    """|Re v|, normalized to sum 1, for the eigenvector v of the eigenvalue
+    of A with the largest real part."""
+    values, vectors = np.linalg.eig(A)
+    x = np.abs(vectors[:, np.argmax(values.real)].real)
+    return x / x.sum()
+
+
+def _power_steps(A: np.ndarray, x: np.ndarray, steps: int) -> tuple[Optional[float], np.ndarray]:
+    """Up to ``steps`` normalized A + I steps from x >= 0, stopping at the
+    first certified x: the step is below 1e-15, x > 0 and the Collatz-Wielandt
+    bracket min (Ax)_i / x_i <= lam <= max (Ax)_i / x_i is at most
+    1e-12 max(1, lam) wide.  Returns (lam, x), with lam None if uncertified."""
+    for _ in range(steps):
+        Ax = A @ x
+        y = Ax + x
+        y /= y.sum()
+        if np.max(np.abs(y - x)) < 1e-15:
+            if np.all(x > 0):
+                ratios = Ax / x
+                lo, hi = float(ratios.min()), float(ratios.max())
+                if hi - lo <= 1e-12 * max(1.0, lo):
+                    # the Rayleigh quotient, which rounding can put an ulp outside the bracket
+                    return min(max(float(x @ Ax / (x @ x)), lo), hi), x
+            elif np.count_nonzero(y) == np.count_nonzero(x):
+                # when A is irreducible every step shrinks the zeros of x
+                raise NumericalError("Perron vector is not positive")
+        x = y
+    return None, x
+
+
+def perron_value(A: np.ndarray):
     """Perron eigenvalue and positive right eigenvector of a nonnegative matrix.
 
-    Power iteration runs on A + I so periodic irreducible graphs converge too.
+    Small matrices start from the dense eigenvector; larger ones run power
+    iteration on A + I (so periodic irreducible graphs converge too), which
+    restarts from the dense eigenvector if it is not done after n steps.
+    Every result is polished by A + I steps until it is certified by the
+    Collatz-Wielandt bracket, which holds lam for any positive x when A is
+    irreducible.  A narrow bracket also means every entry of x is accurate
+    relative to itself, which a small step alone does not give the entries
+    far below the largest (the dense vector's are exact only to about 1e-16
+    of the largest).
     """
     n = A.shape[0]
     if n == 0:
         raise EmptySubshiftError("empty transition matrix")
-    B = A + np.eye(n)
-    x = np.ones(n)
-    x /= x.sum()
-    for _ in range(max_iter):
-        y = B @ x
-        y /= y.sum()
-        if np.max(np.abs(y - x)) < 1e-15:
-            x = y
-            break
-        x = y
-    lam = float(x @ (A @ x) / (x @ x))
-    residual = float(np.max(np.abs(A @ x - lam * x)))
-    if residual > 1e-12 * max(1.0, lam):
-        raise NumericalError(f"power iteration residual {residual:.3e} too large")
+    if n <= _DENSE_N:
+        x = _dense_vector(A)
+    else:
+        lam, x = _power_steps(A, np.full(n, 1.0 / n), n)
+        if lam is not None:
+            return lam, x
+        if n <= _RESTART_N:
+            x = _dense_vector(A)
+    lam, x = _power_steps(A, x, _MAX_STEPS)
+    if lam is None:
+        raise NumericalError(f"no Collatz-Wielandt certificate after {_MAX_STEPS} steps")
     return lam, x
 
 

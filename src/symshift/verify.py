@@ -256,7 +256,7 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
 
 
 def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> CheckRecord:
-    # (maxgap + 1)^2 member calls, and partial sums over as many terms for each gap
+    # (maxgap + 1)^2 member calls on words of up to 2 maxgap + 4 symbols
     if (maxgap + 1) ** 3 > W._SWEEP_BUDGET:
         raise ResourceLimitError(f"synch_maxgap {maxgap} exceeds the budget of the truncation sweep")
     record = CheckRecord(
@@ -272,16 +272,14 @@ def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> Che
         return record
     model = M.sgap_model(gaps)
     mu1, t = model.mu1, model.t
-    contrib = {}
+    # ring[g] sums the terms with max(a, b) = g, so T(g) = T(g - 1) + ring[g]
+    ring = [0.0] * (maxgap + 1)
     for a in range(maxgap + 1):
         for b in range(maxgap + 1):
             word = "1" + "0" * a + u + "0" * b + "1"
             if S.member(spec, word):
-                contrib[(a, b)] = mu1 * t ** (a + b + len(u) + 1)
-    partial = []
-    for g in range(maxgap + 1):
-        total = sum(val for (a, b), val in contrib.items() if a <= g and b <= g)
-        partial.append(total)
+                ring[max(a, b)] += mu1 * t ** (a + b + len(u) + 1)
+    partial = list(itertools.accumulate(ring))
     rows = [[g, total] for g, total in enumerate(partial)]
     record.series["truncation"] = {"columns": ["maxgap", "partial_sum"], "rows": rows}
     if any(b < a - 1e-15 for a, b in zip(partial, partial[1:])):

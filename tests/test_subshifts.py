@@ -191,11 +191,70 @@ class TestEntropy:
         assert not S._strongly_connected(np.zeros((0, 0)))
 
     def test_unconverged_power_iteration_is_typed(self):
-        # a Jordan block: the iterate creeps toward the eigenvector
+        # a Jordan block: its one eigenvector, (1, 0), is not positive
         A = np.array([[1.0, 1.0], [0.0, 1.0]])
         with pytest.raises(NumericalError) as info:
-            S.perron_value(A, max_iter=100)
+            S.perron_value(A)
         assert isinstance(info.value, ArithmeticError)
+
+    @pytest.mark.parametrize("n", [2, 100], ids=["dense", "power"])
+    def test_zero_perron_entry_is_typed(self, n):
+        # reducible: state 0 leads only to itself (lambda 1) and the others
+        # reach it (lambda 3), so the right Perron vector is 0 at state 0
+        A = np.zeros((n, n))
+        A[0, 0] = 1.0
+        A[1:, 0] = 1.0
+        A[1:, 1:] = 2.0 / (n - 1)
+        A[1:, 1:] += np.eye(n - 1)
+        with pytest.raises(NumericalError):
+            S.perron_value(A)
+
+
+def _assert_certified(A, lam, x):
+    # positive x, and lam inside its Collatz-Wielandt bracket
+    assert np.all(x > 0)
+    ratios = (A @ x) / x
+    assert ratios.min() <= lam <= ratios.max()
+
+
+def _hard_square_strip(width):
+    # torus columns without two vertically adjacent 1s; columns may sit side
+    # by side when no row has a 1 in both
+    mask = (1 << width) - 1
+    columns = [c for c in range(1 << width) if not c & ((c << 1 | c >> (width - 1)) & mask)]
+    return np.array([[float(not a & b) for b in columns] for a in columns])
+
+
+class TestPerronKernel:
+    @pytest.mark.parametrize("gaps", [(0, 7), (0, 40), (0, 100), (1, 3), (0, 2, 50), (0, 1, 170)])
+    def test_gap_chains_match_root(self, gaps):
+        # 8 and 41 states start from the dense eigenvector; 101 states hand
+        # over to it after 101 power steps; S = {1,3} is periodic.  The
+        # Perron vectors of {0,2,50} and {0,1,170} have entries near
+        # lambda^-50 and phi^-170, which the dense vector gets wrong or 0
+        A = S.build_automaton(S.SGapShift(S.SGapSet(gaps))).adjacency()
+        lam, x = S.perron_value(A)
+        root = S.sgap_lambda(S.SGapSet(gaps))
+        assert abs(lam - root) <= 1e-13 * root
+        _assert_certified(A, lam, x)
+
+    @pytest.mark.parametrize("value", [0.0, 2.0])
+    def test_one_state(self, value):
+        A = np.array([[value]])
+        lam, x = S.perron_value(A)
+        assert lam == value and x.tolist() == [1.0]
+        _assert_certified(A, lam, x)
+
+    @pytest.mark.parametrize("width, columns", [(8, 47), (10, 123)])
+    def test_hard_square_strips_match_symmetric_solver(self, width, columns):
+        # one strip on each side of the dense cut; 123 fast-mixing columns
+        # converge by power iteration alone
+        A = _hard_square_strip(width)
+        assert A.shape == (columns, columns)
+        lam, x = S.perron_value(A)
+        top = np.linalg.eigvalsh(A)[-1]
+        assert abs(lam - top) <= 1e-13 * top
+        _assert_certified(A, lam, x)
 
 
 class TestStructuralPredicates:

@@ -62,6 +62,22 @@ class TestIndividualChecks:
         rec = V.check_entropy_root(S.SGapSet((0, 1)), 1e-12, 1e-10)
         assert rec.status == "pass"
 
+    @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (1e-9, "fail")])
+    def test_entropy_root_sees_a_scaled_lambda(self, monkeypatch, eps, status):
+        # negative control: the graph side's lambda off by a factor 1 + eps
+        perron_value = S.perron_value
+
+        def scaled(A):
+            lam, x = perron_value(A)
+            return lam * (1.0 + eps), x
+
+        monkeypatch.setattr(S, "perron_value", scaled)
+        for gaps in [S.SGapSet((0, 1)), S.SGapSet((1, 3)), S.SGapSet((), 1), S.SGapSet((0, 40))]:
+            rec = V.check_entropy_root(gaps, 1e-12, 1e-10)
+            assert rec.status == status
+            assert rec.residuals["root equation"] <= 1e-12
+            assert (rec.residuals["log-lambda vs graph entropy"] > 1e-10) == bool(eps)
+
     def test_entropy_root_degenerate(self):
         rec = V.check_entropy_root(S.SGapSet((0,)), 1e-12, 1e-10)
         assert rec.status == "pass"
@@ -166,14 +182,14 @@ SWEEP_SPECS = [
 # counts and residuals, bit for bit, of the benchmark's extender specs and
 # of a presentation with many landing classes
 PINNED_SWEEPS = [
-    pytest.param(GOLDEN, 7, False, 4327, 4, 2, "0x1p-54", id="golden-inequality"),
-    pytest.param(GOLDEN, 7, True, 2058, 4, 2, "0x1p-52", id="golden-equality"),
-    pytest.param(SGAP_01, 7, False, 4327, 4, 2, "0x1p-53", id="S01-inequality"),
-    pytest.param(SGAP_01, 7, True, 2058, 4, 2, "0x1p-50", id="S01-equality"),
+    pytest.param(GOLDEN, 7, False, 4327, 4, 2, "0x1p-51", id="golden-inequality"),
+    pytest.param(GOLDEN, 7, True, 2058, 4, 2, "0x1p-51", id="golden-equality"),
+    pytest.param(SGAP_01, 7, False, 4327, 4, 2, "0x1p-51", id="S01-inequality"),
+    pytest.param(SGAP_01, 7, True, 2058, 4, 2, "0x1p-51", id="S01-equality"),
     pytest.param(SFT_7, 7, False, 3569, 28, 5, "0x1p-53", id="111,1001-inequality"),
     pytest.param(SFT_7, 7, True, 809, 28, 5, "0x1p-53", id="111,1001-equality"),
     pytest.param(
-        S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.53cp-43",
+        S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.44p-48",
         id="S040-inequality",
     ),
 ]
