@@ -492,10 +492,10 @@ def enumerate_words(spec, n: int) -> list:
 
 
 # Up to _DENSE_N states the start vector is numpy.linalg.eig's; above it power
-# iteration runs first and, up to _RESTART_N states, restarts from eig's vector
-# if it has not certified a result after n steps.
+# iteration runs first and restarts from eig's vector if it has not certified a
+# result after n steps.  Those n steps and one eig both cost order n^3, so a
+# matrix that mixes slowly pays about one dense solve, not its mixing time.
 _DENSE_N = 64
-_RESTART_N = 1024
 _MAX_STEPS = 200000
 
 
@@ -552,8 +552,7 @@ def perron_value(A: np.ndarray):
         lam, x = _power_steps(A, np.full(n, 1.0 / n), n)
         if lam is not None:
             return lam, x
-        if n <= _RESTART_N:
-            x = _dense_vector(A)
+        x = _dense_vector(A)
     lam, x = _power_steps(A, x, _MAX_STEPS)
     if lam is None:
         raise NumericalError(f"no Collatz-Wielandt certificate after {_MAX_STEPS} steps")

@@ -282,7 +282,10 @@ def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> Che
     partial = list(itertools.accumulate(ring))
     rows = [[g, total] for g, total in enumerate(partial)]
     record.series["truncation"] = {"columns": ["maxgap", "partial_sum"], "rows": rows}
-    if any(b < a - 1e-15 for a, b in zip(partial, partial[1:])):
+    # float sums of terms >= 0 never decrease, so the partial sums are monotone
+    # exactly when every ring is >= 0; a NaN model fails here and nowhere else,
+    # since a NaN residual passes the bound below
+    if not all(total >= 0.0 for total in ring):
         _fail(record, {"monotonicity": "violated"})
     target, _ = M.sgap_mu(gaps, u)
     _bound(record, "|T(maxgap) - mu(u)|", abs(partial[-1] - target), tol,

@@ -190,12 +190,21 @@ class TestEntropy:
         assert S._strongly_connected(A[:2, :2])
         assert not S._strongly_connected(np.zeros((0, 0)))
 
-    def test_unconverged_power_iteration_is_typed(self):
-        # a Jordan block: its one eigenvector, (1, 0), is not positive
-        A = np.array([[1.0, 1.0], [0.0, 1.0]])
-        with pytest.raises(NumericalError) as info:
+    def test_unconverged_power_iteration_is_typed(self, monkeypatch):
+        # S = {0,100} needs thousands of steps from the flat vector: with the
+        # dense restart flat too, n + 10 steps reach the step cap
+        A = S.build_automaton(S.SGapShift(S.SGapSet((0, 100)))).adjacency()
+        monkeypatch.setattr(S, "_dense_vector", lambda A: np.full(A.shape[0], 1.0 / A.shape[0]))
+        monkeypatch.setattr(S, "_MAX_STEPS", 10)
+        with pytest.raises(NumericalError, match="certificate") as info:
             S.perron_value(A)
         assert isinstance(info.value, ArithmeticError)
+
+    def test_jordan_block_is_typed(self):
+        # its one eigenvector, (1, 0), is not positive
+        A = np.array([[1.0, 1.0], [0.0, 1.0]])
+        with pytest.raises(NumericalError, match="not positive"):
+            S.perron_value(A)
 
     @pytest.mark.parametrize("n", [2, 100], ids=["dense", "power"])
     def test_zero_perron_entry_is_typed(self, n):

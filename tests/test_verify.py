@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import math
+import types
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ class TestIndividualChecks:
         assert rec.status == "pass"
         sums = [row[1] for row in rec.series["truncation"]["rows"]]
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
+
+    def test_synch_formula_nan_model_fails_monotonicity(self, monkeypatch):
+        # a NaN mu1 makes the bound's residual NaN, which no "> tol" catches,
+        # so only the monotonicity check sees it
+        gaps = S.SGapSet((0, 1))
+        real = M.sgap_model(gaps)
+        broken = types.SimpleNamespace(mu1=math.nan, t=real.t, certificate=real.certificate)
+        monkeypatch.setattr(M, "sgap_model", lambda g: broken)
+        rec = V.check_synch_formula(gaps, "0", 25, 1e-4)
+        assert rec.status == "fail"
+        assert rec.witnesses == [{"monotonicity": "violated"}]
 
     def test_hereditary(self):
         rec = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
