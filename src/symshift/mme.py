@@ -1,10 +1,14 @@
 """Measures of maximal entropy: Parry models and the S-gap recursion.
 
-Two independent routes exist for S-gap shifts: a memoized recursion driven
-by the synchronization identity mu(1 z 1) = mu(1) t^(|z|+1), which also
-produces an integer certificate (k, f) with mu(w) = k + mu(1) f(t), and a
-Parry model on the gap-counter Markov chain.  The two must agree; the test
-suite enforces it.
+Every Parry measure here is built one way, from a labelled graph: the
+minimal presentation of a spec (``parry``) and the S-gap counter
+(``gap_chain``) each give their ``(q, symbol, r)`` edges to one constructor,
+and ``mu_parry`` reads cylinders off the result; the strips of ``grid2d``
+share ``parry_chain``.  For S-gap shifts a second, independent route exists:
+a memoized recursion driven by the synchronization identity
+mu(1 z 1) = mu(1) t^(|z|+1), which also produces an integer certificate
+(k, f) with mu(w) = k + mu(1) f(t).  The recursion shares no code with the
+gap chain, and the two must agree; the test suite enforces it.
 """
 
 from __future__ import annotations
@@ -19,15 +23,18 @@ from .errors import NumericalError, ReduciblePresentationError
 from .words import BINARY, _check_over
 
 # ---------------------------------------------------------------------------
-# Parry model for irreducible presentations
+# Parry model of a labelled graph
 
 
 def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Parry chain of an irreducible nonnegative matrix: (lam, stationary, P).
 
     With right and left Perron vectors r and l, the stationary vector is l*r
-    normalized to sum 1 and P[i, j] = A[i, j] r[j] / (lam r[i]).
+    normalized to sum 1 and P[i, j] = A[i, j] r[j] / (lam r[i]).  A reducible
+    (or empty) A raises ReduciblePresentationError.
     """
+    if not S._strongly_connected(A):
+        raise ReduciblePresentationError("graph is reducible")
     lam, r = S.perron_value(A)
     _, l = S.perron_value(A.T)
     stationary = l * r
@@ -44,20 +51,12 @@ def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ParryModel:
-    automaton: S.Automaton
+    """Parry measure of a labelled graph, built by ``_labelled_parry``."""
+
     lam: float
     stationary: np.ndarray
     transition: np.ndarray
-
-    @cached_property
-    def _steps(self) -> dict:
-        """symbol -> {state: (target, probability of that one edge)}; parallel
-        edges share P[q, r] evenly, P[q, r] / A[q, r] each."""
-        A = self.automaton.adjacency()
-        steps = {}
-        for q, a, r in self.automaton.transitions:
-            steps.setdefault(a, {})[q] = (r, float(self.transition[q, r] / A[q, r]))
-        return steps
+    steps: dict  # symbol -> {state: (target, probability of that one edge)}
 
     @cached_property
     def _cursor(self) -> tuple[list, list]:
@@ -66,13 +65,25 @@ class ParryModel:
         return [], [dict(enumerate(self.stationary.tolist()))]
 
 
+def _labelled_parry(n: int, edges) -> ParryModel:
+    """Parry model of the graph on states 0..n-1 with ``(q, symbol, r)`` edges.
+
+    Parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each.
+    """
+    A = np.zeros((n, n))
+    for q, _, r in edges:
+        A[q, r] += 1.0
+    lam, stationary, P = parry_chain(A)
+    steps = {}
+    for q, a, r in edges:
+        steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
+    return ParryModel(lam=lam, stationary=stationary, transition=P, steps=steps)
+
+
 def parry(spec) -> ParryModel:
-    """Markov measure of maximal entropy from Perron eigen-data."""
+    """Markov measure of maximal entropy of the spec's minimal presentation."""
     aut = S.build_automaton(spec)
-    if not aut.irreducible:
-        raise ReduciblePresentationError(f"{S.describe(spec)}: presentation is reducible")
-    lam, stationary, P = parry_chain(aut.adjacency())
-    return ParryModel(automaton=aut, lam=lam, stationary=stationary, transition=P)
+    return _labelled_parry(len(aut.states), aut.transitions)
 
 
 def mu_parry(model: ParryModel, w) -> float:
@@ -83,7 +94,7 @@ def mu_parry(model: ParryModel, w) -> float:
     Queries on one model resume from the prefix they share with the previous
     query, so only the symbols after it are stepped through.
     """
-    steps = model._steps
+    steps = model.steps
     word, trail = model._cursor
     k = 0
     for a, b in zip(word, w):
@@ -107,62 +118,26 @@ def mu_parry(model: ParryModel, w) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Gap-counter Parry chain (independent oracle for the S-gap MME)
-
-
-@dataclass(frozen=True, eq=False)
-class GapChain:
-    """Markov chain on 'zeros seen since the last 1', capped for cofinite sets."""
-
-    stationary: np.ndarray
-    transition: dict  # (state, symbol) -> (target, probability)
-    n_states: int
+# Gap-counter Parry model (independent oracle for the S-gap MME)
 
 
 @lru_cache(maxsize=None)
-def gap_chain(gaps: S.SGapSet) -> GapChain:
-    if gaps.finite:
-        top = max(gaps.extra)
-        states = list(range(top + 1))
-        succ0 = {i: i + 1 for i in states if i + 1 <= top}
-    else:
-        top = gaps.cofinite_from
-        states = list(range(top + 1))
-        succ0 = {i: min(i + 1, top) for i in states}
-    n = len(states)
-    A = np.zeros((n, n))
+def gap_chain(gaps: S.SGapSet) -> ParryModel:
+    """Parry model of the chain on 'zeros seen since the last 1', capped for
+    cofinite sets."""
+    top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
     edges = []
-    for i in states:
-        if i in succ0:
-            A[i, succ0[i]] += 1
-            edges.append((i, "0", succ0[i]))
+    for i in range(top + 1):
+        if i < top or not gaps.finite:
+            edges.append((i, "0", min(i + 1, top)))
         if i in gaps or (not gaps.finite and i == top):
-            A[i, 0] += 1
             edges.append((i, "1", 0))
-    if not S._strongly_connected(A):
-        raise ReduciblePresentationError("gap-counter chain is reducible")
-    _, stationary, P = parry_chain(A)
-    # parallel edges (a 0 and a 1 from state 0 back to 0 when S = [0, inf)) share P evenly
-    transition = {(i, a): (j, float(P[i, j] / A[i, j])) for i, a, j in edges}
-    return GapChain(stationary=stationary, transition=transition, n_states=n)
+    return _labelled_parry(top + 1, edges)
 
 
 def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
-    """mu(w) from the gap-counter Parry chain (independent of the recursion)."""
-    chain = gap_chain(gaps)
-    vec = chain.stationary.tolist()
-    for a in w:
-        new = [0.0] * chain.n_states
-        for i, p in enumerate(vec):
-            if p == 0.0:
-                continue
-            hop = chain.transition.get((i, a))
-            if hop is not None:
-                j, prob = hop
-                new[j] += p * prob
-        vec = new
-    # np.sum keeps numpy's pairwise rounding of the weights
-    return float(np.sum(vec))
+    """mu(w) from the gap-counter Parry model (independent of the recursion)."""
+    return mu_parry(gap_chain(gaps), w)
 
 
 # ---------------------------------------------------------------------------

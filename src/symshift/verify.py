@@ -67,9 +67,10 @@ def _fail(record: CheckRecord, witness) -> None:
 
 
 def _bound(record: CheckRecord, key: str, residual: float, tol: float, witness) -> None:
-    """Record ``residual`` under ``key``; above ``tol`` the check fails with ``witness``."""
+    """Record ``residual`` under ``key``; above ``tol``, or NaN, the check fails
+    with ``witness``."""
     record.residuals[key] = residual
-    if residual > tol:
+    if not residual <= tol:
         _fail(record, witness)
 
 
@@ -111,8 +112,14 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
                 reps.append(row)
                 classes.append({})
             classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
+
+    def extremes(bucket):
+        # min and max skip a NaN that is not first, so a NaN is taken as both
+        nan = [e for e in bucket if math.isnan(e[0])]
+        return (nan[0], nan[0]) if nan else (min(bucket), max(bucket))
+
     # per class: [(length, count, (min mu, word), (max mu, word)), ...]
-    summary = [[(n, len(b), min(b), max(b)) for n, b in by_len.items()] for by_len in classes]
+    summary = [[(n, len(b), *extremes(b)) for n, b in by_len.items()] for by_len in classes]
     reps = np.array(reps, dtype=np.intp).reshape(len(reps), len(aut.states))
     below = E._contains(aut._containment_table, reps, reps)
     worst = 0.0
@@ -123,10 +130,13 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
             pairs += kv * kw
             scale = math.exp(h * (nw - nv))
             residual, v, w = hi_v[0] - lo_w[0] * scale, hi_v[1], lo_w[1]
-            if two_sided and hi_w[0] * scale - lo_v[0] > residual:
+            # negated comparisons, so that a NaN residual is taken, stays the
+            # worst and fails
+            if two_sided and not hi_w[0] * scale - lo_v[0] <= residual:
                 residual, v, w = hi_w[0] * scale - lo_v[0], lo_v[1], hi_w[1]
-            worst = max(worst, residual)
-            if residual > tol:
+            if not (residual <= worst or math.isnan(worst)):
+                worst = residual
+            if not residual <= tol:
                 _fail(record, {"v": W.format_word(v), "w": W.format_word(w), label: residual})
     record.params["pairs"] = pairs
     record.params["classes"] = len(classes)
@@ -240,9 +250,9 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
         for w in W.BINARY.words(n):
             value, cert = M.sgap_mu(gaps, w)
             gap = abs(value - M.sgap_mu_oracle(gaps, w))
-            if gap > worst:
+            if not (gap <= worst or math.isnan(worst)):  # a NaN stays the worst
                 worst = gap
-                if gap > tol:
+                if not gap <= tol:
                     _fail(record, {"word": w, "gap": gap})
             if not (
                 isinstance(cert.offset, int)
@@ -283,8 +293,7 @@ def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> Che
     rows = [[g, total] for g, total in enumerate(partial)]
     record.series["truncation"] = {"columns": ["maxgap", "partial_sum"], "rows": rows}
     # float sums of terms >= 0 never decrease, so the partial sums are monotone
-    # exactly when every ring is >= 0; a NaN model fails here and nowhere else,
-    # since a NaN residual passes the bound below
+    # exactly when every ring is >= 0; a NaN ring fails here too
     if not all(total >= 0.0 for total in ring):
         _fail(record, {"monotonicity": "violated"})
     target, _ = M.sgap_mu(gaps, u)
@@ -329,9 +338,9 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
     for n in range(1, n_max + 1):
         ratio = log_ratio(n)
         excess = ratio - h
-        if excess > worst:
+        if not (excess <= worst or math.isnan(worst)):  # a NaN stays the worst
             worst = excess
-            if excess > tol:
+            if not excess <= tol:
                 _fail(record, {"n": n, "log ratio": ratio, "h": h})
     record.residuals["max(log ratio - h)"] = worst
     if S.specification_distance_holds(spec, dist):
@@ -632,15 +641,16 @@ def run_all(config: dict | None = None) -> VerificationReport:
     records = []
     timings = {}
 
-    def run(label, check):
-        """Record check()'s record, an error record, or nothing for None."""
+    def run(label, check, doc=None):
+        """Record check()'s record, an error record naming the spec document
+        ``doc``, or nothing for None."""
         t0 = time.monotonic()
         try:
             rec = check()
         except SymshiftError as exc:
             rec = CheckRecord(
                 name=label,
-                spec="",
+                spec="" if doc is None else json.dumps(doc, default=repr),
                 params={},
                 tolerance={},
                 status="error",
@@ -653,17 +663,18 @@ def run_all(config: dict | None = None) -> VerificationReport:
     # spec documents are parsed inside the guard: a bad one becomes error records
     for doc in cfg["pair_specs"]:
         run("main-inequality", lambda: check_main_inequality(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]))
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]), doc)
         run("equality-corollary", lambda: check_equality_corollary(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]))
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]), doc)
 
     for doc in cfg["sgap_specs"]:
         run("entropy-root", lambda: check_entropy_root(
-            _gaps(doc), tol["root"], tol["entropy_cross"]))
+            _gaps(doc), tol["root"], tol["entropy_cross"]), doc)
         run("counting-limit", lambda: check_limit(
-            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]))
+            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]),
+            doc)
         run("value-theorem", lambda: check_value_theorem(
-            _gaps(doc), cfg["maxlen_value"], tol["value"]))
+            _gaps(doc), cfg["maxlen_value"], tol["value"]), doc)
 
     def synch(doc, u):
         gaps = _gaps(doc)
@@ -675,11 +686,11 @@ def run_all(config: dict | None = None) -> VerificationReport:
 
     for doc in cfg["sgap_specs"][:2]:
         for u in cfg["synch_words"]:
-            run("synchronized-formula", lambda: synch(doc, u))
+            run("synchronized-formula", lambda: synch(doc, u), doc)
 
     for doc in cfg["hereditary_specs"]:
         run("hereditary-entropy", lambda: check_hereditary_entropy(
-            S.spec_from_dict(doc), cfg["hereditary_nmax"], 1, tol["hereditary"]))
+            S.spec_from_dict(doc), cfg["hereditary_nmax"], 1, tol["hereditary"]), doc)
 
     run("replacement-lemmas", lambda: check_replacement_lemmas(
         W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]))

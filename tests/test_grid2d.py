@@ -9,6 +9,7 @@ from symshift import words as W
 from symshift.errors import (
     InvalidPositionError,
     InvalidWordError,
+    ReduciblePresentationError,
     ResourceLimitError,
     SpecFormatError,
 )
@@ -165,6 +166,20 @@ class TestStripMME:
         assert abs(model.stationary.sum() - 1.0) < 1e-12
         assert np.max(np.abs(model.stationary @ model.transition - model.stationary)) < 1e-12
 
+    def test_reducible_column_graph_rejected(self):
+        # proper 3-colourings: down a torus column the colour steps by +1 or -1
+        # mod 3, and no move to a neighbouring column changes the steps' sum.
+        # At width 6 it is 0 or +-6, so the column graph is reducible; at
+        # width 4 it is always 0, on all 2^4 + 2 = 18 columns
+        colourings = G.Grid2dSpec(
+            W.Alphabet(("0", "1", "2")),
+            tuple(pattern_from_grid([s + s]) for s in "012")
+            + tuple(pattern_from_grid([s, s]) for s in "012"),
+        )
+        assert len(G.strip_mme(colourings, 4).columns) == 18
+        with pytest.raises(ReduciblePresentationError):
+            G.strip_mme(colourings, 6)
+
 
 class TestStripOracle:
     """Columns and edges of the strip against the plain pattern scan."""
@@ -228,3 +243,10 @@ class TestGtheorem:
     def test_uncertified_direction_skipped(self):
         rec = G.check_gtheorem(HS, ZERO, ONE, (4,), 1e-12)
         assert rec["status"] == "skipped"
+
+    def test_nan_measure_fails(self, monkeypatch):
+        monkeypatch.setattr(G, "_strip_mu", lambda model, p, yoff: float("nan"))
+        rec = G.check_gtheorem(HS, ONE, ZERO, (4, 6), 1e-12)
+        assert rec["status"] == "fail"
+        assert [w["width"] for w in rec["witnesses"]] == [4, 6]
+        assert np.isnan(rec["residuals"]["max(mu_v - mu_w)"])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -26,14 +27,15 @@ GAP_SETS = [
 
 
 class ReferenceParry:
-    """The from-scratch per-(state, symbol) loop mu_parry replaced (test reference)."""
+    """A from-scratch per-(state, symbol) evaluation of a Parry model (test
+    reference): the labelled ``(q, symbol, r)`` edges come from outside the
+    model, only its stationary vector and transition matrix from inside."""
 
-    def __init__(self, model):
-        A = model.automaton.adjacency()
+    def __init__(self, edges, model):
+        counts = collections.Counter((q, r) for q, _, r in edges)
         self.stationary = model.stationary
         self.hops = {
-            (q, a): (r, float(model.transition[q, r] / A[q, r]))
-            for q, a, r in model.automaton.transitions
+            (q, a): (r, float(model.transition[q, r] / counts[q, r])) for q, a, r in edges
         }
 
     def __call__(self, w):
@@ -49,21 +51,23 @@ class ReferenceParry:
         return float(sum(weights.values()))
 
 
-def reference_sgap_mu_oracle(gaps, w):
-    """The numpy-array loop sgap_mu_oracle replaced (test reference)."""
-    chain = M.gap_chain(gaps)
-    vec = np.array(chain.stationary, dtype=float)
-    for a in w:
-        new = np.zeros_like(vec)
-        for i in range(chain.n_states):
-            if vec[i] == 0.0:
-                continue
-            hop = chain.transition.get((i, a))
-            if hop is not None:
-                j, p = hop
-                new[j] += vec[i] * p
-        vec = new
-    return float(vec.sum())
+def gap_counter_edges(gaps):
+    """Edges of the chain on 'zeros since the last 1': state i reads 0 to i + 1,
+    capped at the last state for a cofinite S, and reads 1 back to 0 when the
+    gap i may close (every gap from the cap on, for a cofinite S)."""
+    if gaps.finite:
+        top = max(gaps.extra)
+        zero = [(i, "0", i + 1) for i in range(top)]
+        one = [(i, "1", 0) for i in range(top + 1) if i in gaps]
+    else:
+        top = gaps.cofinite_from
+        zero = [(i, "0", min(i + 1, top)) for i in range(top + 1)]
+        one = [(i, "1", 0) for i in range(top + 1) if i in gaps or i == top]
+    return zero + one
+
+
+def presentation_edges(spec):
+    return S.build_automaton(spec).transitions
 
 
 def query_orders(spec, foreign):
@@ -135,25 +139,37 @@ class TestParry:
         assert P.tolist() == [[A[i, j] * r[j] / (lam * r[i]) for j in range(n)] for i in range(n)]
 
     @pytest.mark.parametrize(
-        "spec, foreign",
+        "spec, foreign, build, edges",
         [
-            (GOLDEN, "2"),
-            (S.SGapShift(S.SGapSet((2,), 5)), "x"),
-            (S.SftShift(W.Alphabet(("a", "bb", "c")), (("bb", "bb"), ("a", "c", "a"))), ("b",)),
+            (GOLDEN, "2", M.parry, presentation_edges),
+            (S.SGapShift(S.SGapSet((2,), 5)), "x", M.parry, presentation_edges),
+            (
+                S.SftShift(W.Alphabet(("a", "bb", "c")), (("bb", "bb"), ("a", "c", "a"))),
+                ("b",),
+                M.parry,
+                presentation_edges,
+            ),
+            (
+                S.SGapShift(S.SGapSet((1, 3, 5), 7)),
+                "x",
+                lambda spec: M.gap_chain(spec.gaps),
+                lambda spec: gap_counter_edges(spec.gaps),
+            ),
         ],
-        ids=["golden-mean", "sgap", "multi-char-sft"],
+        ids=["golden-mean", "sgap", "multi-char-sft", "gap-chain"],
     )
-    def test_query_order_does_not_change_values(self, spec, foreign):
+    def test_query_order_does_not_change_values(self, spec, foreign, build, edges):
         # queries resume from the prefix shared with the previous query; every
         # value must still be bit-identical to a from-scratch evaluation
-        reference = ReferenceParry(M.parry(spec))
+        reference = ReferenceParry(edges(spec), build(spec))
         orders = query_orders(spec, foreign)
         for name, words in orders.items():
-            model = M.parry(spec)
+            model = build(spec)
             got = [M.mu_parry(model, u).hex() for u in words]
             assert got == [reference(u).hex() for u in words], name
-        # two models of one spec keep separate cursors
-        first, second = M.parry(spec), M.parry(spec)
+        # two models of one spec keep separate cursors (the cached gap chain
+        # is one model, which then serves both sequences interleaved)
+        first, second = build(spec), build(spec)
         pairs = list(zip(orders["shortlex"], orders["prefix walk"]))
         got = [(M.mu_parry(first, u).hex(), M.mu_parry(second, v).hex()) for u, v in pairs]
         assert got == [(reference(u).hex(), reference(v).hex()) for u, v in pairs]
@@ -164,6 +180,15 @@ class TestParry:
         spec = S.SftShift(W.BINARY, ("01", "10"))
         with pytest.raises(ReduciblePresentationError):
             M.parry(spec)
+
+    @pytest.mark.parametrize(
+        "A",
+        [[[1, 1], [0, 1]], [[1, 0], [0, 1]], np.zeros((0, 0))],
+        ids=["triangular", "diagonal", "empty"],
+    )
+    def test_parry_chain_rejects_reducible_matrix(self, A):
+        with pytest.raises(ReduciblePresentationError):
+            M.parry_chain(np.array(A, dtype=float))
 
 
 class TestGapChainOracle:
@@ -187,12 +212,13 @@ class TestGapChainOracle:
         ids=lambda x: x.describe() if isinstance(x, S.SGapSet) else str(x),
     )
     def test_matches_array_reference(self, gaps, states):
-        # fewer than, exactly and more than 8 states: numpy's pairwise sum
-        # rounds differently from a plain left-to-right sum from 8 terms on
-        assert M.gap_chain(gaps).n_states == states
+        # the gap-counter edges are built here, not read from the model
+        model = M.gap_chain(gaps)
+        assert len(model.stationary) == states
+        reference = ReferenceParry(gap_counter_edges(gaps), model)
         words = [u for n in range(9) for u in W.BINARY.words(n)]
         got = [M.sgap_mu_oracle(gaps, u).hex() for u in words]
-        assert got == [reference_sgap_mu_oracle(gaps, u).hex() for u in words]
+        assert got == [reference(u).hex() for u in words]
 
     def test_single_gap_zero_charges_only_ones(self):
         # S = {0}: the one point 1^inf; its chain has one state and no 0 edge

@@ -128,15 +128,17 @@ class TestIndividualChecks:
         assert all(a <= b + 1e-15 for a, b in zip(sums, sums[1:]))
 
     def test_synch_formula_nan_model_fails_monotonicity(self, monkeypatch):
-        # a NaN mu1 makes the bound's residual NaN, which no "> tol" catches,
-        # so only the monotonicity check sees it
+        # a NaN mu1 makes every ring NaN, and the bound's residual NaN: both
+        # the monotonicity check and the bound fail
         gaps = S.SGapSet((0, 1))
         real = M.sgap_model(gaps)
         broken = types.SimpleNamespace(mu1=math.nan, t=real.t, certificate=real.certificate)
         monkeypatch.setattr(M, "sgap_model", lambda g: broken)
         rec = V.check_synch_formula(gaps, "0", 25, 1e-4)
         assert rec.status == "fail"
-        assert rec.witnesses == [{"monotonicity": "violated"}]
+        assert rec.witnesses[0] == {"monotonicity": "violated"}
+        assert [sorted(w) for w in rec.witnesses[1:]] == [["T", "mu"]]
+        assert math.isnan(rec.residuals["|T(maxgap) - mu(u)|"])
 
     def test_hereditary(self):
         rec = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
@@ -205,6 +207,53 @@ PINNED_SWEEPS = [
         id="S040-inequality",
     ),
 ]
+
+
+class TestNaNFailsClosed:
+    """A NaN measure fails every family of checks; no residual passes as NaN."""
+
+    @pytest.mark.parametrize(
+        "check, key",
+        [(V.check_main_inequality, "max excess"), (V.check_equality_corollary, "max gap")],
+        ids=["main-inequality", "equality-corollary"],
+    )
+    @pytest.mark.parametrize("bad", [None, "0", "0100", "10101"], ids=str)
+    def test_extender_sweep(self, monkeypatch, check, key, bad):
+        # NaN on every word (None), or on one word, first among the words of
+        # its landing class and length or not
+        mu_parry = M.mu_parry
+        monkeypatch.setattr(
+            M, "mu_parry", lambda model, w: math.nan if bad in (None, w) else mu_parry(model, w)
+        )
+        rec = check(GOLDEN, 5, 1e-9)
+        assert rec.status == "fail" and rec.witnesses
+        assert bad is None or any(bad in (w["v"], w["w"]) for w in rec.witnesses)
+        assert math.isnan(rec.residuals[key])
+
+    def test_value_theorem(self, monkeypatch):
+        # mu(1) stays finite, so only the sweep over the words can fail
+        oracle = M.sgap_mu_oracle
+        monkeypatch.setattr(
+            M, "sgap_mu_oracle", lambda gaps, w: oracle(gaps, w) if w == "1" else math.nan
+        )
+        rec = V.check_value_theorem(S.SGapSet((1, 3)), 3, 1e-9)
+        assert rec.status == "fail"
+        assert rec.residuals["mu(1) formula vs oracle"] <= 1e-9
+        # the first NaN is the worst from then on
+        assert rec.witnesses == [{"word": "0", "gap": rec.witnesses[0]["gap"]}]
+        assert math.isnan(rec.residuals["max |recursion - oracle|"])
+
+    def test_hereditary_entropy(self, monkeypatch):
+        # mu(0) and mu(1) stay finite; every ratio mu(0^n) / mu(0^(n+1)) is NaN
+        mu_parry = M.mu_parry
+        monkeypatch.setattr(
+            M, "mu_parry", lambda model, w: mu_parry(model, w) if len(w) == 1 else math.nan
+        )
+        rec = V.check_hereditary_entropy(GOLDEN, 4, 1, 1e-9)
+        assert rec.status == "fail"
+        assert [w["n"] for w in rec.witnesses if "n" in w] == [1]
+        assert math.isnan(rec.residuals["max(log ratio - h)"])
+        assert rec.residuals["mu(1) - mu(0)"] <= 1e-9
 
 
 class TestExtenderSweep:
@@ -753,6 +802,8 @@ class TestSuite:
         errors = [r for r in rerun.records if r.status == "error"]
         assert [r.name for r in errors] == ["counting-limit"] * 2
         assert all(r.reason.startswith("SpecFormatError: limit_n") for r in errors)
+        # each error record names the spec document it ran on
+        assert [json.loads(r.spec) for r in errors] == SMALL_CONFIG["sgap_specs"]
         assert len(rerun.records) == len(report.records)
 
     def test_value_sweep_over_budget_is_an_error_record(self, report, monkeypatch):
@@ -768,6 +819,7 @@ class TestSuite:
         errors = [r for r in rerun.records if r.status == "error"]
         assert [r.name for r in errors] == ["value-theorem"] * 2
         assert all(r.reason.startswith("ResourceLimitError") for r in errors)
+        assert [json.loads(r.spec) for r in errors] == SMALL_CONFIG["sgap_specs"]
         assert len(rerun.records) == len(report.records)
 
     def test_synch_truncation_over_budget_is_an_error_record(self, report, monkeypatch):
@@ -784,6 +836,7 @@ class TestSuite:
         errors = [r for r in rerun.records if r.status == "error"]
         assert [r.name for r in errors] == ["synchronized-formula"] * 2
         assert all(r.reason.startswith("ResourceLimitError: synch_maxgap") for r in errors)
+        assert [json.loads(r.spec) for r in errors] == SMALL_CONFIG["sgap_specs"]
         assert len(rerun.records) == len(report.records)
         # the bound is (maxgap + 1)^3 <= budget
         monkeypatch.setattr(W, "_SWEEP_BUDGET", 27)
