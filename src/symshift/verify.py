@@ -641,9 +641,9 @@ def run_all(config: dict | None = None) -> VerificationReport:
     records = []
     timings = {}
 
-    def run(label, check, doc=None):
+    def run(label, check, doc=None, params=None):
         """Record check()'s record, an error record naming the spec document
-        ``doc``, or nothing for None."""
+        ``doc`` and the ``params`` it ran with, or nothing for None."""
         t0 = time.monotonic()
         try:
             rec = check()
@@ -651,7 +651,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
             rec = CheckRecord(
                 name=label,
                 spec="" if doc is None else json.dumps(doc, default=repr),
-                params={},
+                params={} if params is None else params,
                 tolerance={},
                 status="error",
                 reason=f"{type(exc).__name__}: {exc}",
@@ -686,7 +686,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
 
     for doc in cfg["sgap_specs"][:2]:
         for u in cfg["synch_words"]:
-            run("synchronized-formula", lambda: synch(doc, u), doc)
+            run("synchronized-formula", lambda: synch(doc, u), doc, {"u": u})
 
     for doc in cfg["hereditary_specs"]:
         run("hereditary-entropy", lambda: check_hereditary_entropy(

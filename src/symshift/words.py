@@ -271,14 +271,31 @@ def transition_oracle(
     it gets the same answer as a sweep of its own.  The words are enumerated
     once for all pairs.
 
-    Only the site pairs with min(i, j) = 0 are tested.  The check of (i, j)
-    reads u from a = min(i, j) on: every slice starts there or later, and
-    the splice sits at i >= a.  So it has the verdict of the (i - a, j - a)
-    check on u[a:], a shorter word containing v that the sweep visited at
-    an earlier length while the pair was live, and there it passed.  The
-    first failing check, and so the witness, is the same as when every site
-    pair is tested.  A word is therefore looked at only for the live pairs
-    whose v or w it starts with.
+    Only the site pairs anchored at both ends of u are tested: one site
+    starts at 0 and one ends at |u| = L.  Take the first word u on which
+    some check of a pair fails; every check on every shorter word passed.
+
+    - Word start.  The check of (i, j) reads u from a = min(i, j) on: every
+      slice starts there or later, and the splice sits at i >= a.  So it
+      has the verdict of the (i - a, j - a) check on u[a:], a shorter word
+      containing v, where it passed.  So a failing check has min(i, j) = 0.
+    - Last letter.  If both sites lie inside u[:-1], so does the splice at
+      i, and the spliced u[:-1] is the spliced u, up, without its last
+      letter.  u[:-1] holds the v at i, so the check ran on it and passed:
+      condition iv compares only i and j, and each slice it compared
+      equalled its pattern, so the end of up[:-1] cut none short.  The same
+      slices of up are the same words, so the check passes on u unchanged.
+      So a failing check uses a site that ends at L.
+
+    The sites ending at L are the v at t = L - |v| and the w at L - |w|.
+    A w site is tested only against a replaced v after it, so with
+    min(i, j) = 0 that w is at 0, and u = w.  For u != w this leaves (0, t)
+    when v starts u, then (t, 0) against the v or w that starts u; the word
+    u = w gets every site pair with min(i, j) = 0.  These are tested in the
+    order of the full check, so the first failing check, and so the
+    witness, is the same as when every site pair is tested.  A word is
+    therefore looked at only for the live pairs whose v or w it starts with
+    and whose v it ends with, and for the pairs whose w it is.
 
     Independent oracle for respects_transition_exact.  Each pair is
     validated before any word is swept: v and w must be nonempty words over
@@ -300,40 +317,57 @@ def transition_oracle(
             )
     results = {pair: (True, None) for pair in pairs}
     for L in range(1, max(pairs.values(), default=0) + 1):
-        by_prefix = {}  # pattern -> the live pairs with that v or w
+        by_ends = {}  # (v or w, v) -> the live pairs of a word that starts and ends so
+        whole = {}  # w of length L -> its live pairs
         live = 0
         for (v, w), max_len in pairs.items():
             if len(v) <= L <= max_len and results[v, w][0]:
                 live += 1
-                for pattern in (v, w):
-                    by_prefix.setdefault(pattern, []).append((v, w))
+                if len(v) < L:
+                    for head in (v, w):
+                        by_ends.setdefault((head, v), []).append((v, w))
+                if len(w) == L:
+                    whole.setdefault(w, []).append((v, w))
         if not live:
             continue
-        lengths = sorted({len(p) for p in by_prefix if len(p) <= L})
+        heads = sorted({len(h) for h, _ in by_ends if len(h) <= L})
+        tails = sorted({len(v) for _, v in by_ends})
         for u in alphabet.words(L):
-            # a pair met through both of its words is checked once
-            reached = dict.fromkeys(
-                pair for n in lengths for pair in by_prefix.get(u[:n], ())
-            )
-            occ = {}  # v -> its occurrences in u
+            ends = [u[L - m :] for m in tails]
+            reached = {}  # a pair met through both of its words is checked once
+            for n in heads:
+                head = u[:n]
+                for end in ends:
+                    pairs_here = by_ends.get((head, end))
+                    if pairs_here:
+                        reached.update(dict.fromkeys(pairs_here))
+            if u in whole:
+                reached.update(dict.fromkeys(whole[u]))
             for v, w in reached:
                 if not results[v, w][0]:
                     continue
-                occ_v = occ.get(v)
-                if occ_v is None:
-                    occ_v = occ[v] = occurrences(u, v)
                 head_v = (0,) if u[: len(v)] == v else ()
                 head_w = (0,) if u[: len(w)] == w else ()
-                for i in occ_v:
-                    # site 0 against the later sites, a later site against site 0
-                    if i == 0:
-                        witness = _check_conditions(u, v, w, 0, occ_v, ())
-                    else:
-                        witness = _check_conditions(u, v, w, i, head_v, head_w)
-                    if witness is not None:
-                        results[v, w] = (False, witness)
-                        live -= 1
-                        break
+                if u == w:
+                    # every site pair with min(i, j) = 0
+                    witness = None
+                    occ_v = occurrences(u, v)
+                    for i in occ_v:
+                        if i == 0:
+                            witness = _check_conditions(u, v, w, 0, occ_v, ())
+                        else:
+                            witness = _check_conditions(u, v, w, i, head_v, head_w)
+                        if witness is not None:
+                            break
+                else:
+                    # the v ending u at t: (0, t), then (t, 0)
+                    t = L - len(v)
+                    witness = _check_conditions(u, v, w, 0, (t,), ()) if head_v else None
+                    if witness is None:
+                        witness = _check_conditions(u, v, w, t, head_v, head_w)
+                if witness is not None:
+                    results[v, w] = (False, witness)
+                    live -= 1
             if not live:
                 break
     return results

@@ -838,6 +838,14 @@ class TestSuite:
         assert all(r.reason.startswith("ResourceLimitError: synch_maxgap") for r in errors)
         assert [json.loads(r.spec) for r in errors] == SMALL_CONFIG["sgap_specs"]
         assert len(rerun.records) == len(report.records)
+        assert [r.params for r in errors] == [{"u": "0"}] * 2
+        # one record per (spec, word), told apart by the word in its params
+        words = V.run_all(dict(SMALL_CONFIG, synch_maxgap=1000, synch_words=["0", "1"]))
+        errors = [r for r in words.records if r.status == "error"]
+        assert [(json.loads(r.spec), r.params) for r in errors] == [
+            (doc, {"u": u}) for doc in SMALL_CONFIG["sgap_specs"] for u in ("0", "1")
+        ]
+        assert len({(r.spec, json.dumps(r.params)) for r in errors}) == len(errors) == 4
         # the bound is (maxgap + 1)^3 <= budget
         monkeypatch.setattr(W, "_SWEEP_BUDGET", 27)
         assert V.check_synch_formula(S.SGapSet((), 1), "01", 2, 1.0).status == "pass"
@@ -849,4 +857,5 @@ class TestSuite:
         errors = [r for r in broken.records if r.status == "error"]
         assert [r.name for r in errors] == ["replacement-lemmas"]
         assert errors[0].reason.startswith("ResourceLimitError")
+        assert errors[0].params == {}
         assert len(broken.records) == len(report.records)

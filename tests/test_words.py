@@ -296,6 +296,52 @@ class TestTransitionOracle:
         for (v, w), max_len in pairs.items():
             assert batch[v, w] == _reference_sweep(v, w, max_len, alphabet), (v, w)
 
+    @pytest.mark.parametrize(
+        "v, w, witness",
+        [
+            # u = w: the new site is the w at 0, and no v ends u
+            ("0", "001", W.TransitionWitness("iii", "001", 1, 0)),
+            # u = w ends with v at t = 2, but the w at 0 fails first at i = 1
+            ("0", "100", W.TransitionWitness("iii", "100", 1, 0)),
+            # w shorter than v: (t, 0) against the w that starts u
+            ("001", "10", W.TransitionWitness("iii", "1001", 1, 0)),
+            # w shorter than v: (0, t) against the v that starts u
+            ("010", "01", W.TransitionWitness("i", "01010", 0, 2)),
+        ],
+    )
+    def test_last_letter_edge_cases(self, v, w, witness):
+        max_len = 2 * len(v) + len(w) + 2
+        assert _reference_sweep(v, w, max_len, W.BINARY) == (False, witness)
+        assert W.transition_oracle({(v, w): max_len})[v, w] == (False, witness)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 3).flatmap(
+            lambda k: st.lists(
+                st.tuples(
+                    st.text(alphabet="abc"[:k], min_size=1, max_size=3),
+                    st.text(alphabet="abc"[:k], min_size=1, max_size=4),
+                    st.integers(0, 4),
+                    st.booleans(),
+                ),
+                min_size=1,
+                max_size=4,
+            ).map(lambda quads: (k, quads))
+        )
+    )
+    def test_random_batch_with_longer_w_matches_reference(self, drawn):
+        # at_w stops the sweep at |w| when |w| >= |v|, so the word u = w is
+        # on the last level swept
+        k, quads = drawn
+        alphabet = W.Alphabet(tuple("abc"[:k]))
+        pairs = {
+            (v, w): max(len(v), len(w)) if at_w else min(len(v) + extra, 8)
+            for v, w, extra, at_w in quads
+        }
+        batch = W.transition_oracle(pairs, alphabet)
+        for (v, w), max_len in pairs.items():
+            assert batch[v, w] == _reference_sweep(v, w, max_len, alphabet), (v, w)
+
     def test_binary_batch_witnesses_every_condition(self):
         # each condition's first failure needs a different site pair with
         # min(i, j) = 0: (0, j) for i and iv, (i, 0) for ii and iii
