@@ -180,25 +180,30 @@ class MeasureCertificate:
         return self.offset + mu1 * poly
 
 
-def _poly_add(p: tuple, q: tuple, sign: int = 1) -> tuple:
-    n = max(len(p), len(q))
-    out = [0] * n
-    for i, c in enumerate(p):
-        out[i] += c
-    for i, c in enumerate(q):
-        out[i] += sign * c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
 def _monomial(k: int) -> tuple:
     return (0,) * k + (1,)
 
 
+def _signed_sum(terms) -> MeasureCertificate:
+    """The certificate of sum(sign * mu(w)) over ``(sign, certificate of w)``."""
+    offset = 0
+    coeffs = [0] * max(len(c.coeffs) for _, c in terms)
+    for sign, c in terms:
+        offset += sign * c.offset
+        for i, x in enumerate(c.coeffs):
+            coeffs[i] += sign * x
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return MeasureCertificate(offset, tuple(coeffs))
+
+
 @dataclass
 class SGapMME:
-    """Unique MME of an S-gap shift, via the synchronization recursion."""
+    """Unique MME of an S-gap shift, via the synchronization recursion.
+
+    ``certificate`` is the public entry: it validates the word once, and the
+    recursion below it reads and fills the memo without validating again.
+    """
 
     gaps: S.SGapSet
     t: float = field(init=False)
@@ -211,6 +216,10 @@ class SGapMME:
 
     def certificate(self, w: str) -> MeasureCertificate:
         _check_over(w, BINARY)
+        return self._certificate(w)
+
+    def _certificate(self, w: str) -> MeasureCertificate:
+        """``certificate`` of a binary string w, memoized."""
         cached = self._memo.get(w)
         if cached is None:
             cached = self._build(w)
@@ -225,27 +234,21 @@ class SGapMME:
             if w == "1":
                 return MeasureCertificate(0, (1,))
             return MeasureCertificate(1, (-1,))
-        z = w[1:-1]
-        one_z_one = self._pinned("1" + z + "1")
         if w[0] == "1" and w[-1] == "1":
-            return one_z_one
-        cz1 = self.certificate(z + "1")
-        c1z = self.certificate("1" + z)
+            return self._pinned(w)
+        z = w[1:-1]
+        one_z_one = self._certificate("1" + z + "1")
         if w[0] == "1":  # 1 z 0
-            return MeasureCertificate(
-                c1z.offset - one_z_one.offset, _poly_add(c1z.coeffs, one_z_one.coeffs, -1)
-            )
+            return _signed_sum([(1, self._certificate("1" + z)), (-1, one_z_one)])
         if w[-1] == "1":  # 0 z 1
-            return MeasureCertificate(
-                cz1.offset - one_z_one.offset, _poly_add(cz1.coeffs, one_z_one.coeffs, -1)
-            )
+            return _signed_sum([(1, self._certificate(z + "1")), (-1, one_z_one)])
         # 0 z 0: mu(z) minus the three sibling extensions of the z-cylinder
-        cz = self.certificate(z)
-        offset = cz.offset - c1z.offset - cz1.offset + one_z_one.offset
-        coeffs = _poly_add(
-            _poly_add(cz.coeffs, _poly_add(c1z.coeffs, cz1.coeffs), -1), one_z_one.coeffs
-        )
-        return MeasureCertificate(offset, coeffs)
+        return _signed_sum([
+            (1, self._certificate(z)),
+            (-1, self._certificate("1" + z)),
+            (-1, self._certificate(z + "1")),
+            (1, one_z_one),
+        ])
 
     def _pinned(self, w: str) -> MeasureCertificate:
         """Certificate for a word starting and ending with 1: mu(1) t^(|w|-1)

@@ -409,13 +409,18 @@ def _strongly_connected(A: np.ndarray) -> bool:
 
 def member(spec, u) -> bool:
     """Whether u appears in a point of the subshift (bi-extendability enforced)."""
-    graph = build_automaton(spec).word_graph
-    node = 0
+    return _walk(build_automaton(spec).word_graph, 0, u) is not None
+
+
+def _walk(graph: tuple, node: int, u) -> Optional[int]:
+    """The node of the word graph ``graph`` reached by reading u from
+    ``node``, or None where u dies; from node 0, u dies exactly when it is
+    not in the language."""
     for a in u:
         node = graph[node].get(a)
         if node is None:
-            return False
-    return True
+            return None
+    return node
 
 
 def _counts(spec):

@@ -235,7 +235,80 @@ class TestGapChainOracle:
                 assert M.sgap_mu_oracle(gaps, w) == 2.0**-n
 
 
+def _poly_add(p: tuple, q: tuple, sign: int = 1) -> tuple:
+    n = max(len(p), len(q))
+    out = [0] * n
+    for i, c in enumerate(p):
+        out[i] += c
+    for i, c in enumerate(q):
+        out[i] += sign * c
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class ReferenceRecursion:
+    """The S-gap recursion with pairwise polynomial sums, 1z1 re-pinned for
+    each word: the reference for ``SGapMME``'s certificates."""
+
+    def __init__(self, gaps):
+        self.model = M.SGapMME(gaps)
+        self.memo = {}
+
+    def __call__(self, w):
+        if w not in self.memo:
+            self.memo[w] = self.build(w)
+        return self.memo[w]
+
+    def build(self, w):
+        n = len(w)
+        if n == 0:
+            return (1, ())
+        if n == 1:
+            return (0, (1,)) if w == "1" else (1, (-1,))
+        z = w[1:-1]
+        c = self.model._pinned("1" + z + "1")
+        one_z_one = (c.offset, c.coeffs)
+        if w[0] == "1" and w[-1] == "1":
+            return one_z_one
+        cz1, c1z = self(z + "1"), self("1" + z)
+        if w[0] == "1":
+            return (c1z[0] - one_z_one[0], _poly_add(c1z[1], one_z_one[1], -1))
+        if w[-1] == "1":
+            return (cz1[0] - one_z_one[0], _poly_add(cz1[1], one_z_one[1], -1))
+        cz = self(z)
+        offset = cz[0] - c1z[0] - cz1[0] + one_z_one[0]
+        coeffs = _poly_add(_poly_add(cz[1], _poly_add(c1z[1], cz1[1]), -1), one_z_one[1])
+        return (offset, coeffs)
+
+
 class TestValueRecursion:
+    @pytest.mark.parametrize(
+        "gaps", GAP_SETS + [S.SGapSet((0,)), S.SGapSet((), 0)], ids=lambda g: g.describe()
+    )
+    def test_certificates_match_pairwise_reference(self, gaps):
+        model, reference = M.SGapMME(gaps), ReferenceRecursion(gaps)
+        for n in range(11):
+            for w in W.BINARY.words(n):
+                cert = model.certificate(w)
+                assert (cert.offset, cert.coeffs) == reference(w), w
+
+    @pytest.mark.parametrize("w", ["2", "012", ("0", "1")], ids=repr)
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_foreign_word_rejected_at_the_entry(self, w, warm):
+        gaps = S.SGapSet((0, 1))
+        model = M.SGapMME(gaps)
+        if warm:
+            M.sgap_mu(gaps, "0110")
+            model.certificate("0110")
+        else:
+            M.sgap_model.cache_clear()
+        with pytest.raises(InvalidWordError):
+            model.certificate(w)
+        with pytest.raises(InvalidWordError):
+            M.sgap_mu(gaps, w)
+        assert w not in model._memo and w not in M.sgap_model(gaps)._memo
+
     @pytest.mark.parametrize("gaps", GAP_SETS, ids=lambda g: g.describe())
     def test_recursion_matches_oracle(self, gaps):
         for n in range(1, 8):

@@ -184,6 +184,53 @@ class TestIndividualChecks:
 
 SGAP_01 = S.SGapShift(S.SGapSet((0, 1)))
 SFT_7 = S.SftShift(W.BINARY, ("111", "1001"))
+def _reference_synch(gaps, u, maxgap):
+    """The synchronized-formula table as one membership test per cell
+    1 0^a u 0^b 1, in the (a, b) order of the check: (rows, T(maxgap))."""
+    spec = S.SGapShift(gaps)
+    model = M.sgap_model(gaps)
+    ring = [0.0] * (maxgap + 1)
+    for a in range(maxgap + 1):
+        for b in range(maxgap + 1):
+            if S.member(spec, "1" + "0" * a + u + "0" * b + "1"):
+                ring[max(a, b)] += model.mu1 * model.t ** (a + b + len(u) + 1)
+    partial = list(itertools.accumulate(ring))
+    return [[g, total] for g, total in enumerate(partial)], partial[-1]
+
+
+SYNCH_GAP_SETS = [
+    S.SGapSet((0, 1)),
+    S.SGapSet((1, 3)),
+    S.SGapSet((0, 2, 3)),
+    S.SGapSet((), 1),
+    S.SGapSet((2,), 5),
+    S.SGapSet((), 0),
+]
+
+
+class TestSynchTable:
+    @pytest.mark.parametrize("gaps", SYNCH_GAP_SETS, ids=lambda g: g.describe())
+    @pytest.mark.parametrize("u", ["", "0", "1", "01", "0110"], ids=repr)
+    @pytest.mark.parametrize("maxgap", [0, 1, 25])
+    def test_matches_per_cell_membership(self, gaps, u, maxgap):
+        rec = V.check_synch_formula(gaps, u, maxgap, 1e-6)
+        if not S.member(S.SGapShift(gaps), u):
+            assert rec.status == "error" and not rec.series
+            return
+        rows, total = _reference_synch(gaps, u, maxgap)
+        got = rec.series["truncation"]["rows"]
+        assert [[g, x.hex()] for g, x in got] == [[g, x.hex()] for g, x in rows]
+        target, _ = M.sgap_mu(gaps, u)
+        assert rec.residuals["|T(maxgap) - mu(u)|"].hex() == abs(total - target).hex()
+
+    def test_grid_has_rows_that_leave_the_language(self):
+        # 1 0^a 01 holds a gap a + 1, outside {1, 3} for a = 1 and a >= 3, so
+        # those rows of the table are empty; other rows are not
+        spec = S.SGapShift(S.SGapSet((1, 3)))
+        legal = [S.member(spec, "1" + "0" * a + "01") for a in range(26)]
+        assert legal[:4] == [True, False, True, False] and not any(legal[3:])
+
+
 SWEEP_SPECS = [
     GOLDEN,
     SGAP_01,
@@ -231,10 +278,11 @@ class TestNaNFailsClosed:
         assert math.isnan(rec.residuals[key])
 
     def test_value_theorem(self, monkeypatch):
-        # mu(1) stays finite, so only the sweep over the words can fail
-        oracle = M.sgap_mu_oracle
+        # the gap-chain oracle (read through mu_parry) gives NaN on every word
+        # but 1: mu(1) stays finite, so only the sweep over the words can fail
+        mu_parry = M.mu_parry
         monkeypatch.setattr(
-            M, "sgap_mu_oracle", lambda gaps, w: oracle(gaps, w) if w == "1" else math.nan
+            M, "mu_parry", lambda model, w: mu_parry(model, w) if w == "1" else math.nan
         )
         rec = V.check_value_theorem(S.SGapSet((1, 3)), 3, 1e-9)
         assert rec.status == "fail"
@@ -606,6 +654,12 @@ class TestSuite:
         del a["meta"]["timestamps"]
         del b["meta"]["timestamps"]
         assert a == b
+
+    def test_elapsed_times_are_positive_microseconds(self, report):
+        # one entry per record, kept to the microsecond: none rounds to 0
+        elapsed = report.meta["timestamps"]["elapsed_s"]
+        assert sorted(elapsed) == sorted(r.name for r in report.records)
+        assert all(0 < t == round(t, 6) for t in elapsed.values()), elapsed
 
     def test_csv_emission(self, report, tmp_path):
         paths = V.write_csv(report, tmp_path)
