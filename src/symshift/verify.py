@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import collections
+import functools
 import itertools
 import json
 import math
@@ -17,6 +18,7 @@ import re
 import sys
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,28 +80,49 @@ def _bound(record: CheckRecord, key: str, residual: float, tol: float, witness) 
 # Measure inequality / equality under extender containment
 
 
-def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_sided: bool) -> CheckRecord:
-    """Check mu(v) <= mu(w) e^{h(|w|-|v|)} on the pairs of L_1..L_maxlen with
-    E(v) subset-or-equal E(w); when ``two_sided``, on the pairs with E(v) = E(w),
-    and equality both ways.
+class _ClassTable(NamedTuple):
+    """The words of L_1..L_maxlen of one spec, grouped into landing classes.
 
-    E(v) vs E(w) depends only on the landing rows, so the words are grouped
-    into landing classes and every class pair is decided in one array pass.
-    Rounding is monotone, so the worst pair of two length buckets is found
-    from their extreme mu values.
+    Class c owns the length buckets first[c] .. first[c] + buckets[c] - 1, in
+    increasing word length; bucket b holds the count[b] words of length
+    length[b] in the class, with extreme measures lo[b] <= hi[b] attained by
+    the words lo_word[b] and hi_word[b] (formatted).  below[i, j] is
+    E(v) subset-or-equal E(w) for v in class i and w in class j.
     """
-    label = "gap" if two_sided else "excess"
-    record = CheckRecord(
-        name=f"{name}[{S.describe(spec)}]",
-        spec=S.describe(spec),
-        params={"maxlen": maxlen},
-        tolerance={key: tol},
-    )
+
+    h: float
+    states: int
+    first: np.ndarray
+    buckets: np.ndarray
+    length: np.ndarray
+    count: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    lo_word: tuple
+    hi_word: tuple
+    below: np.ndarray
+
+
+def _extremes(bucket):
+    """(min, max) of a bucket's (mu, word) entries.  min and max skip a NaN
+    that is not first, so the first NaN entry is taken as both."""
+    nan = [e for e in bucket if math.isnan(e[0])]
+    return (nan[0], nan[0]) if nan else (min(bucket), max(bucket))
+
+
+@functools.lru_cache(maxsize=1)
+def _landing_classes(spec, maxlen: int) -> _ClassTable | None:
+    """The landing-class table of ``spec`` up to ``maxlen``, or None when the
+    entropy is not positive.
+
+    Both extender checks read it, and ``run_all`` runs them one after the
+    other on each spec, so the table of the last (spec, maxlen) is kept.
+    E(v) vs E(w) depends only on the landing rows, so classes are decided
+    once, in one ``extender._contains`` pass over their rows.
+    """
     h = S.entropy(spec)
     if h <= 1e-12:
-        record.status = "skipped"
-        record.reason = "positive-entropy hypothesis fails"
-        return record
+        return None
     model = M.parry(spec)
     aut = S.build_automaton(spec)
     class_of = {}  # landing row (bytes) -> class index, in order of first word
@@ -112,36 +135,87 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
                 reps.append(row)
                 classes.append({})
             classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
-
-    def extremes(bucket):
-        # min and max skip a NaN that is not first, so a NaN is taken as both
-        nan = [e for e in bucket if math.isnan(e[0])]
-        return (nan[0], nan[0]) if nan else (min(bucket), max(bucket))
-
-    # per class: [(length, count, (min mu, word), (max mu, word)), ...]
-    summary = [[(n, len(b), *extremes(b)) for n, b in by_len.items()] for by_len in classes]
+    buckets = [(n, len(b), *_extremes(b)) for by_len in classes for n, b in by_len.items()]
+    sizes = np.array([len(by_len) for by_len in classes], dtype=np.intp)
     reps = np.array(reps, dtype=np.intp).reshape(len(reps), len(aut.states))
-    below = E._contains(aut._containment_table, reps, reps)
-    worst = 0.0
-    pairs = 0
-    # np.nonzero walks the class pairs in row-major order, as a product would
-    for i, j in zip(*np.nonzero(below & below.T if two_sided else below)):
-        for (nv, kv, lo_v, hi_v), (nw, kw, lo_w, hi_w) in itertools.product(summary[i], summary[j]):
-            pairs += kv * kw
-            scale = math.exp(h * (nw - nv))
-            residual, v, w = hi_v[0] - lo_w[0] * scale, hi_v[1], lo_w[1]
-            # negated comparisons, so that a NaN residual is taken, stays the
-            # worst and fails
-            if two_sided and not hi_w[0] * scale - lo_v[0] <= residual:
-                residual, v, w = hi_w[0] * scale - lo_v[0], lo_v[1], hi_w[1]
-            if not (residual <= worst or math.isnan(worst)):
-                worst = residual
-            if not residual <= tol:
-                _fail(record, {"v": W.format_word(v), "w": W.format_word(w), label: residual})
-    record.params["pairs"] = pairs
-    record.params["classes"] = len(classes)
-    record.params["states"] = len(aut.states)
-    record.residuals[f"max {label}"] = worst
+
+    def frozen(values, dtype):
+        # read-only, as every later check shares the table
+        array = np.array(values, dtype=dtype)
+        array.flags.writeable = False
+        return array
+
+    return _ClassTable(
+        h=h,
+        states=len(aut.states),
+        first=frozen(np.cumsum(sizes) - sizes, np.intp),
+        buckets=frozen(sizes, np.intp),
+        length=frozen([b[0] for b in buckets], np.intp),
+        count=frozen([b[1] for b in buckets], np.int64),
+        lo=frozen([b[2][0] for b in buckets], float),
+        hi=frozen([b[3][0] for b in buckets], float),
+        lo_word=tuple(W.format_word(b[2][1]) for b in buckets),
+        hi_word=tuple(W.format_word(b[3][1]) for b in buckets),
+        below=frozen(E._contains(aut._containment_table, reps, reps), bool),
+    )
+
+
+def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_sided: bool) -> CheckRecord:
+    """Check mu(v) <= mu(w) e^{h(|w|-|v|)} on the pairs of L_1..L_maxlen with
+    E(v) subset-or-equal E(w); when ``two_sided``, on the pairs with E(v) = E(w),
+    and equality both ways.
+
+    The words come grouped into landing classes by ``_landing_classes``, and
+    every selected class pair x length-bucket pair is judged in one array
+    pass.  Rounding is monotone, so the worst pair of two length buckets is
+    found from their extreme mu values.  The pairs run in the order of a
+    loop over the class pairs (row-major) and, within one, over the bucket
+    pairs of the two classes (as ``itertools.product``); the witnesses
+    follow it.
+    """
+    label = "gap" if two_sided else "excess"
+    record = CheckRecord(
+        name=f"{name}[{S.describe(spec)}]",
+        spec=S.describe(spec),
+        params={"maxlen": maxlen},
+        tolerance={key: tol},
+    )
+    table = _landing_classes(spec, maxlen)
+    if table is None:
+        record.status = "skipped"
+        record.reason = "positive-entropy hypothesis fails"
+        return record
+    I, J = np.nonzero(table.below & table.below.T if two_sided else table.below)
+    # class pair p spans size[p] bucket pairs; bucket pair k of it is
+    # (k // buckets of J, k % buckets of J) from the two classes' first buckets
+    cols = table.buckets[J]
+    size = table.buckets[I] * cols
+    k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
+    cols = np.repeat(cols, size)
+    bv = np.repeat(table.first[I], size) + k // cols
+    bw = np.repeat(table.first[J], size) + k % cols
+    # math.exp(h d) for d = -maxlen..maxlen: np.exp can differ from it in the last bit
+    exps = np.array([math.exp(table.h * d) for d in range(-maxlen, maxlen + 1)])
+    scale = exps[table.length[bw] - table.length[bv] + maxlen]
+    residual = table.hi[bv] - table.lo[bw] * scale
+    swap = np.zeros(len(residual), dtype=bool)
+    if two_sided:
+        back = table.hi[bw] * scale - table.lo[bv]
+        # negated, so that a NaN is taken and stays the worst
+        swap = ~(back <= residual)
+        residual = np.where(swap, back, residual)
+    for i in np.flatnonzero(~(residual <= tol)).tolist():
+        b, c = bv[i], bw[i]
+        if swap[i]:
+            v, w = table.lo_word[b], table.hi_word[c]
+        else:
+            v, w = table.hi_word[b], table.lo_word[c]
+        _fail(record, {"v": v, "w": w, label: float(residual[i])})
+    record.params["pairs"] = int(np.dot(table.count[bv], table.count[bw]))
+    record.params["classes"] = len(table.first)
+    record.params["states"] = table.states
+    # max propagates a NaN, so a NaN residual is the worst
+    record.residuals[f"max {label}"] = float(np.max(residual, initial=0.0))
     return record
 
 
@@ -650,7 +724,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
     cfg = merge_config(config)
     tol = cfg["tolerances"]
     records = []
-    timings = {}
+    timings = []  # seconds, one per record
 
     def run(label, check, doc=None, params=None):
         """Record check()'s record, an error record naming the spec document
@@ -668,7 +742,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
                 reason=f"{type(exc).__name__}: {exc}",
             )
         if rec is not None:
-            timings[rec.name] = round(time.monotonic() - t0, 6)
+            timings.append(round(time.monotonic() - t0, 6))
             records.append(rec)
 
     # spec documents are parsed inside the guard: a bad one becomes error records
@@ -716,11 +790,14 @@ def run_all(config: dict | None = None) -> VerificationReport:
 
     run("gtheorem-strips", gtheorem)
 
+    # names repeat (error records carry the bare family name), so the times
+    # are a list in the order of the report's name-sorted checks
+    order = sorted(range(len(records)), key=lambda i: records[i].name)
     meta = {
         "config": cfg,
         "timestamps": {
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_s": timings,
+            "elapsed_s": [timings[i] for i in order],
         },
     }
     return VerificationReport(records=records, meta=meta)

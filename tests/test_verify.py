@@ -2,7 +2,9 @@ import collections
 import itertools
 import json
 import math
+import time
 import types
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -42,6 +44,16 @@ SMALL_CONFIG = {
 }
 
 
+@pytest.fixture
+def cold_classes():
+    """An empty landing-class cache before and after the test, so that a
+    table built under a patched measure, Perron kernel or block size is
+    neither read nor left behind."""
+    V._landing_classes.cache_clear()
+    yield
+    V._landing_classes.cache_clear()
+
+
 class TestIndividualChecks:
     def test_main_inequality_golden(self):
         rec = V.check_main_inequality(GOLDEN, 4, 1e-12)
@@ -64,7 +76,7 @@ class TestIndividualChecks:
         assert rec.status == "pass"
 
     @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (1e-9, "fail")])
-    def test_entropy_root_sees_a_scaled_lambda(self, monkeypatch, eps, status):
+    def test_entropy_root_sees_a_scaled_lambda(self, monkeypatch, cold_classes, eps, status):
         # negative control: the graph side's lambda off by a factor 1 + eps
         perron_value = S.perron_value
 
@@ -256,6 +268,162 @@ PINNED_SWEEPS = [
 ]
 
 
+def _reference_extender_sweep(spec, maxlen, name, key, tol, two_sided):
+    """The extender checks' record as a loop over the class pairs and, per
+    class pair, over its length-bucket pairs, building every input afresh:
+    the per-pair loop that the cached class table and its array pass
+    replaced, kept as their reference."""
+    label = "gap" if two_sided else "excess"
+    record = V.CheckRecord(
+        name=f"{name}[{S.describe(spec)}]",
+        spec=S.describe(spec),
+        params={"maxlen": maxlen},
+        tolerance={key: tol},
+    )
+    h = S.entropy(spec)
+    if h <= 1e-12:
+        record.status = "skipped"
+        record.reason = "positive-entropy hypothesis fails"
+        return record
+    model = M.parry(spec)
+    aut = S.build_automaton(spec)
+    class_of = {}  # landing row (bytes) -> class index, in order of first word
+    reps = []  # class -> its landing row
+    classes = []  # class -> length -> [(mu, word), ...]
+    for n, words, rows in S._landing_levels(spec, maxlen):
+        for u, row in zip(words, rows):
+            c = class_of.setdefault(row.tobytes(), len(reps))
+            if c == len(reps):
+                reps.append(row)
+                classes.append({})
+            classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
+
+    def extremes(bucket):
+        # min and max skip a NaN that is not first, so a NaN is taken as both
+        nan = [e for e in bucket if math.isnan(e[0])]
+        return (nan[0], nan[0]) if nan else (min(bucket), max(bucket))
+
+    # per class: [(length, count, (min mu, word), (max mu, word)), ...]
+    summary = [[(n, len(b), *extremes(b)) for n, b in by_len.items()] for by_len in classes]
+    reps = np.array(reps, dtype=np.intp).reshape(len(reps), len(aut.states))
+    below = E._contains(aut._containment_table, reps, reps)
+    worst = 0.0
+    pairs = 0
+    for i, j in zip(*np.nonzero(below & below.T if two_sided else below)):
+        for (nv, kv, lo_v, hi_v), (nw, kw, lo_w, hi_w) in itertools.product(summary[i], summary[j]):
+            pairs += kv * kw
+            scale = math.exp(h * (nw - nv))
+            residual, v, w = hi_v[0] - lo_w[0] * scale, hi_v[1], lo_w[1]
+            if two_sided and not hi_w[0] * scale - lo_v[0] <= residual:
+                residual, v, w = hi_w[0] * scale - lo_v[0], lo_v[1], hi_w[1]
+            if not (residual <= worst or math.isnan(worst)):
+                worst = residual
+            if not residual <= tol:
+                V._fail(record, {"v": W.format_word(v), "w": W.format_word(w), label: residual})
+    record.params["pairs"] = pairs
+    record.params["classes"] = len(classes)
+    record.params["states"] = len(aut.states)
+    record.residuals[f"max {label}"] = worst
+    return record
+
+
+def _exact(x):
+    """x with each number as its type name and value, floats in hex: records
+    compare bit for bit, NaN included, and a numpy scalar differs from a
+    Python one."""
+    if isinstance(x, dict):
+        return {k: _exact(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_exact(v) for v in x]
+    if isinstance(x, (str, bool)) or x is None:
+        return x
+    return type(x).__name__, x.hex() if isinstance(x, float) else x
+
+
+# (check, name, tolerance key, default tolerance, two_sided)
+EXTENDER_CHECKS = [
+    pytest.param(V.check_main_inequality, "main-inequality", "inequality", 1e-12, False,
+                 id="main-inequality"),
+    pytest.param(V.check_equality_corollary, "equality-corollary", "equality", 1e-9, True,
+                 id="equality-corollary"),
+]
+
+
+class TestLandingClassTable:
+    @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
+    @pytest.mark.parametrize("maxlen", [0, 1, 3, 5])
+    @pytest.mark.parametrize("failing", [False, True], ids=["normal", "negative-tolerance"])
+    @pytest.mark.parametrize("check, name, key, tol, two_sided", EXTENDER_CHECKS)
+    def test_matches_pairwise_loop(self, spec, maxlen, failing, check, name, key, tol, two_sided):
+        # records equal bit for bit, witnesses and their order included
+        tol = -1e-3 if failing else tol
+        ref = _reference_extender_sweep(spec, maxlen, name, key, tol, two_sided)
+        rec = check(spec, maxlen, tol)
+        assert rec.status == ("fail" if failing and maxlen else "pass")
+        assert _exact(asdict(rec)) == _exact(asdict(ref))
+
+    @pytest.mark.parametrize("spec", [GOLDEN, SFT_7], ids=S.describe)
+    def test_matches_pairwise_loop_on_a_nan_measure(self, monkeypatch, cold_classes, spec):
+        mu_parry = M.mu_parry
+        monkeypatch.setattr(
+            M, "mu_parry", lambda model, w: math.nan if w == "0100" else mu_parry(model, w)
+        )
+        for param in EXTENDER_CHECKS:
+            check, name, key, tol, two_sided = param.values
+            ref = _reference_extender_sweep(spec, 5, name, key, tol, two_sided)
+            rec = check(spec, 5, tol)
+            assert rec.status == "fail"
+            assert _exact(asdict(rec)) == _exact(asdict(ref))
+
+    def test_check_order_does_not_matter(self, cold_classes):
+        # the equality check first, the main check first, and each on a cold
+        # cache give the same records
+        main = (V.check_main_inequality, 1e-12)
+        eq = (V.check_equality_corollary, 1e-9)
+
+        def records(*checks):
+            return [_exact(asdict(check(SFT_7, 5, tol))) for check, tol in checks]
+
+        eq_first = records(eq, main)
+        V._landing_classes.cache_clear()
+        main_first = records(main, eq)
+        cold = []
+        for check in (main, eq):
+            V._landing_classes.cache_clear()
+            cold += records(check)
+        assert eq_first[::-1] == main_first == cold
+
+    def test_one_table_is_kept(self, cold_classes):
+        def stats():
+            info = V._landing_classes.cache_info()
+            return info.hits, info.misses, info.currsize
+
+        V.check_main_inequality(GOLDEN, 4, 1e-12)
+        V.check_equality_corollary(GOLDEN, 4, 1e-9)
+        assert stats() == (1, 1, 1)
+        V.check_main_inequality(SFT_7, 4, 1e-12)  # evicts the golden mean's table
+        V.check_equality_corollary(GOLDEN, 4, 1e-9)
+        assert stats() == (1, 3, 1)
+        V.check_main_inequality(GOLDEN, 5, 1e-12)  # another maxlen, another table
+        assert stats() == (1, 4, 1)
+        table = V._landing_classes(GOLDEN, 5)
+        assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
+
+    def test_run_all_builds_one_table_per_pair_spec(self, cold_classes):
+        config = dict(
+            SMALL_CONFIG,
+            pair_specs=V.DEFAULT_CONFIG["pair_specs"],
+            sgap_specs=[],
+            hereditary_specs=[],
+            replacement_u_maxlen=2,
+            strip_widths=[],
+        )
+        V.run_all(config)
+        info = V._landing_classes.cache_info()
+        assert (info.hits, info.misses) == (2, 2)
+
+
+@pytest.mark.usefixtures("cold_classes")
 class TestNaNFailsClosed:
     """A NaN measure fails every family of checks; no residual passes as NaN."""
 
@@ -348,14 +516,28 @@ class TestExtenderSweep:
         "spec, maxlen, two_sided, pairs, classes, states, residual", PINNED_SWEEPS
     )
     def test_pinned_records_in_small_blocks(
-        self, monkeypatch, spec, maxlen, two_sided, pairs, classes, states, residual
+        self, monkeypatch, cold_classes, spec, maxlen, two_sided, pairs, classes, states, residual
     ):
-        # every class-pair pass here spans many chunks of _contains
+        # the class table is built here, not read from the cache, with its
+        # class pairs decided in chunks of at most 64 entries (or one v row,
+        # where a row alone is larger): the spy sees the v rows of each chunk
+        chunks = []
+
+        class Spy(np.ndarray):
+            def __getitem__(self, index):
+                chunks.append(len(index[0]))
+                return np.asarray(self)[index]
+
+        contains = E._contains
+        monkeypatch.setattr(E, "_contains", lambda C, Lv, Lw: contains(C.view(Spy), Lv, Lw))
         monkeypatch.setattr(E, "_BLOCK", 64)
         self.test_pinned_records(spec, maxlen, two_sided, pairs, classes, states, residual)
+        assert sum(chunks) == classes
+        assert all(rows * classes * states <= 64 or rows == 1 for rows in chunks)
+        assert len(chunks) > 1 or classes * states <= 64
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
-    def test_chunks_match_one_block(self, monkeypatch, block):
+    def test_chunks_match_one_block(self, monkeypatch, cold_classes, block):
         aut = S.build_automaton(SFT_7)
         rows = np.concatenate([r for _, _, r in S._landing_levels(SFT_7, 5)])
         reps = np.unique(rows, axis=0)
@@ -398,7 +580,9 @@ class TestExtenderSweep:
                 assert landing == S._landing_states(aut, u) == landing_states(aut, u), u
 
     @pytest.mark.parametrize("check", [V.check_main_inequality, V.check_equality_corollary])
-    def test_over_budget_sweep_is_refused_before_any_measure(self, monkeypatch, check):
+    def test_over_budget_sweep_is_refused_before_any_measure(
+        self, monkeypatch, cold_classes, check
+    ):
         # |L_4| = 64^4 is over the budget: the 266,304 words of L_1..L_3 used
         # to be measured first
         def unreachable(model, w):
@@ -658,8 +842,39 @@ class TestSuite:
     def test_elapsed_times_are_positive_microseconds(self, report):
         # one entry per record, kept to the microsecond: none rounds to 0
         elapsed = report.meta["timestamps"]["elapsed_s"]
-        assert sorted(elapsed) == sorted(r.name for r in report.records)
-        assert all(0 < t == round(t, 6) for t in elapsed.values()), elapsed
+        assert len(elapsed) == len(report.records)
+        assert all(0 < t == round(t, 6) for t in elapsed), elapsed
+
+    def test_elapsed_times_follow_the_sorted_checks(self, monkeypatch):
+        # the two over-budget synchronized-formula records share a name: keyed
+        # by name, 7 records had 6 times.  A clock that jumps 1000 s inside
+        # the replacement check shows which entry is that check's
+        config = dict(
+            SMALL_CONFIG,
+            synch_maxgap=1000,
+            synch_words=["0", "1"],
+            sgap_specs=SMALL_CONFIG["sgap_specs"][:1],
+            pair_specs=[],
+            hereditary_specs=[],
+        )
+        skew = [0.0]
+        clock = types.SimpleNamespace(
+            monotonic=lambda: time.monotonic() + skew[0], strftime=time.strftime
+        )
+        lemmas = V.check_replacement_lemmas
+
+        def slow(*args):
+            skew[0] += 1000.0
+            return lemmas(*args)
+
+        monkeypatch.setattr(V, "time", clock)
+        monkeypatch.setattr(V, "check_replacement_lemmas", slow)
+        report = V.run_all(config)
+        names = [c["name"] for c in report.to_dict()["checks"]]
+        elapsed = report.meta["timestamps"]["elapsed_s"]
+        assert len(report.records) == len(elapsed) == 7
+        assert names.count("synchronized-formula") == 2
+        assert [t >= 1000 for t in elapsed] == [n == "replacement-lemmas" for n in names]
 
     def test_csv_emission(self, report, tmp_path):
         paths = V.write_csv(report, tmp_path)
@@ -669,7 +884,7 @@ class TestSuite:
                 header = fh.readline().strip()
             assert "," in header
 
-    def test_numerical_error_does_not_abort_suite(self, report, monkeypatch):
+    def test_numerical_error_does_not_abort_suite(self, report, monkeypatch, cold_classes):
         # an unconverged power iteration on the pair spec's presentation only
         spec = {"type": "sft", "alphabet": ["a", "b", "c"], "forbidden": ["aa"]}
         target = S.build_automaton(S.spec_from_dict(spec)).adjacency()
