@@ -446,34 +446,45 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
 # Replacement calculus lemmas
 
 
-def _subset_levels(v, w, u_maxlen: int, alphabet: W.Alphabet):
-    """Yield (u, live, broken) for every word u, |u| <= u_maxlen, in which v occurs.
+def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: bool):
+    """One pass over all (u, S), |u| <= u_maxlen: persistence, survival,
+    injectivity, preimage; params["sweep nodes"] gains the nodes it visits.
 
-    ``live`` holds (S, image, failed) for each nonempty subset S of v's
-    occurrences in u on which ``words.replace_seq`` goes through: image is
-    replace_seq(u, v, w, S), and failed lists the sites whose window fails in
-    it, persistence for a site of S and survival for the others.  ``broken``
-    holds S[:step] for each S on which replace_seq breaks at that step.
-
-    Words come level by level, each level in canonical order, and u = u'a is
-    built from its prefix u'.  Every node of u' carries over with image + a.
-    When |w| >= |v| each window of an old site lies inside the old image, so
-    its verdict stands; otherwise the old sites are checked again.  If v
-    ends u at t, t is the one new site, and in the image of any S it sits
-    last: it survives exactly when that image ends with v.  Then S + (t,)
-    takes the image with that v spliced to w.  When |w| >= |v| a window of
-    a site s ends at least t - s - |v| letters before the splice, so only
-    the sites that overlap t are checked again; otherwise all of them are.
-    If t does not survive, S + (t,) is broken, and a broken S is never
-    extended.  A level is dropped once the next one is built.
+    A node is a nonempty subset S of v's occurrences in u on which
+    ``words.replace_seq`` goes through, with its image and failed sites
+    (persistence for a site of S, survival for the others); where it breaks
+    at a step, S[:step] is a "broken-step" violation in u and its extensions.
+    Level L lists its words canonically, word i|A| + c being word i of level
+    L - 1 and letter c, and per size m four lists over its nodes: word index,
+    S, image, failed.  Node work is left to the words that v ends, at
+    t = L - |v|: t sits last in the image of S, so it survives exactly when
+    that image ends with v, and S + (t,) takes it with that v spliced to w.
+    If v does not overlap itself and |w| >= |v|, no site overlaps t and the
+    windows of S leave the v at t intact: t survives, no verdict changes.
+    Witnesses come by level, word, then broken, failed, injectivity; the
+    preimage ones end the level.  When |w| >= |v| and no node of size m has
+    a failed site, an image met once passes: its node holds w at the m
+    increasing places s + k(|w| - |v|) of its sites, so C(n, m) >= 1.  A
+    level has at most (|A| + 1)^L nodes: mark the first letter of each site.
     """
+    k = len(alphabet.symbols)
+    nodes = (k + 1) ** u_maxlen
+    if nodes > W._SWEEP_BUDGET:
+        raise ResourceLimitError(
+            f"a subset-sweep level of up to {nodes} nodes exceeds the budget; lower u_maxlen"
+        )
     nv, nw = len(v), len(w)
     shift = nw - nv
+    # str.count skips overlapping matches, and a w without self-overlap has none
+    plain = isinstance(w, str) and not W.self_overlaps(w)
+    disjoint = shift >= 0 and not W.self_overlaps(v)  # no site overlaps t; t survives
+    letters = list(alphabet.letters.values())
+    end = letters.index(v[-1:])
 
     def failed_sites(img, sub, sites):
         # sites is a tail of the occurrences; m counts the sites of sub to
         # the left, so each site sits at s + m * shift in img
-        m = bisect.bisect_left(sub, sites[0])
+        m = bisect.bisect_left(sub, sites[0]) if sites else 0
         size = len(sub)
         failed = []
         for s in sites:
@@ -486,105 +497,97 @@ def _subset_levels(v, w, u_maxlen: int, alphabet: W.Alphabet):
                 failed.append(s)
         return tuple(failed)
 
-    level = [(alphabet.empty, [], [], [])]
-    letters = list(alphabet.letters.values())
+    words, occ = [alphabet.empty], [()]
+    groups = []  # size m - 1 -> [word index, S, image, failed]
+    broken = []  # (word index, S[:step])
+    violations = visited = 0
     for L in range(1, u_maxlen + 1):
         t = L - nv
-        grown_level = []
-        for u0, occ0, live0, broken0 in level:
-            for a in letters:
-                u = u0 + a
-                live = [(sub, img + a, failed) for sub, img, failed in live0]
-                if shift < 0:
-                    live = [(sub, img, failed_sites(img, sub, occ0)) for sub, img, _ in live]
-                occ, broken = occ0, broken0
-                if t >= 0 and u[t:] == v:
-                    occ = occ0 + [t]
-                    broken = list(broken0)
-                    # the old sites whose windows can reach the splice
-                    near = occ0[bisect.bisect_right(occ0, t - nv) if shift >= 0 else 0 :]
-                    cut = near[0] if near else t
-                    grown = []
-                    for sub, img, failed in [((), u, ())] + live:
-                        new = sub + (t,)
-                        if img[-nv:] != v:
-                            grown.append((sub, img, failed + (t,)))
-                            broken.append(new)
-                            continue
-                        if sub:
-                            grown.append((sub, img, failed))
-                        spliced = img[:-nv] + w  # t carries w at its end
-                        if failed:
-                            failed = tuple(s for s in failed if s < cut)
-                        if near:
-                            failed += failed_sites(spliced, new, near)
-                        grown.append((new, spliced, failed))
-                    live = grown
-                if live or broken:
-                    yield u, live, broken
-                if L < u_maxlen:
-                    grown_level.append((u, occ, live, broken))
-        level = grown_level
-
-
-def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: bool):
-    """One pass over all (u, S): persistence, survival, injectivity, preimage.
-
-    A step of ``words.replace_seq`` that finds no occurrence of v to replace
-    counts as a violation with a "broken-step" witness; the sweep goes on.
-    Marking the first letter of each chosen occurrence maps each (u, S) to
-    its own word over |A| + 1 letters, which bounds a level's nodes.
-    """
-    nodes = (len(alphabet.symbols) + 1) ** u_maxlen
-    if nodes > W._SWEEP_BUDGET:
-        raise ResourceLimitError(
-            f"a subset-sweep level of up to {nodes} nodes exceeds the budget; lower u_maxlen"
-        )
-    # str.count skips overlapping matches, and a w without self-overlap has none
-    plain = isinstance(w, str) and not W.self_overlaps(w)
-    violations = 0
-
-    def preimage_check(preimages):
-        # (u', m) -> count; a preimage of (u', m) has length |u'| - m * shift,
-        # so all of them are among the words of one level
-        found = 0
-        for (img, m), count in preimages.items():
-            bound = math.comb(img.count(w) if plain else len(W.occurrences(img, w)), m)
-            if count > bound:
-                found += 1
-                _fail(record, {"lemma": "preimage", "u'": img, "m": m, "count": count, "bound": bound})
-        return found
-
-    preimages = collections.Counter()
-    level = len(v)
-    for u, live, broken in _subset_levels(v, w, u_maxlen, alphabet):
-        if len(u) > level:
-            violations += preimage_check(preimages)
-            preimages = collections.Counter()
-            level = len(u)
-        for sub in broken:
-            violations += 1
-            _fail(record, {"lemma": "broken-step", "u": u, "S": list(sub)})
-        for sub, img, failed in live:
-            for s in failed:
-                violations += 1
-                lemma = "persistence" if s in sub else "survival"
-                _fail(record, {"lemma": lemma, "u": u, "S": list(sub), "m": s})
-        if check_inj:
-            keys = [(img, len(sub)) for sub, img, _ in live]
-            preimages.update(keys)
+        words = [u + a for u in words for a in letters]
+        occ = [o for o in occ for _ in letters]
+        groups = [
+            [[i * k + c for c in range(k) for i in index], subs * k,
+             [x + a for a in letters for x in imgs], fails * k]
+            for index, subs, imgs, fails in groups
+        ]
+        if shift < 0:  # else an old site's window lies in the old image: its verdict stands
+            for g in groups:
+                g[3] = [failed_sites(x, sub, occ[j]) for j, sub, x in zip(*g[:3])]
+        broken = [(i * k + c, sub) for c in range(k) for i, sub in broken]
+        # each word that v ends -> its old sites whose windows can reach t: all
+        # of them when |w| < |v|, else those that overlap t
+        near = {}
+        for j in range(end, len(words), k) if t >= 0 else ():
+            if words[j][t:] == v:
+                near[j] = occ[j][bisect.bisect_right(occ[j], t - nv) if shift >= 0 else 0 :]
+                occ[j] += (t,)
+        if near:
+            groups.append([[], [], [], []])
+            for m in range(len(groups) - 2, -1, -1):
+                index, subs, imgs, fails = groups[m]
+                grown = groups[m + 1]
+                n = len(index) // k
+                spots = [p for p in range(end * n, end * n + n) if index[p] in near]
+                if disjoint:
+                    grown[0] += [index[p] for p in spots]
+                    grown[1] += [subs[p] + (t,) for p in spots]
+                    grown[2] += [imgs[p][:-nv] + w for p in spots]
+                    grown[3] += [fails[p] for p in spots]
+                    continue
+                for p in spots:
+                    j, new, img = index[p], subs[p] + (t,), imgs[p]
+                    if img[-nv:] != v:
+                        fails[p] += (t,)
+                        broken.append((j, new))
+                        continue
+                    spliced = img[:-nv] + w  # t carries w at its end
+                    failed, sites = fails[p], near[j]
+                    if failed:
+                        failed = tuple(s for s in failed if s < (sites[0] if sites else t))
+                    failed += failed_sites(spliced, new, sites)
+                    for column, x in zip(grown, (j, new, spliced, failed)):
+                        column.append(x)
+            for j, sites in near.items():  # (t,) from the empty subset
+                spliced = words[j][:t] + w
+                node = (j, (t,), spliced, failed_sites(spliced, (t,), sites))
+                for column, x in zip(groups[0], node):
+                    column.append(x)
+        found = [(j, 0, {"lemma": "broken-step", "u": words[j], "S": list(sub)})
+                 for j, sub in broken]
+        visited += len(broken)
+        for index, subs, imgs, fails in groups:
+            visited += len(index)
+            for p in [p for p, failed in enumerate(fails) if failed] if any(fails) else ():
+                j, sub = index[p], subs[p]
+                for s in fails[p]:
+                    lemma = "persistence" if s in sub else "survival"
+                    found.append((j, 1, {"lemma": lemma, "u": words[j], "S": list(sub), "m": s}))
             # injectivity: subsets of one size of one u give distinct images
+            keys = list(zip(index, imgs)) if check_inj else ()
             if len(set(keys)) < len(keys):
-                images = {}
-                for (sub, _, _), key in zip(live, keys):
-                    first = images.setdefault(key, sub)
-                    if first is not sub:
-                        violations += 1
-                        _fail(
-                            record,
-                            {"lemma": "injectivity", "u": u, "S": list(sub), "S'": list(first)},
-                        )
-    return violations + preimage_check(preimages)
+                firsts = {}
+                for p, key in enumerate(keys):
+                    q = firsts.setdefault(key, p)
+                    if q != p:
+                        found.append((key[0], 2, {"lemma": "injectivity", "u": words[key[0]],
+                                                  "S": list(subs[p]), "S'": list(subs[q])}))
+        found.sort(key=lambda e: e[:2])
+        for *_, witness in found:
+            _fail(record, witness)
+        violations += len(found)
+        # a preimage of (u', m) has length |u'| - m * shift: all are in this level
+        for m, (_, _, imgs, fails) in enumerate(groups if check_inj else (), 1):
+            lone = shift >= 0 and not any(fails)
+            for img, count in collections.Counter(imgs).items():
+                if count == 1 and lone:
+                    continue
+                bound = math.comb(img.count(w) if plain else len(W.occurrences(img, w)), m)
+                if count > bound:
+                    violations += 1
+                    _fail(record, {"lemma": "preimage", "u'": img, "m": m, "count": count,
+                                   "bound": bound})
+    record.params["sweep nodes"] = record.params.get("sweep nodes", 0) + visited
+    return violations
 
 
 def check_replacement_lemmas(
@@ -609,15 +612,12 @@ def check_replacement_lemmas(
             _fail(record, {"lemma": "decider-vs-oracle", "v": v, "w": w})
         if ok_exact:
             respecting.append((v, w))
-    record.params["respecting pairs"] = len(respecting)
+    record.params.update({"respecting pairs": len(respecting), "sweep nodes": 0})
     record.residuals["decider vs oracle disagreements"] = disagreements
-    total_violations = 0
-    for v, w in respecting:
-        suf, pref = W.affix_flags(v, w)
-        total_violations += _subset_sweep(
-            record, v, w, u_maxlen, alphabet, check_inj=not suf and not pref
-        )
-    record.residuals["lemma violations"] = total_violations
+    record.residuals["lemma violations"] = sum(
+        _subset_sweep(record, v, w, u_maxlen, alphabet, W.affix_flags(v, w) == (False, False))
+        for v, w in respecting
+    )
     return record
 
 

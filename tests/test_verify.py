@@ -2,12 +2,15 @@ import collections
 import itertools
 import json
 import math
+import sys
 import time
 import types
 from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symshift import extender as E
 from symshift import mme as M
@@ -701,23 +704,49 @@ def _sweep(sweep, v, w, u_maxlen, alphabet, check_inj):
     return sweep(rec, v, w, u_maxlen, alphabet, check_inj), rec.witnesses
 
 
+def _level_tables(monkeypatch, v, w, u_maxlen, alphabet):
+    """The levels ``V._subset_sweep`` builds: (u, [(S, image, or None for a
+    broken marker), ...]) for each word u with a node, by length and then
+    in canonical order.
+
+    The sweep keeps a level in its locals.  Its preimage check counts the
+    images of each size with ``collections.Counter`` once the level is
+    done, so a stand-in Counter reads the level from the caller's frame.
+    """
+    levels = {}
+
+    def counter(images):
+        local = sys._getframe(1).f_locals
+        if local["L"] not in levels:
+            words, nodes = local["words"], collections.defaultdict(list)
+            for index, subs, imgs, _ in local["groups"]:
+                for j, sub, img in zip(index, subs, imgs):
+                    nodes[j].append((sub, img))
+            for j, sub in local["broken"]:
+                nodes[j].append((sub, None))
+            levels[local["L"]] = [(words[j], nodes[j]) for j in sorted(nodes)]
+        return collections.Counter(images)
+
+    monkeypatch.setattr(V, "collections", types.SimpleNamespace(Counter=counter))
+    _sweep(V._subset_sweep, v, w, u_maxlen, alphabet, True)
+    monkeypatch.undo()
+    return [entry for L in sorted(levels) for entry in levels[L]]
+
+
 class TestReplacementWalk:
-    def test_walk_matches_replace_seq(self):
-        # replace_seq is the reference: each word's level table holds its
-        # image for every subset, and the marker S[:step] where replace_seq
-        # breaks at that step; every word with an occurrence comes once, by
-        # length and then in canonical order
+    def test_walk_matches_replace_seq(self, monkeypatch):
+        # replace_seq is the reference: each word's entries in its level hold
+        # its image for every subset, and the marker S[:step] where
+        # replace_seq breaks at that step; every word with an occurrence
+        # comes once, by length and then in canonical order
         contexts = [u for n in range(1, 9) for u in W.BINARY.words(n)]
         for v, w in _pairs(W.BINARY, 3):
             respecting, _ = W.respects_transition_exact(v, w)
-            tables = {}
-            for u, live, broken in V._subset_levels(v, w, 8, W.BINARY):
-                table = {sub: img for sub, img, _ in live}
-                table.update((sub, None) for sub in broken)
-                assert len(table) == len(live) + len(broken), (v, w, u)
-                tables[u] = table
-            assert list(tables) == [u for u in contexts if W.occurrences(u, v)], (v, w)
-            for u, table in tables.items():
+            levels = _level_tables(monkeypatch, v, w, 8, W.BINARY)
+            assert [u for u, _ in levels] == [u for u in contexts if W.occurrences(u, v)], (v, w)
+            for u, nodes in levels:
+                table = dict(nodes)
+                assert len(table) == len(nodes), (v, w, u)
                 occ = W.occurrences(u, v)
                 expected = {}
                 for size in range(1, len(occ) + 1):
@@ -812,6 +841,69 @@ class TestSweepMatchesReference:
         with pytest.raises(ResourceLimitError):
             _sweep(V._subset_sweep, ("x0",), ("x1",), 12, W.Alphabet(("x0", "x1", "x2")), True)
 
+
+RANDOM_ALPHABETS = [W.BINARY, W.Alphabet(("a", "b", "c")), W.Alphabet(("x0", "x1", "x2"))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_random_pairs_match_reference(data):
+    # the checks of TestSweepMatchesReference on one random pair, both
+    # injectivity modes, its violation total taken from the reference
+    alphabet = data.draw(st.sampled_from(RANDOM_ALPHABETS))
+    word = st.lists(st.sampled_from(alphabet.symbols), min_size=1, max_size=4).map(
+        "".join if alphabet.single_char else tuple
+    )
+    v, w = data.draw(st.tuples(word, word).filter(lambda pair: pair[0] != pair[1]))
+    u_maxlen = data.draw(st.integers(min_value=1, max_value=6))
+    total = sum(_sweep(_reference_sweep, v, w, u_maxlen, alphabet, inj)[0] for inj in (True, False))
+    check = TestSweepMatchesReference().test_same_violations_as_reference
+    check(alphabet, [(v, w)], u_maxlen, total)
+
+
+class TestLemmasFire:
+    """Negative controls: on a pair that breaks a lemma, the sweep reports
+    it, and each witness is a real violation by ``words.replace_seq``."""
+
+    def witnesses(self, v, w, lemma):
+        rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+        V._subset_sweep(rec, v, w, 7, W.BINARY, check_inj=True)
+        found = [wit for wit in rec.witnesses if wit["lemma"] == lemma]
+        assert found and rec.status == "fail"
+        return found
+
+    def test_broken_step(self):
+        for wit in self.witnesses("00", "1", "broken-step"):
+            with pytest.raises(ReplacementBrokenError) as err:
+                W.replace_seq(wit["u"], "00", "1", wit["S"])
+            assert err.value.step == len(wit["S"])  # the last site of S breaks
+
+    @pytest.mark.parametrize("v, w, lemma", [("00", "1", "survival"), ("00", "10", "persistence")])
+    def test_failed_window(self, v, w, lemma):
+        # the site's window in the image no longer holds v (survival) or w
+        for wit in self.witnesses(v, w, lemma):
+            sub, s = wit["S"], wit["m"]
+            assert (s in sub) == (lemma == "persistence")
+            image = W.replace_seq(wit["u"], v, w, sub)
+            p = s + sum(x < s for x in sub) * (len(w) - len(v))
+            lost = w if lemma == "persistence" else v
+            assert image[p : p + len(lost)] != lost
+
+    def test_injectivity(self):
+        for wit in self.witnesses("0", "00", "injectivity"):
+            assert wit["S"] != wit["S'"] and len(wit["S"]) == len(wit["S'"])
+            assert W.replace_seq(wit["u"], "0", "00", wit["S"]) == W.replace_seq(
+                wit["u"], "0", "00", wit["S'"]
+            )
+
+    def test_preimage(self):
+        # 178 of them have one preimage and bound 0: a shortcut that passed
+        # every image met once would lose them
+        found = self.witnesses("00", "10", "preimage")
+        for wit in found:
+            assert wit["bound"] == math.comb(len(W.occurrences(wit["u'"], "10")), wit["m"])
+            assert wit["count"] > wit["bound"]
+        assert sum(wit["count"] == 1 for wit in found) == 178
 
 @pytest.fixture(scope="module")
 def report():
