@@ -20,7 +20,6 @@ from .words import (
     format_word,
     occurrences,
     parse_word,
-    replace_at,
     replace_seq,
     respects_transition_bounded,
     respects_transition_exact,
@@ -34,11 +33,9 @@ from .subshifts import (
     SGapShift,
     build_automaton,
     count_words,
-    count_words_scaled,
     entropy,
     enumerate_words,
     is_i_hereditary_bounded,
-    is_synchronizing,
     member,
     sgap_lambda,
     spec_from_dict,

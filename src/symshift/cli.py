@@ -135,8 +135,8 @@ def cmp(spec_path, v, w):
     _emit(
         {
             "relation": E.extender_compare(spec, pv, pw),
-            "v": E.extender_descriptor(spec, pv).to_dict(),
-            "w": E.extender_descriptor(spec, pw).to_dict(),
+            "v": asdict(E.extender_descriptor(spec, pv)),
+            "w": asdict(E.extender_descriptor(spec, pw)),
         }
     )
 

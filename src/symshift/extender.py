@@ -12,7 +12,7 @@ follower-language containment at each shared left class.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,9 +37,6 @@ class ExtenderDescriptor:
     word: str
     left_classes: tuple[str, ...]
     right_classes: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def extender_descriptor(spec, w) -> ExtenderDescriptor:

@@ -25,8 +25,15 @@ from .errors import (
     SpecFormatError,
 )
 
-_HALO_BUDGET = 1 << 22
-_MAX_STRIP_WIDTH = 16
+# Strip size caps, checked before anything is allocated.  strip_mme lists
+# the |A|^W candidate columns of W symbols each as Python tuples, then as a
+# numpy array: at most 16 * 2^16 cells, which admits a binary strip up to
+# W = 16 and a ternary one up to W = 10.  The n legal columns then cost
+# several n x n arrays (the boolean ``bad``, the float adjacency, the Parry
+# matrix), 8 n^2 bytes each for the floats: at most 2^23 column pairs, about
+# 64 MiB per float matrix, which admits hard square at W = 16 (2,207 columns).
+_MAX_STRIP_CELLS = 16 << 16
+_MAX_STRIP_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -211,8 +218,9 @@ def _offsets(p: Pattern2D, width: int, torus: bool) -> range:
 
 def _matches(C: np.ndarray, cells, offsets) -> np.ndarray:
     """(offset x column) table of whether each row of C carries every cell
-    ((x, y), s) at height y + offset, wrapping around the column height."""
-    rows = np.asarray(offsets)
+    ((x, y), s) at height y + offset, wrapping around the column height.
+    ``offsets`` may be empty: a pattern taller than a free-boundary strip."""
+    rows = np.asarray(offsets, dtype=np.intp)
     out = np.ones((len(rows), len(C)), dtype=bool)
     for (_, y), s in cells:
         out &= (C[:, (rows + y) % C.shape[1]] == s).T
@@ -229,8 +237,15 @@ class StripMME:
 
 
 def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
-    if width > _MAX_STRIP_WIDTH:
-        raise ResourceLimitError(f"strip width {width} exceeds cap {_MAX_STRIP_WIDTH}")
+    if width < 1:
+        raise InvalidWordError(f"strip width must be positive, got {width}")
+    # past _MAX_STRIP_CELLS.bit_length() rows two or more symbols are over the
+    # cap, so the exponent stops there and the power stays small
+    k = len(spec.alphabet.symbols)
+    if k ** min(width, _MAX_STRIP_CELLS.bit_length()) * width > _MAX_STRIP_CELLS:
+        raise ResourceLimitError(
+            f"strip width {width} over {k} symbols exceeds {_MAX_STRIP_CELLS} column cells"
+        )
     singles, pairs = _check_two_column(spec)
     C = np.array(list(itertools.product(spec.alphabet.symbols, repeat=width)))
     for p in singles:
@@ -238,6 +253,8 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     if not len(C):
         raise ReduciblePresentationError("no legal columns at this width")
     n = len(C)
+    if n * n > _MAX_STRIP_PAIRS:
+        raise ResourceLimitError(f"{n} legal columns exceed {_MAX_STRIP_PAIRS} column pairs")
     bad = np.zeros((n, n), dtype=bool)
     for p in pairs:
         offsets = _offsets(p, width, torus)
@@ -249,8 +266,21 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     return StripMME(columns=C, stationary=stationary, transition=P)
 
 
+def _check_patterns(spec: Grid2dSpec, *patterns: Pattern2D) -> None:
+    """Raise InvalidWordError unless each pattern is nonempty and over the
+    spec's alphabet, as ``words._check_over`` does for 1D words."""
+    symbols = set(spec.alphabet.symbols)
+    for p in patterns:
+        if not p.cells:
+            raise InvalidWordError("pattern must be nonempty")
+        for _, s in p.cells:
+            if s not in symbols:
+                raise InvalidWordError(f"symbol {s!r} not in alphabet")
+
+
 def _strip_window(spec: Grid2dSpec, width: int, pattern: Pattern2D) -> tuple[Pattern2D, int]:
     """The normalized pattern and its row offset inside a width-W strip."""
+    _check_patterns(spec, pattern)
     r = spec.interaction_range
     p = pattern.normalized()
     ymax = p.bounding_box()[3]
@@ -316,13 +346,14 @@ def halo_cells(F, L: int) -> list:
 def replaceability_windowed(spec: Grid2dSpec, v: Pattern2D, w: Pattern2D, L: int) -> bool:
     """Sufficient check for extender containment: every locally-legal L-halo
     around v stays legal after swapping in w."""
+    _check_patterns(spec, v, w)
     if v.shape != w.shape:
         raise InvalidWordError("patterns must share a shape")
     if L < spec.interaction_range:
         raise InvalidWordError("window must cover the interaction range")
     halo = halo_cells(v.shape, L)
     count = len(spec.alphabet.symbols) ** len(halo)
-    if count > _HALO_BUDGET:
+    if count > W._SWEEP_BUDGET:
         raise ResourceLimitError(f"halo sweep of {count} assignments exceeds budget")
     vmap, wmap = v.mapping, w.mapping
     for combo in itertools.product(spec.alphabet.symbols, repeat=len(halo)):
@@ -348,6 +379,8 @@ def check_gtheorem(spec: Grid2dSpec, v: Pattern2D, w: Pattern2D, widths, tol: fl
         "status": "pass",
         "reason": "",
     }
+    # before any skip: a bad pattern is an error, not a check that did not apply
+    _check_patterns(spec, v, w)
     if not widths:
         record["status"] = "skipped"
         record["reason"] = "no strip widths given"

@@ -51,11 +51,10 @@ def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ParryModel:
-    """Parry measure of a labelled graph, built by ``_labelled_parry``."""
+    """Parry measure of a labelled graph, built by ``_labelled_parry``: what
+    ``mu_parry`` reads, the stationary weights and the per-edge steps."""
 
-    lam: float
     stationary: np.ndarray
-    transition: np.ndarray
     steps: dict  # symbol -> {state: (target, probability of that one edge)}
 
     @cached_property
@@ -73,11 +72,11 @@ def _labelled_parry(n: int, edges) -> ParryModel:
     A = np.zeros((n, n))
     for q, _, r in edges:
         A[q, r] += 1.0
-    lam, stationary, P = parry_chain(A)
+    _, stationary, P = parry_chain(A)
     steps = {}
     for q, a, r in edges:
         steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
-    return ParryModel(lam=lam, stationary=stationary, transition=P, steps=steps)
+    return ParryModel(stationary=stationary, steps=steps)
 
 
 def parry(spec) -> ParryModel:

@@ -19,9 +19,6 @@ from .errors import (
     SpecFormatError,
 )
 
-_ENUM_BUDGET = 1 << 22
-
-
 # ---------------------------------------------------------------------------
 # Specs
 
@@ -354,8 +351,8 @@ def build_automaton(spec) -> Automaton:
             if not R:
                 continue
             if R not in node_of:
-                if len(sets) == _ENUM_BUDGET:
-                    raise ResourceLimitError(f"word graph exceeds {_ENUM_BUDGET} nodes")
+                if len(sets) == W._SWEEP_BUDGET:
+                    raise ResourceLimitError(f"word graph exceeds {W._SWEEP_BUDGET} nodes")
                 node_of[R] = len(sets)
                 sets.append(R)
                 words.append(w + alphabet.letters[a])
@@ -454,13 +451,6 @@ def count_words(spec, n: int) -> int:
     return next(itertools.islice(_counts(spec), n, None))
 
 
-def count_words_scaled(spec, n: int, lam: float) -> float:
-    """|L_n| / lam^n via per-step renormalized floating DP."""
-    if n < 0:
-        raise InvalidWordError("length must be nonnegative")
-    return next(itertools.islice(_scaled_counts(spec, lam), n, None))
-
-
 def _word_levels(spec, maxlen: int):
     """Yield L_1, ..., L_maxlen in alphabet order, each built from the one
     before, as (words, prefix, last): words[i] is the word at prefix[i] of
@@ -469,7 +459,7 @@ def _word_levels(spec, maxlen: int):
     |L_n| never shrinks, since every word extends to the right, so the
     budget is checked once, on L_maxlen, before any level is built.
     """
-    if count_words(spec, maxlen) > _ENUM_BUDGET:
+    if count_words(spec, maxlen) > W._SWEEP_BUDGET:
         raise ResourceLimitError(f"enumerating length-{maxlen} words exceeds the budget")
     aut = build_automaton(spec)
     # the word graph as a table: step[node, column[a]] is the node after a, or -1
@@ -632,19 +622,6 @@ def sgap_lambda(gaps: SGapSet) -> float:
 
 # ---------------------------------------------------------------------------
 # Structural predicates
-
-
-def is_synchronizing(spec, w) -> bool:
-    """Whether w's follower behavior is independent of its left context.
-
-    States are follower-separated, so w must land in one state from every
-    state it is readable from.
-    """
-    aut = build_automaton(spec)
-    if not member(spec, w):
-        raise InvalidWordError(f"{W.format_word(w)!r} is not in the language")
-    row = _landing_row(aut, w)
-    return len(np.unique(row[row >= 0])) == 1
 
 
 def _landing_row(aut: Automaton, w) -> np.ndarray:

@@ -391,20 +391,20 @@ def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> Che
 # Hereditary entropy bounds
 
 
-def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRecord:
+def check_hereditary_entropy(spec, n_max: int, tol: float) -> CheckRecord:
     record = CheckRecord(
         name=f"hereditary-entropy[{S.describe(spec)}]",
         spec=S.describe(spec),
-        params={"n_max": n_max, "specification_distance": dist},
+        params={"n_max": n_max, "specification_distance": 1},
         tolerance={"bound": tol},
     )
     # the alphabet's first symbol plays 0, as in the insertion sweep, which stops
-    # at length 6; the ratios below read 0^(n_max+1) and 0^(dist+1)
+    # at length 6; the ratios below read 0^(n_max+1) and 0^2
     low, *others = spec.alphabet.symbols
     zero = spec.alphabet.letters[low]
     if not (
         S.is_i_hereditary_bounded(spec, max_len=6)
-        and S.member(spec, zero * (max(n_max, dist) + 1))
+        and S.member(spec, zero * (max(n_max, 1) + 1))
     ):
         record.status = "skipped"
         record.reason = "insertion-hereditary sweep fails"
@@ -428,10 +428,10 @@ def check_hereditary_entropy(spec, n_max: int, dist: int, tol: float) -> CheckRe
             if not excess <= tol:
                 _fail(record, {"n": n, "log ratio": ratio, "h": h})
     record.residuals["max(log ratio - h)"] = worst
-    if S.specification_distance_holds(spec, dist):
-        ratio = log_ratio(dist)
+    if S.specification_distance_holds(spec, 1):
+        ratio = log_ratio(1)
         _bound(record, "|h - log ratio| at specification distance", abs(h - ratio), tol,
-               {"N": dist, "log ratio": ratio, "h": h})
+               {"N": 1, "log ratio": ratio, "h": h})
     else:
         record.params["specification_holds"] = False
     mu_zero = M.mu_parry(model, zero)
@@ -775,7 +775,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
 
     for doc in cfg["hereditary_specs"]:
         run("hereditary-entropy", lambda: check_hereditary_entropy(
-            S.spec_from_dict(doc), cfg["hereditary_nmax"], 1, tol["hereditary"]), doc)
+            S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc)
 
     run("replacement-lemmas", lambda: check_replacement_lemmas(
         W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]))

@@ -20,7 +20,9 @@ from .errors import (
     ResourceLimitError,
 )
 
-# Most words one exhaustive sweep may visit, counted over all its lengths.
+# Most items one exhaustive walk may visit, in every module: the words of a
+# sweep over all its lengths, the nodes of a word graph or a lemma sweep, the
+# steps of the synchronized-formula table, the assignments of a 2D halo.
 _SWEEP_BUDGET = 1 << 22
 
 
@@ -109,16 +111,6 @@ def occurrences(u, v) -> list[int]:
         return out
     n, k = len(u), len(v)
     return [i for i in range(n - k + 1) if u[i : i + k] == v]
-
-
-def replace_at(u, v, w, i: int):
-    """Replace the occurrence of v at index i of u by w."""
-    if len(v) == 0:
-        raise InvalidWordError("occurrence pattern must be nonempty")
-    # the bounds check comes first: a negative i would slice from the end
-    if not (0 <= i <= len(u) - len(v) and u[i : i + len(v)] == v):
-        raise InvalidPositionError(f"index {i} is not an occurrence of {format_word(v)!r}")
-    return u[:i] + w + u[i + len(v) :]
 
 
 def replace_seq(u, v, w, positions: Sequence[int]):

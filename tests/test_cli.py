@@ -218,6 +218,16 @@ class TestGrid2d:
         assert out["status"] == "skipped"
         assert out["residuals"] == {}
 
+    def test_foreign_pattern_symbol_is_an_error(self, runner, hardsq_files, tmp_path):
+        spec, _, w = hardsq_files
+        foreign = tmp_path / "two.json"
+        foreign.write_text(json.dumps({"cells": [[0, 0, "2"]]}))
+        result = runner.invoke(
+            cli.main, ["grid2d", "check-gtheorem", "--spec", spec, "--v", str(foreign), "--w", w]
+        )
+        assert result.exit_code == 1
+        assert payload(result)["error"]["type"] == "InvalidWordError"
+
     def test_needs_grid_spec(self, runner, golden_spec, hardsq_files):
         _, v, w = hardsq_files
         result = runner.invoke(

@@ -149,6 +149,39 @@ class TestStripMME:
         with pytest.raises(ResourceLimitError):
             G.strip_mme_mu(HS, 20, ZERO)
 
+    @pytest.mark.parametrize("width", [0, -1])
+    def test_nonpositive_width_rejected(self, width):
+        with pytest.raises(InvalidWordError):
+            G.strip_mme(HS, width)
+
+    def test_one_row_free_boundary_strip(self):
+        # the vertical pattern fits no offset of a one-row strip
+        assert G.strip_mme(HS, 1, torus=False).columns.tolist() == [["0"], ["1"]]
+
+    def test_caps_admit_binary_width_16(self):
+        # checked on the numbers, without building the strip: 2,207 columns
+        # on the width-16 hard-square torus
+        assert 2**16 * 16 <= G._MAX_STRIP_CELLS < 2**17 * 17
+        assert 2207**2 <= G._MAX_STRIP_PAIRS
+
+    def test_candidate_cap_counts_the_alphabet(self, monkeypatch):
+        # the cap of binary width 4 admits ternary width 2 but not width 3
+        monkeypatch.setattr(G, "_MAX_STRIP_CELLS", 2**4 * 4)
+        assert len(G.strip_mme(HS, 4).columns) == 7
+        with pytest.raises(ResourceLimitError):
+            G.strip_mme(HS, 5)
+        assert len(G.strip_mme(THREE, 2).columns) == 8
+        with pytest.raises(ResourceLimitError):
+            G.strip_mme(THREE, 3)
+
+    def test_pair_cap_counts_legal_columns(self, monkeypatch):
+        # no single-column rule keeps all 2^W columns; hard square keeps 7 of 16
+        monkeypatch.setattr(G, "_MAX_STRIP_PAIRS", 49)
+        horizontal = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["11"]),))
+        assert len(G.strip_mme(HS, 4).columns) == 7
+        with pytest.raises(ResourceLimitError):
+            G.strip_mme(horizontal, 3)
+
     def test_three_column_forbidden_rejected(self):
         wide = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["111"]),))
         with pytest.raises(ResourceLimitError):
@@ -232,6 +265,38 @@ class TestReplaceability:
     def test_window_below_range_rejected(self):
         with pytest.raises(InvalidWordError):
             G.replaceability_windowed(HS, ONE, ZERO, 0)
+
+
+FOREIGN = G.Pattern2D((((0, 0), "2"),))
+EMPTY = G.Pattern2D(())
+
+
+class TestPatternChecks:
+    """A pattern symbol outside the alphabet, or an empty pattern, is an error."""
+
+    @pytest.mark.parametrize("bad", [FOREIGN, EMPTY], ids=["foreign", "empty"])
+    def test_strip_measure(self, bad):
+        with pytest.raises(InvalidWordError):
+            G.strip_mme_mu(HS, 6, bad)
+
+    @pytest.mark.parametrize("bad", [FOREIGN, EMPTY], ids=["foreign", "empty"])
+    def test_replaceability(self, bad):
+        with pytest.raises(InvalidWordError):
+            G.replaceability_windowed(HS, bad, bad, 1)
+        with pytest.raises(InvalidWordError):
+            G.replaceability_windowed(HS, ONE, bad, 1)
+
+    @pytest.mark.parametrize("widths", [(4,), ()])
+    def test_gtheorem_is_not_skipped(self, widths):
+        with pytest.raises(InvalidWordError, match="'2' not in alphabet"):
+            G.check_gtheorem(HS, FOREIGN, ZERO, widths, 1e-12)
+        with pytest.raises(InvalidWordError):
+            G.check_gtheorem(HS, ZERO, FOREIGN, widths, 1e-12)
+
+    def test_shape_mismatch_is_still_skipped(self):
+        rec = G.check_gtheorem(HS, ONE, pattern_from_grid(["00"]), (4,), 1e-12)
+        assert rec["status"] == "skipped"
+        assert rec["reason"] == "patterns must share a shape"
 
 
 class TestGtheorem:

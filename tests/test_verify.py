@@ -121,10 +121,11 @@ class TestIndividualChecks:
         spec, lam = S.SGapShift(gaps), S.sgap_lambda(gaps)
         rows = rec.series["growth"]["rows"]
         assert [row[0] for row in rows] == list(range(1, 301))
+        scaled_counts = list(itertools.islice(S._scaled_counts(spec, lam), 301))
         for n, exact, scaled in rows:
             assert exact == S.count_words(spec, n)
-            assert scaled.hex() == S.count_words_scaled(spec, n, lam).hex()
-        a_prev, a_N = (S.count_words_scaled(spec, n, lam) for n in (199, 200))
+            assert scaled.hex() == scaled_counts[n].hex()
+        a_prev, a_N = scaled_counts[199:201]
         assert rec.residuals["|a_N - a_{N-1}|"] == abs(a_N - a_prev)
 
     def test_value_theorem(self):
@@ -156,16 +157,17 @@ class TestIndividualChecks:
         assert math.isnan(rec.residuals["|T(maxgap) - mu(u)|"])
 
     def test_hereditary(self):
-        rec = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
+        rec = V.check_hereditary_entropy(GOLDEN, 5, 1e-9)
         assert rec.status == "pass"
+        assert rec.params["specification_distance"] == 1
 
     @pytest.mark.parametrize("low, high", [("a", "b"), ("x0", "x1")])
     def test_hereditary_other_alphabets(self, low, high):
         # the golden mean relabelled: the first symbol plays 0
         alphabet = W.Alphabet((low, high))
         bad = high + high if alphabet.single_char else (high, high)
-        rec = V.check_hereditary_entropy(S.SftShift(alphabet, (bad,)), 5, 1, 1e-9)
-        golden = V.check_hereditary_entropy(GOLDEN, 5, 1, 1e-9)
+        rec = V.check_hereditary_entropy(S.SftShift(alphabet, (bad,)), 5, 1e-9)
+        golden = V.check_hereditary_entropy(GOLDEN, 5, 1e-9)
         assert rec.status == "pass"
         expected = dict(golden.residuals)
         expected[f"mu({high}) - mu({low})"] = expected.pop("mu(1) - mu(0)")
@@ -173,7 +175,7 @@ class TestIndividualChecks:
 
     def test_hereditary_gate(self):
         spec = S.SGapShift(S.SGapSet((1,)))
-        rec = V.check_hereditary_entropy(spec, 3, 1, 1e-9)
+        rec = V.check_hereditary_entropy(spec, 3, 1e-9)
         assert rec.status == "skipped"
 
     def test_hereditary_forbidden_zero_power_skipped(self):
@@ -181,15 +183,15 @@ class TestIndividualChecks:
         # ratio at n = 7 would divide by mu(0^8) = 0
         spec = S.SftShift(W.BINARY, ("00000000",))
         assert S.is_i_hereditary_bounded(spec, 6)
-        rec = V.check_hereditary_entropy(spec, 8, 1, 1e-9)
+        rec = V.check_hereditary_entropy(spec, 8, 1e-9)
         assert rec.status == "skipped"
-        assert V.check_hereditary_entropy(spec, 6, 1, 1e-9).status != "skipped"
+        assert V.check_hereditary_entropy(spec, 6, 1e-9).status != "skipped"
 
     def test_hereditary_underflow_is_a_numerical_error(self):
         # mu(0^1473) is subnormal: the ratios after it lost their digits and
         # used to give a false fail, with witness n = 1505
         with pytest.raises(NumericalError, match="at n = 1472"):
-            V.check_hereditary_entropy(GOLDEN, 1560, 1, 1e-9)
+            V.check_hereditary_entropy(GOLDEN, 1560, 1e-9)
 
     def test_replacement_lemmas_small(self):
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
@@ -468,7 +470,7 @@ class TestNaNFailsClosed:
         monkeypatch.setattr(
             M, "mu_parry", lambda model, w: mu_parry(model, w) if len(w) == 1 else math.nan
         )
-        rec = V.check_hereditary_entropy(GOLDEN, 4, 1, 1e-9)
+        rec = V.check_hereditary_entropy(GOLDEN, 4, 1e-9)
         assert rec.status == "fail"
         assert [w["n"] for w in rec.witnesses if "n" in w] == [1]
         assert math.isnan(rec.residuals["max(log ratio - h)"])

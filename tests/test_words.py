@@ -79,35 +79,31 @@ class TestOccurrences:
                 assert W.occurrences(u, v) == naive, (u, v)
 
 
-class TestReplaceAt:
+class TestReplaceSeq:
     def test_grow(self):
-        assert W.replace_at("010", "1", "11", 1) == "0110"
+        assert W.replace_seq("010", "1", "11", [1]) == "0110"
 
     def test_shrink(self):
-        assert W.replace_at("0110", "11", "1", 1) == "010"
+        assert W.replace_seq("0110", "11", "1", [1]) == "010"
 
     def test_splice_definition(self):
         # length is |u| - |v| + |w|; the tail starts at i + |v| in u
-        assert W.replace_at("0101", "01", "001", 2) == "01001"
-
-    def test_non_occurrence_rejected(self):
-        with pytest.raises(InvalidPositionError):
-            W.replace_at("0101", "01", "1", 1)
+        assert W.replace_seq("0101", "01", "001", [2]) == "01001"
 
     def test_out_of_range_index_rejected(self):
         # "0110"[-4:-2] == "01": a bare slice check would accept index -4
         with pytest.raises(InvalidPositionError):
-            W.replace_at("0110", "01", "1", -4)
+            W.replace_seq("0110", "01", "1", [-4])
         with pytest.raises(InvalidPositionError):
-            W.replace_at(("0", "1", "1", "0"), ("0", "1"), ("1",), -4)
+            W.replace_seq(("0", "1", "1", "0"), ("0", "1"), ("1",), [-4])
         with pytest.raises(InvalidPositionError):
-            W.replace_at("0110", "0", "1", 4)
+            W.replace_seq("0110", "0", "1", [4])
 
     def test_multichar_tokens(self):
         u = ("aa", "b", "aa")
-        assert W.replace_at(u, ("b",), ("aa", "aa"), 1) == ("aa", "aa", "aa", "aa")
+        assert W.replace_seq(u, ("b",), ("aa", "aa"), [1]) == ("aa", "aa", "aa", "aa")
         with pytest.raises(InvalidPositionError):
-            W.replace_at(u, ("b",), ("aa",), 0)
+            W.replace_seq(u, ("b",), ("aa",), [0])
 
     @given(binary_words, nonempty_binary, nonempty_binary)
     def test_round_trip(self, u, v, w):
@@ -115,12 +111,10 @@ class TestReplaceAt:
         if not occ:
             return
         i = occ[0]
-        forward = W.replace_at(u, v, w, i)
+        forward = W.replace_seq(u, v, w, [i])
         if i in W.occurrences(forward, w):
-            assert W.replace_at(forward, w, v, i) == u
+            assert W.replace_seq(forward, w, v, [i]) == u
 
-
-class TestReplaceSeq:
     def test_two_step(self):
         assert W.replace_seq("0101", "01", "001", [0, 2]) == "001001"
 
@@ -206,13 +200,14 @@ class TestRespectsTransition:
 
 
 def _reference_conditions(u, v, w, i, occ_v, occ_w):
-    """The four conditions for one (u, i), through replace_at (test reference)."""
+    """The four conditions for one (u, i), on u with the v at i swapped for w
+    (test reference)."""
 
     def occurs_at(word, pattern, j):
         return 0 <= j <= len(word) - len(pattern) and word[j : j + len(pattern)] == pattern
 
     shift = len(w) - len(v)
-    up = W.replace_at(u, v, w, i)
+    up = u[:i] + w + u[i + len(v) :]
     for j in occ_v:
         if j > i:
             if j + shift <= i:
