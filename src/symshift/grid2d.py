@@ -312,23 +312,7 @@ def strip_mme_mu(spec: Grid2dSpec, width: int, pattern: Pattern2D, torus: bool =
 # ---------------------------------------------------------------------------
 # Windowed replaceability and the same-shape measure inequality
 
-def _locally_legal(spec: Grid2dSpec, assignment: dict) -> bool:
-    domain = set(assignment)
-    for p in spec.forbidden:
-        q = p.normalized()
-        shape = q.shape
-        xs = [x for x, _ in domain]
-        ys = [y for _, y in domain]
-        _, _, pxmax, pymax = q.bounding_box()
-        for gx in range(min(xs), max(xs) - pxmax + 1):
-            for gy in range(min(ys), max(ys) - pymax + 1):
-                if all(
-                    assignment.get((x + gx, y + gy)) == s
-                    for (x, y), s in q.cells
-                ):
-                    if all((x + gx, y + gy) in domain for x, y in shape):
-                        return False
-    return True
+_HALO_BLOCK = 1 << 14  # halo assignments per block of the sweep, bounding its memory
 
 
 def halo_cells(F, L: int) -> list:
@@ -351,16 +335,39 @@ def replaceability_windowed(spec: Grid2dSpec, v: Pattern2D, w: Pattern2D, L: int
         raise InvalidWordError("patterns must share a shape")
     if L < spec.interaction_range:
         raise InvalidWordError("window must cover the interaction range")
-    halo = halo_cells(v.shape, L)
-    count = len(spec.alphabet.symbols) ** len(halo)
-    if count > W._SWEEP_BUDGET:
-        raise ResourceLimitError(f"halo sweep of {count} assignments exceeds budget")
-    vmap, wmap = v.mapping, w.mapping
-    for combo in itertools.product(spec.alphabet.symbols, repeat=len(halo)):
-        ctx = dict(zip(halo, combo))
-        if not _locally_legal(spec, {**ctx, **vmap}):
-            continue
-        if not _locally_legal(spec, {**ctx, **wmap}):
+    k = len(spec.alphabet.symbols)
+
+    def within(cells: int) -> bool:  # the exponent is capped, so the power stays small
+        return k ** min(cells, W._SWEEP_BUDGET.bit_length()) <= W._SWEEP_BUDGET
+
+    # (2L + 1)^2 - |v| <= |halo|, so an over-budget halo is refused before it is listed
+    if not (within((2 * L + 1) ** 2 - len(v.cells)) and within(len(halo := halo_cells(v.shape, L)))):
+        raise ResourceLimitError(
+            f"halo sweep at L = {L} exceeds the budget of {W._SWEEP_BUDGET} assignments"
+        )
+    row = {c: i for i, c in enumerate(halo)}  # the halo as one tall column, for _matches
+
+    def placements(fill: dict) -> set:
+        """The forbidden patterns placed wholly inside v's shape plus the halo
+        that agree with ``fill`` on the shape, each as the halo cells it reads."""
+        out = set()
+        for p in spec.forbidden:
+            (x0, y0), _ = p.cells[0]
+            for cx, cy in [*row, *fill]:  # where the first cell lands
+                cells = [((x + cx - x0, y + cy - y0), s) for (x, y), s in p.cells]
+                if all(c in row or fill.get(c) == s for c, s in cells):
+                    out.add(tuple(((0, row[c]), s) for c, s in cells if c in row))
+        return out
+
+    on_v, on_w = placements(v.mapping), placements(w.mapping)
+    symbols, count = np.array(spec.alphabet.symbols), k ** len(halo)
+    for start in range(0, count, _HALO_BLOCK):
+        # row r spells r in base |A|, as itertools.product orders them
+        r = np.arange(start, min(start + _HALO_BLOCK, count))[:, None]
+        C = symbols[r // k ** np.arange(len(halo))[::-1] % k]
+        hit = {cells: _matches(C, cells, [0])[0] for cells in on_v | on_w}
+        v_bad, w_bad = (np.any([hit[cells] for cells in on], axis=0) for on in (on_v, on_w))
+        if np.any(w_bad & ~v_bad):
             return False
     return True
 

@@ -486,11 +486,8 @@ def enumerate_words(spec, n: int) -> list:
 # Entropy
 
 
-# Up to _DENSE_N states the start vector is numpy.linalg.eig's; above it power
-# iteration runs first and restarts from eig's vector if it has not certified a
-# result after n steps.  Those n steps and one eig both cost order n^3, so a
-# matrix that mixes slowly pays about one dense solve, not its mixing time.
-_DENSE_N = 64
+# The n power steps before the dense restart and one eig both cost order n^3,
+# so a matrix that mixes slowly pays about one dense solve, not its mixing time.
 _MAX_STEPS = 200000
 
 
@@ -511,7 +508,7 @@ def _power_steps(A: np.ndarray, x: np.ndarray, steps: int) -> tuple[Optional[flo
         Ax = A @ x
         y = Ax + x
         y /= y.sum()
-        if np.max(np.abs(y - x)) < 1e-15:
+        if abs(y - x).max() < 1e-15:
             if np.all(x > 0):
                 ratios = Ax / x
                 lo, hi = float(ratios.min()), float(ratios.max())
@@ -528,27 +525,22 @@ def _power_steps(A: np.ndarray, x: np.ndarray, steps: int) -> tuple[Optional[flo
 def perron_value(A: np.ndarray):
     """Perron eigenvalue and positive right eigenvector of a nonnegative matrix.
 
-    Small matrices start from the dense eigenvector; larger ones run power
-    iteration on A + I (so periodic irreducible graphs converge too), which
-    restarts from the dense eigenvector if it is not done after n steps.
-    Every result is polished by A + I steps until it is certified by the
+    Power iteration on A + I (so periodic irreducible graphs converge too)
+    runs n steps from the flat vector, then restarts from the dense
+    eigenvector if it is not done.  Every result is certified by the
     Collatz-Wielandt bracket, which holds lam for any positive x when A is
-    irreducible.  A narrow bracket also means every entry of x is accurate
-    relative to itself, which a small step alone does not give the entries
-    far below the largest (the dense vector's are exact only to about 1e-16
-    of the largest).
+    irreducible; the dense vector is polished by A + I steps until it is.  A
+    narrow bracket also means every entry of x is accurate relative to
+    itself, which a small step alone does not give the entries far below the
+    largest (the dense vector's are exact only to about 1e-16 of the largest).
     """
     n = A.shape[0]
     if n == 0:
         raise EmptySubshiftError("empty transition matrix")
-    if n <= _DENSE_N:
-        x = _dense_vector(A)
-    else:
-        lam, x = _power_steps(A, np.full(n, 1.0 / n), n)
-        if lam is not None:
-            return lam, x
-        x = _dense_vector(A)
-    lam, x = _power_steps(A, x, _MAX_STEPS)
+    lam, x = _power_steps(A, np.full(n, 1.0 / n), n)
+    if lam is not None:
+        return lam, x
+    lam, x = _power_steps(A, _dense_vector(A), _MAX_STEPS)
     if lam is None:
         raise NumericalError(f"no Collatz-Wielandt certificate after {_MAX_STEPS} steps")
     return lam, x

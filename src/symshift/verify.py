@@ -307,9 +307,11 @@ def check_limit(
 
 
 def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord:
-    words = 2 ** (maxlen + 1) - 2  # the binary words of lengths 1..maxlen
-    if words > W._SWEEP_BUDGET:
-        raise ResourceLimitError(f"a sweep of {words} words exceeds the budget; lower maxlen_value")
+    if 2 ** (maxlen + 1) - 2 > W._SWEEP_BUDGET:  # the binary words of lengths 1..maxlen
+        raise ResourceLimitError(
+            f"the value-theorem sweep exceeds the budget of {W._SWEEP_BUDGET} words; "
+            "lower maxlen_value"
+        )
     record = CheckRecord(
         name=f"value-theorem[S={gaps.describe()}]",
         spec=S.describe(S.SGapShift(gaps)),
@@ -343,9 +345,8 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
 
 
 def check_synch_formula(gaps: S.SGapSet, u: str, maxgap: int, tol: float) -> CheckRecord:
-    # the table below costs order maxgap^2 word-graph steps; the budget still
-    # bounds (maxgap + 1)^3, the steps of one membership test per cell
-    if (maxgap + 1) ** 3 > W._SWEEP_BUDGET:
+    # the table below costs (maxgap + 1)^2 word-graph steps at most
+    if (maxgap + 1) ** 2 > W._SWEEP_BUDGET:
         raise ResourceLimitError(f"synch_maxgap {maxgap} exceeds the budget of the truncation sweep")
     record = CheckRecord(
         name=f"synchronized-formula[S={gaps.describe()},u={u}]",
@@ -468,10 +469,9 @@ def _subset_sweep(record, v, w, u_maxlen: int, alphabet: W.Alphabet, check_inj: 
     level has at most (|A| + 1)^L nodes: mark the first letter of each site.
     """
     k = len(alphabet.symbols)
-    nodes = (k + 1) ** u_maxlen
-    if nodes > W._SWEEP_BUDGET:
+    if (k + 1) ** u_maxlen > W._SWEEP_BUDGET:
         raise ResourceLimitError(
-            f"a subset-sweep level of up to {nodes} nodes exceeds the budget; lower u_maxlen"
+            f"a subset-sweep level exceeds the budget of {W._SWEEP_BUDGET} nodes; lower u_maxlen"
         )
     nv, nw = len(v), len(w)
     shift = nw - nv
@@ -599,6 +599,9 @@ def check_replacement_lemmas(
         params={"v_maxlen": v_maxlen, "u_maxlen": u_maxlen},
         tolerance={},
     )
+    # the oracle's largest sweep is the pair with |v| = |w| = v_maxlen: refused
+    # here, before the pool and its ordered pairs are listed
+    W._check_sweep(len(alphabet.symbols), v_maxlen, 3 * v_maxlen + 2)
     pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
     pairs = [(v, w) for v, w in itertools.product(pool, repeat=2) if v != w]
     oracle = W.transition_oracle({(v, w): 2 * len(v) + len(w) + 2 for v, w in pairs}, alphabet)

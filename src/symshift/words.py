@@ -251,6 +251,20 @@ def _check_conditions(u, v, w, i: int, sites_v, sites_w) -> Optional[TransitionW
     return None
 
 
+def _check_sweep(k: int, shortest: int, max_len: int) -> None:
+    """Refuse a sweep of the words of lengths shortest..max_len over k
+    symbols when there are more than the budget, as soon as the running
+    count passes it: a sum of every power up to a large max_len is slow."""
+    total = 0
+    for L in range(shortest, max_len + 1):
+        total += k**L
+        if total > _SWEEP_BUDGET:
+            raise ResourceLimitError(
+                f"a sweep up to max_len exceeds the budget of {_SWEEP_BUDGET} words; "
+                "lower max_len or shrink the alphabet"
+            )
+
+
 def transition_oracle(
     pairs: dict, alphabet: Alphabet = BINARY
 ) -> dict[tuple, tuple[bool, Optional[TransitionWitness]]]:
@@ -302,11 +316,7 @@ def transition_oracle(
             raise InvalidWordError("max_len must be at least |v|")
         _check_over(v, alphabet)
         _check_over(w, alphabet)
-        total = sum(k**L for L in range(len(v), max_len + 1))
-        if total > _SWEEP_BUDGET:
-            raise ResourceLimitError(
-                f"sweep of {total} words exceeds budget; lower max_len or shrink the alphabet"
-            )
+        _check_sweep(k, len(v), max_len)
     results = {pair: (True, None) for pair in pairs}
     for L in range(1, max(pairs.values(), default=0) + 1):
         by_ends = {}  # (v or w, v) -> the live pairs of a word that starts and ends so

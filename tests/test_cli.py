@@ -104,6 +104,13 @@ class TestBasicCommands:
         assert payload(result)["error"]["type"] == "InvalidWordError"
 
 
+    def test_respects_oracle_refusal_is_a_json_error(self, runner):
+        # about 2^20001 words: the count is past Python's int-to-str limit
+        result = runner.invoke(cli.main, ["respects", "11", "1", "--bounded", "20000"])
+        assert result.exit_code == 1
+        assert payload(result)["error"]["type"] == "ResourceLimitError"
+
+
 class TestVerifyRun:
     CONFIG = {
         "maxlen_pairs": 3,

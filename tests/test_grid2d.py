@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from symshift import grid2d as G
 from symshift import words as W
@@ -20,6 +22,47 @@ def pattern_from_grid(rows: list[str]) -> G.Pattern2D:
     return G.Pattern2D(tuple(((x, y), s) for y, row in enumerate(rows) for x, s in enumerate(row)))
 
 
+def locally_legal(spec: G.Grid2dSpec, assignment: dict) -> bool:
+    """The plain pattern scan: no forbidden pattern lies wholly inside the
+    assignment's domain.  The independent reference for the strips' columns
+    and edges and for the halo sweep of ``replaceability_windowed``."""
+    domain = set(assignment)
+    for p in spec.forbidden:
+        q = p.normalized()
+        shape = q.shape
+        xs = [x for x, _ in domain]
+        ys = [y for _, y in domain]
+        _, _, pxmax, pymax = q.bounding_box()
+        for gx in range(min(xs), max(xs) - pxmax + 1):
+            for gy in range(min(ys), max(ys) - pymax + 1):
+                if all(
+                    assignment.get((x + gx, y + gy)) == s
+                    for (x, y), s in q.cells
+                ):
+                    if all((x + gx, y + gy) in domain for x, y in shape):
+                        return False
+    return True
+
+
+def reference_replaceability(spec, v, w, L) -> bool:
+    """The halo sweep as one reference scan per assignment and filling."""
+    halo = G.halo_cells(v.shape, L)
+    for combo in itertools.product(spec.alphabet.symbols, repeat=len(halo)):
+        ctx = dict(zip(halo, combo))
+        if locally_legal(spec, {**ctx, **v.mapping}) and not locally_legal(
+            spec, {**ctx, **w.mapping}
+        ):
+            return False
+    return True
+
+
+def sparse_pattern(rows: list[str]) -> G.Pattern2D:
+    """Like pattern_from_grid, with '.' for a cell outside the pattern."""
+    return G.Pattern2D(tuple(
+        ((x, y), s) for y, row in enumerate(rows) for x, s in enumerate(row) if s != "."
+    ))
+
+
 HS = G.hard_square()
 ONE = G.Pattern2D((((0, 0), "1"),))
 ZERO = G.Pattern2D((((0, 0), "0"),))
@@ -31,6 +74,11 @@ THREE = G.Grid2dSpec(
         pattern_from_grid(["bb"]),
         G.Pattern2D((((0, 0), "c"), ((1, 1), "a"))),
     ),
+)
+
+# c is in no forbidden pattern, so a -> c and b -> c always stay legal
+TERNARY = G.Grid2dSpec(
+    W.Alphabet(("a", "b", "c")), (pattern_from_grid(["aa"]), pattern_from_grid(["a", "b"]))
 )
 
 
@@ -234,12 +282,12 @@ class TestStripOracle:
         legal = [
             col
             for col in itertools.product(spec.alphabet.symbols, repeat=width)
-            if G._locally_legal(spec, self.block(spec, [col], width, torus))
+            if locally_legal(spec, self.block(spec, [col], width, torus))
         ]
         assert [tuple(col) for col in model.columns.tolist()] == legal
         edges = np.array(
             [
-                [G._locally_legal(spec, self.block(spec, [c1, c2], width, torus)) for c2 in legal]
+                [locally_legal(spec, self.block(spec, [c1, c2], width, torus)) for c2 in legal]
                 for c1 in legal
             ]
         )
@@ -265,6 +313,89 @@ class TestReplaceability:
     def test_window_below_range_rejected(self):
         with pytest.raises(InvalidWordError):
             G.replaceability_windowed(HS, ONE, ZERO, 0)
+
+    def test_far_window_is_a_typed_refusal(self):
+        # 2^14640 assignments: a count of 4,408 digits, past Python's int-to-str
+        # limit, must not be formatted into the message
+        with pytest.raises(ResourceLimitError, match="budget of 4194304 assignments"):
+            G.replaceability_windowed(HS, ONE, ZERO, 60)
+
+    def test_over_budget_halo_is_not_listed(self, monkeypatch):
+        # at L = 1000 the halo has 4,004,000 cells; (2L + 1)^2 - |v| bounds it first
+        def spy(F, L):
+            raise AssertionError(f"halo listed at L = {L}")
+
+        monkeypatch.setattr(G, "halo_cells", spy)
+        with pytest.raises(ResourceLimitError):
+            G.replaceability_windowed(HS, ONE, ZERO, 1000)
+
+    def test_empty_halo(self):
+        # L = 0 leaves no halo: one assignment, the empty one
+        free = G.Grid2dSpec(W.BINARY, ())
+        assert G.halo_cells(ONE.shape, 0) == []
+        assert G.replaceability_windowed(free, ONE, ZERO, 0)
+        assert G.replaceability_windowed(free, ZERO, ONE, 0)
+        # a forbidden single cell is placed on v's shape alone
+        no_ones = G.Grid2dSpec(W.BINARY, (ONE,))
+        assert G.replaceability_windowed(no_ones, ONE, ZERO, 0)
+        assert not G.replaceability_windowed(no_ones, ZERO, ONE, 0)
+
+    @pytest.mark.parametrize(
+        "v, w, expected",
+        [(["1.", ".1"], ["0.", ".0"], True), (["0.", ".0"], ["1.", ".1"], False),
+         (["1.", ".0"], ["0.", ".0"], True), (["1.", ".0"], ["0.", ".1"], False)],
+        ids=["11-00", "00-11", "10-00", "10-01"],
+    )
+    def test_window_is_not_its_bounding_box(self, v, w, expected):
+        # a diagonal pair: its 12-cell halo and the pair leave two corners of
+        # the 4 x 4 bounding box outside the window
+        v, w = (sparse_pattern(rows) for rows in (v, w))
+        halo = G.halo_cells(v.shape, 1)
+        assert len(halo) == 12 and (2, -1) not in halo and (-1, 2) not in halo
+        assert G.replaceability_windowed(HS, v, w, 1) is expected
+        assert reference_replaceability(HS, v, w, 1) is expected
+
+    @pytest.mark.parametrize(
+        "v, w, expected",
+        [("a", "c", True), ("b", "c", True), ("a", "b", False), ("c", "b", False)],
+    )
+    def test_ternary_alphabet(self, v, w, expected):
+        v, w = pattern_from_grid([v]), pattern_from_grid([w])
+        assert G.replaceability_windowed(TERNARY, v, w, 1) is expected
+        assert reference_replaceability(TERNARY, v, w, 1) is expected
+
+    def test_answers_across_blocks(self, monkeypatch):
+        # blocks of 3 rows: a True answer sweeps 86 blocks, the last one
+        # partial; with horizontal 11 alone, 0 -> 1 first fails at row 8,
+        # whose halo has 1 at (1, 0), in the third block
+        monkeypatch.setattr(G, "_HALO_BLOCK", 3)
+        horizontal = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["11"]),))
+        assert G.replaceability_windowed(HS, ONE, ZERO, 1)
+        assert not G.replaceability_windowed(HS, ZERO, ONE, 1)
+        assert not G.replaceability_windowed(horizontal, ZERO, ONE, 1)
+        assert G.replaceability_windowed(TERNARY, pattern_from_grid(["a"]),
+                                          pattern_from_grid(["c"]), 1)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(st.data())
+    def test_matches_reference_scan(self, data):
+        symbols = data.draw(st.sampled_from([("0", "1"), ("a", "b", "c")]))
+        letter = st.sampled_from(symbols)
+        cell = st.tuples(st.integers(0, 1), st.integers(0, 1))
+        forbidden = data.draw(
+            st.lists(st.dictionaries(cell, letter, min_size=1, max_size=3), max_size=3)
+        )
+        spec = G.Grid2dSpec(
+            W.Alphabet(symbols), tuple(G.Pattern2D(tuple(p.items())) for p in forbidden)
+        )
+        shape = data.draw(
+            st.sets(st.tuples(st.integers(0, 2), st.integers(0, 1)), min_size=1, max_size=3)
+        )
+        v, w = (G.Pattern2D(tuple((c, data.draw(letter)) for c in sorted(shape)))
+                for _ in "vw")
+        L = spec.interaction_range + data.draw(st.integers(0, 1))
+        assume(len(symbols) ** len(G.halo_cells(shape, L)) <= 1 << 12)
+        assert G.replaceability_windowed(spec, v, w, L) == reference_replaceability(spec, v, w, L)
 
 
 FOREIGN = G.Pattern2D((((0, 0), "2"),))

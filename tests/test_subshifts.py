@@ -238,8 +238,8 @@ def _hard_square_strip(width):
 class TestPerronKernel:
     @pytest.mark.parametrize("gaps", [(0, 7), (0, 40), (0, 100), (1, 3), (0, 2, 50), (0, 1, 170)])
     def test_gap_chains_match_root(self, gaps):
-        # 8 and 41 states start from the dense eigenvector; 101 states hand
-        # over to it after 101 power steps; S = {1,3} is periodic.  The
+        # all six hand over to the dense eigenvector after n power steps;
+        # S = {1,3} is periodic.  The
         # Perron vectors of {0,2,50} and {0,1,170} have entries near
         # lambda^-50 and phi^-170, which the dense vector gets wrong or 0
         A = S.build_automaton(S.SGapShift(S.SGapSet(gaps))).adjacency()
@@ -257,8 +257,8 @@ class TestPerronKernel:
 
     @pytest.mark.parametrize("width, columns", [(8, 47), (10, 123)])
     def test_hard_square_strips_match_symmetric_solver(self, width, columns):
-        # one strip on each side of the dense cut; 123 fast-mixing columns
-        # converge by power iteration alone
+        # 47 and 123 fast-mixing columns converge by power iteration alone,
+        # within n steps from the flat vector
         A = _hard_square_strip(width)
         assert A.shape == (columns, columns)
         lam, x = S.perron_value(A)

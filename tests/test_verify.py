@@ -240,6 +240,23 @@ class TestSynchTable:
         target, _ = M.sgap_mu(gaps, u)
         assert rec.residuals["|T(maxgap) - mu(u)|"].hex() == abs(total - target).hex()
 
+    def test_guard_bounds_the_table(self):
+        # 162^2 cells are under the budget; 162^3 used to be compared with it
+        gaps = S.SGapSet((0, 1))
+        rec = V.check_synch_formula(gaps, "0", 161, 1e-6)
+        rows, _ = _reference_synch(gaps, "0", 161)
+        got = rec.series["truncation"]["rows"]
+        assert [[g, x.hex()] for g, x in got] == [[g, x.hex()] for g, x in rows]
+
+    def test_over_budget_table_is_refused_before_any_walk(self, monkeypatch):
+        # 2049^2 cells exceed the 2^22 budget
+        def walk(*args):
+            raise AssertionError("the table started")
+
+        monkeypatch.setattr(S, "_walk", walk)
+        with pytest.raises(ResourceLimitError, match="synch_maxgap 2048"):
+            V.check_synch_formula(S.SGapSet((0, 1)), "0", 2048, 1e-6)
+
     def test_grid_has_rows_that_leave_the_language(self):
         # 1 0^a 01 holds a gap a + 1, outside {1, 3} for a = 1 and a >= 3, so
         # those rows of the table are empty; other rows are not
@@ -945,7 +962,7 @@ class TestSuite:
         # the replacement check shows which entry is that check's
         config = dict(
             SMALL_CONFIG,
-            synch_maxgap=1000,
+            synch_maxgap=2048,
             synch_words=["0", "1"],
             sgap_specs=SMALL_CONFIG["sgap_specs"][:1],
             pair_specs=[],
@@ -1195,7 +1212,7 @@ class TestSuite:
             return member(spec, u)
 
         monkeypatch.setattr(S, "member", guarded)
-        rerun = V.run_all(dict(SMALL_CONFIG, synch_maxgap=1000))
+        rerun = V.run_all(dict(SMALL_CONFIG, synch_maxgap=2048))
         errors = [r for r in rerun.records if r.status == "error"]
         assert [r.name for r in errors] == ["synchronized-formula"] * 2
         assert all(r.reason.startswith("ResourceLimitError: synch_maxgap") for r in errors)
@@ -1203,17 +1220,41 @@ class TestSuite:
         assert len(rerun.records) == len(report.records)
         assert [r.params for r in errors] == [{"u": "0"}] * 2
         # one record per (spec, word), told apart by the word in its params
-        words = V.run_all(dict(SMALL_CONFIG, synch_maxgap=1000, synch_words=["0", "1"]))
+        words = V.run_all(dict(SMALL_CONFIG, synch_maxgap=2048, synch_words=["0", "1"]))
         errors = [r for r in words.records if r.status == "error"]
         assert [(json.loads(r.spec), r.params) for r in errors] == [
             (doc, {"u": u}) for doc in SMALL_CONFIG["sgap_specs"] for u in ("0", "1")
         ]
         assert len({(r.spec, json.dumps(r.params)) for r in errors}) == len(errors) == 4
-        # the bound is (maxgap + 1)^3 <= budget
-        monkeypatch.setattr(W, "_SWEEP_BUDGET", 27)
+        # the bound is (maxgap + 1)^2 <= budget, the table's cells
+        monkeypatch.setattr(W, "_SWEEP_BUDGET", 9)
         assert V.check_synch_formula(S.SGapSet((), 1), "01", 2, 1.0).status == "pass"
         with pytest.raises(ResourceLimitError, match="synch_maxgap 3"):
             V.check_synch_formula(S.SGapSet((), 1), "01", 3, 1.0)
+
+    @pytest.mark.parametrize(
+        "field, value, name",
+        [("maxlen_value", 20000, "value-theorem"),
+         ("replacement_u_maxlen", 10000, "replacement-lemmas")],
+    )
+    def test_refusal_past_the_int_to_str_limit_is_an_error_record(self, field, value, name):
+        # 2^20001 words or 3^10000 nodes: counts past Python's 4300-digit
+        # int-to-str limit, which a message must not format
+        rerun = V.run_all(dict(SMALL_CONFIG, **{field: value}))
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert {r.name for r in errors} == {name}
+        assert all(r.reason.startswith("ResourceLimitError") for r in errors)
+        assert all(field.removeprefix("replacement_") in r.reason for r in errors)
+
+    def test_lemma_pool_over_budget_is_refused_before_the_oracle(self, monkeypatch):
+        # the pair |v| = |w| = 7 sweeps the words of lengths 7..23, over the
+        # budget; the 254-word pool's 64,262 pairs used to reach the oracle
+        def oracle(*args):
+            raise AssertionError("the oracle was called")
+
+        monkeypatch.setattr(W, "transition_oracle", oracle)
+        with pytest.raises(ResourceLimitError):
+            V.check_replacement_lemmas(W.BINARY, 7, 4)
 
     def test_sweep_over_budget_is_an_error_record(self, report):
         broken = V.run_all(dict(SMALL_CONFIG, replacement_u_maxlen=30))

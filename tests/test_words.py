@@ -361,6 +361,14 @@ class TestTransitionOracle:
             W.transition_oracle(pairs)
         assert str(batch.value) == str(single.value)
 
+    @pytest.mark.parametrize("max_len", [20000, 100000])
+    def test_refusal_past_the_int_to_str_limit(self, max_len):
+        # about 2^20001 words, a count past Python's 4300-digit int-to-str
+        # limit, which the message must not format; summing every power up
+        # to 100000 before comparing took 17 s
+        with pytest.raises(ResourceLimitError, match="lower max_len"):
+            W.respects_transition_bounded("11", "1", max_len)
+
     @pytest.mark.parametrize(
         "v, w, alphabet",
         [
