@@ -337,13 +337,17 @@ def replaceability_windowed(spec: Grid2dSpec, v: Pattern2D, w: Pattern2D, L: int
         raise InvalidWordError("window must cover the interaction range")
     k = len(spec.alphabet.symbols)
 
-    def within(cells: int) -> bool:  # the exponent is capped, so the power stays small
-        return k ** min(cells, W._SWEEP_BUDGET.bit_length()) <= W._SWEEP_BUDGET
+    def within(cells: int) -> bool:
+        # a binary halo has at most 22 cells; the cap bounds a one-symbol
+        # alphabet too, whose 1^cells never passes the budget, and keeps the
+        # power small
+        return cells < W._SWEEP_BUDGET.bit_length() and k**cells <= W._SWEEP_BUDGET
 
     # (2L + 1)^2 - |v| <= |halo|, so an over-budget halo is refused before it is listed
     if not (within((2 * L + 1) ** 2 - len(v.cells)) and within(len(halo := halo_cells(v.shape, L)))):
         raise ResourceLimitError(
-            f"halo sweep at L = {L} exceeds the budget of {W._SWEEP_BUDGET} assignments"
+            f"halo sweep at L = {L} exceeds the budget of {W._SWEEP_BUDGET} assignments "
+            f"or {W._SWEEP_BUDGET.bit_length() - 1} cells"
         )
     row = {c: i for i, c in enumerate(halo)}  # the halo as one tall column, for _matches
 

@@ -163,16 +163,13 @@ def test_criterion_06_replacement_calculus():
         if v != w and W.respects_transition_exact(v, w)[0]
     ]
     inj_pairs = [p for p in respecting if W.affix_flags(*p) == (False, False)]
-    for v, w in inj_pairs:  # injectivity + preimage exhaustively at |u| <= 12
+    # injectivity + preimage exhaustively at |u| <= 12, then persistence +
+    # survival on the rest of the pairs, one sweep each
+    rest = [p for p in respecting if p not in inj_pairs]
+    for group, u_maxlen, check_inj in ((inj_pairs, 12, True), (rest, 9, False)):
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        V._subset_sweep(rec, v, w, 12, W.BINARY, check_inj=True)
-        assert rec.status == "pass", (v, w, rec.witnesses[:1])
-    for v, w in respecting:  # persistence + survival on the rest of the pairs
-        if (v, w) in inj_pairs:
-            continue
-        rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        V._subset_sweep(rec, v, w, 9, W.BINARY, check_inj=False)
-        assert rec.status == "pass", (v, w, rec.witnesses[:1])
+        V._subset_sweep(rec, [(v, w, check_inj) for v, w in group], u_maxlen, W.BINARY)
+        assert rec.status == "pass", rec.witnesses[:1]
     elapsed = time.monotonic() - t0
     assert elapsed < 120.0
     summarize(

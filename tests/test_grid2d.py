@@ -329,6 +329,22 @@ class TestReplaceability:
         with pytest.raises(ResourceLimitError):
             G.replaceability_windowed(HS, ONE, ZERO, 1000)
 
+    def test_one_symbol_halo_is_bounded(self, monkeypatch):
+        # 1^cells never passes the budget, so the cells are bounded too: a
+        # 1-cell v keeps 8 halo cells at L = 1 and 24 at L = 2, past the 22
+        # a binary halo may have
+        a = G.Pattern2D((((0, 0), "a"),))
+        mono = G.Grid2dSpec(W.Alphabet(("a",)), ())
+        assert G.replaceability_windowed(mono, a, a, 1)
+
+        def spy(F, L):
+            raise AssertionError(f"halo listed at L = {L}")
+
+        monkeypatch.setattr(G, "halo_cells", spy)
+        for L in (2, 400):
+            with pytest.raises(ResourceLimitError):
+                G.replaceability_windowed(mono, a, a, L)
+
     def test_empty_halo(self):
         # L = 0 leaves no halo: one assignment, the empty one
         free = G.Grid2dSpec(W.BINARY, ())

@@ -1,8 +1,8 @@
 import collections
+import functools
 import itertools
 import json
 import math
-import sys
 import time
 import types
 from dataclasses import asdict
@@ -664,7 +664,7 @@ def _reference_walk(u, v, w, occ):
                 stack.append((sub, img, k + 1))
 
 
-def _reference_sweep(record, v, w, u_maxlen, alphabet, check_inj):
+def _reference_pair(record, v, w, u_maxlen, alphabet, check_inj):
     """The per-word sweep over ``_reference_walk`` that ``V._subset_sweep`` replaced."""
     nv, nw = len(v), len(w)
     shift = nw - nv
@@ -713,6 +713,11 @@ def _reference_sweep(record, v, w, u_maxlen, alphabet, check_inj):
     return violations
 
 
+def _reference_sweep(record, pairs, u_maxlen, alphabet):
+    """``_reference_pair`` on each (v, w, check_inj) of ``pairs`` in turn."""
+    return sum(_reference_pair(record, v, w, u_maxlen, alphabet, inj) for v, w, inj in pairs)
+
+
 def _pairs(alphabet, maxlen):
     pool = [u for n in range(1, maxlen + 1) for u in alphabet.words(n)]
     return [(v, w) for v, w in itertools.product(pool, repeat=2) if v != w]
@@ -720,40 +725,40 @@ def _pairs(alphabet, maxlen):
 
 def _sweep(sweep, v, w, u_maxlen, alphabet, check_inj):
     rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-    return sweep(rec, v, w, u_maxlen, alphabet, check_inj), rec.witnesses
+    return sweep(rec, [(v, w, check_inj)], u_maxlen, alphabet), rec.witnesses
 
 
-def _level_tables(monkeypatch, v, w, u_maxlen, alphabet):
-    """The levels ``V._subset_sweep`` builds: (u, [(S, image, or None for a
-    broken marker), ...]) for each word u with a node, by length and then
-    in canonical order.
+def _level_tables(v, w, u_maxlen, alphabet):
+    """The levels ``V._sweep_levels`` yields for (v, w): (u, [(S, image, or
+    None for a broken marker), ...]) for each word u with a node, by length
+    and then in canonical order, decoded from the level's arrays."""
+    k = len(alphabet.symbols)
 
-    The sweep keeps a level in its locals.  Its preimage check counts the
-    images of each size with ``collections.Counter`` once the level is
-    done, so a stand-in Counter reads the level from the caller's frame.
-    """
-    levels = {}
+    @functools.cache
+    def spell(code, n):
+        letters = [alphabet.symbols[code // k ** (n - 1 - i) % k] for i in range(n)]
+        return "".join(letters) if alphabet.single_char else tuple(letters)
 
-    def counter(images):
-        local = sys._getframe(1).f_locals
-        if local["L"] not in levels:
-            words, nodes = local["words"], collections.defaultdict(list)
-            for index, subs, imgs, _ in local["groups"]:
-                for j, sub, img in zip(index, subs, imgs):
-                    nodes[j].append((sub, img))
-            for j, sub in local["broken"]:
-                nodes[j].append((sub, None))
-            levels[local["L"]] = [(words[j], nodes[j]) for j in sorted(nodes)]
-        return collections.Counter(images)
+    @functools.cache
+    def sites(bits):
+        return tuple(s for s in range(u_maxlen) if bits >> s & 1)
 
-    monkeypatch.setattr(V, "collections", types.SimpleNamespace(Counter=counter))
-    _sweep(V._subset_sweep, v, w, u_maxlen, alphabet, True)
-    monkeypatch.undo()
-    return [entry for L in sorted(levels) for entry in levels[L]]
+    table = V._pair_table([(v, w)], u_maxlen, alphabet)
+    out = []
+    for level in V._sweep_levels(table, u_maxlen):
+        L, nodes = level.L, collections.defaultdict(list)
+        assert not level.pair.any() and not level.bpair.any()
+        for j, m, sub, img in zip(*(x.tolist() for x in (level.word, level.m, level.sub, level.img))):
+            assert len(sites(sub)) == m
+            nodes[j].append((sites(sub), spell(img, L + m * (len(w) - len(v)))))
+        for j, sub in zip(level.bword.tolist(), level.bsub.tolist()):
+            nodes[j].append((sites(sub), None))
+        out += [(spell(j, L), nodes[j]) for j in sorted(nodes)]
+    return out
 
 
 class TestReplacementWalk:
-    def test_walk_matches_replace_seq(self, monkeypatch):
+    def test_walk_matches_replace_seq(self):
         # replace_seq is the reference: each word's entries in its level hold
         # its image for every subset, and the marker S[:step] where
         # replace_seq breaks at that step; every word with an occurrence
@@ -761,7 +766,7 @@ class TestReplacementWalk:
         contexts = [u for n in range(1, 9) for u in W.BINARY.words(n)]
         for v, w in _pairs(W.BINARY, 3):
             respecting, _ = W.respects_transition_exact(v, w)
-            levels = _level_tables(monkeypatch, v, w, 8, W.BINARY)
+            levels = _level_tables(v, w, 8, W.BINARY)
             assert [u for u, _ in levels] == [u for u in contexts if W.occurrences(u, v)], (v, w)
             for u, nodes in levels:
                 table = dict(nodes)
@@ -781,7 +786,7 @@ class TestReplacementWalk:
     def test_broken_step_is_recorded_not_raised(self):
         # "00" -> "1" breaks the overlapping occurrence of "00" in "000"
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        violations = V._subset_sweep(rec, "00", "1", 6, W.BINARY, check_inj=True)
+        violations = V._subset_sweep(rec, [("00", "1", True)], 6, W.BINARY)
         assert violations > 0
         assert rec.status == "fail"
         assert any(wit["lemma"] == "broken-step" for wit in rec.witnesses)
@@ -789,13 +794,13 @@ class TestReplacementWalk:
     def test_preimage_bound_counts_overlapping_occurrences(self):
         # "000" holds "00" twice (overlapping), so the bound is C(2, 2) = 1
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        V._subset_sweep(rec, "000", "00", 5, W.BINARY, check_inj=True)
+        V._subset_sweep(rec, [("000", "00", True)], 5, W.BINARY)
         assert {"lemma": "preimage", "u'": "000", "m": 2, "count": 3, "bound": 1} in rec.witnesses
 
     def test_witnesses_are_distinct(self):
         # every violation leaves its own witness, without a dedup scan
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        violations = V._subset_sweep(rec, "00", "1", 9, W.BINARY, check_inj=True)
+        violations = V._subset_sweep(rec, [("00", "1", True)], 9, W.BINARY)
         keys = {json.dumps(wit, sort_keys=True) for wit in rec.witnesses}
         assert violations == len(rec.witnesses) == len(keys) == 4984
 
@@ -860,6 +865,48 @@ class TestSweepMatchesReference:
         with pytest.raises(ResourceLimitError):
             _sweep(V._subset_sweep, ("x0",), ("x1",), 12, W.Alphabet(("x0", "x1", "x2")), True)
 
+    def test_wide_images_run_on_python_ints(self):
+        # 8 + 8 * 7 = 64-letter images pass int64, so these sweeps run on
+        # object arrays, by the same expressions
+        pairs = [("0", "11111111"), ("1", "11111111")]
+        assert all(V._pair_table([pair], 8, W.BINARY).pw.dtype == object for pair in pairs)
+        total = sum(_sweep(_reference_sweep, v, w, 8, W.BINARY, inj)[0] for v, w in pairs for inj in (True, False))
+        self.test_same_violations_as_reference(W.BINARY, pairs, 8, total)
+        assert total == 5661
+
+
+class TestSweepPasses:
+    # both injectivity modes of the pairs up to length 2, then a pair whose
+    # 56-letter images need Python ints, which runs apart
+    PAIRS = [(v, w, inj) for v, w in _pairs(W.BINARY, 2) for inj in (True, False)] + [("1", "11111111", True)]
+
+    @pytest.mark.parametrize("cap", [V._SWEEP_NODES, 50])
+    def test_one_call_equals_a_call_per_pair(self, monkeypatch, cap):
+        # a small cap splits the pass at each level, down to single pairs
+        alone = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+        count = sum(V._subset_sweep(alone, [pair], 7, W.BINARY) for pair in self.PAIRS)
+        monkeypatch.setattr(V, "_SWEEP_NODES", cap)
+        together = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+        assert V._subset_sweep(together, self.PAIRS, 7, W.BINARY) == count == len(alone.witnesses)
+        assert together.witnesses == alone.witnesses
+        assert together.params == alone.params
+
+    @pytest.mark.parametrize("cap", [50, 2000])
+    def test_split_passes_stay_under_the_cap(self, monkeypatch, cap):
+        # each pair gets each level once, in order; a level of several pairs
+        # holds at most cap nodes and broken entries
+        monkeypatch.setattr(V, "_SWEEP_NODES", cap)
+        pairs = [pair[:2] for pair in self.PAIRS[:-1:2]]
+        table = V._pair_table(pairs, 7, W.BINARY)
+        levels = collections.defaultdict(list)
+        for level in V._sweep_levels(table, 7):
+            owners = set(level.pair.tolist()) | set(level.bpair.tolist())
+            assert len(owners) <= 1 or len(level.pair) + len(level.bpair) <= cap
+            for p in owners:
+                levels[p].append(level.L)
+        assert all(levels[p] == list(range(len(pairs[p][0]), 8)) for p in levels)
+        assert len(levels) == len(pairs)
+
 
 RANDOM_ALPHABETS = [W.BINARY, W.Alphabet(("a", "b", "c")), W.Alphabet(("x0", "x1", "x2"))]
 
@@ -886,7 +933,7 @@ class TestLemmasFire:
 
     def witnesses(self, v, w, lemma):
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
-        V._subset_sweep(rec, v, w, 7, W.BINARY, check_inj=True)
+        V._subset_sweep(rec, [(v, w, True)], 7, W.BINARY)
         found = [wit for wit in rec.witnesses if wit["lemma"] == lemma]
         assert found and rec.status == "fail"
         return found
