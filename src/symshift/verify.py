@@ -22,6 +22,7 @@ import numpy as np
 
 from . import extender as E
 from . import grid2d as G
+from . import lemma_sweep as LS
 from . import mme as M
 from . import subshifts as S
 from . import words as W
@@ -445,444 +446,20 @@ def check_hereditary_entropy(spec, n_max: int, tol: float) -> CheckRecord:
 # Replacement calculus lemmas
 
 
-# the (u, S) nodes that one pass of the lemma sweep may hold in a level,
-# bounding its memory; a pair that holds more runs in a pass alone
-_SWEEP_NODES = 1 << 14
-
-
-class _PairTable(NamedTuple):
-    """The (v, w) pairs of one pass of the lemma sweep, an entry per pair.
-
-    v, w, kv = |A|^|v| and kw = |A|^|w| have the dtype of the image codes,
-    as has pw, the powers |A|^e up to the longest image; uv and ukv are v
-    and kv for the int32 word codes, and last is v's last letter.
-    bound[p, L] bounds the nodes of pair p in level L (``_level_bounds``).
-    """
-
-    k: int
-    nv: np.ndarray
-    nw: np.ndarray
-    shift: np.ndarray
-    last: np.ndarray
-    v: np.ndarray
-    w: np.ndarray
-    kv: np.ndarray
-    kw: np.ndarray
-    uv: np.ndarray
-    ukv: np.ndarray
-    pw: np.ndarray
-    bound: np.ndarray
-
-
-class _Level(NamedTuple):
-    """Level L of ``_sweep_levels``: its nodes, then its broken entries.
-
-    Node i is the (u, S) of pair pair[i] with |S| = m[i], u of code word[i]
-    and length L, S the sites of the bits of sub[i], the image of code
-    img[i] and length L + m[i] (|w| - |v|), and the failed sites of the
-    bits of failed[i].  Broken entry j is the (u, S[:step]) of code bword[j]
-    and bits bsub[j] of pair bpair[j].
-    """
-
-    L: int
-    pair: np.ndarray
-    m: np.ndarray
-    word: np.ndarray
-    sub: np.ndarray
-    img: np.ndarray
-    failed: np.ndarray
-    bpair: np.ndarray
-    bword: np.ndarray
-    bsub: np.ndarray
-
-
-def _longest_image(v, w, u_maxlen: int) -> int:
-    # each of the at most u_maxlen - |v| + 1 sites adds |w| - |v| letters
-    return u_maxlen + max(len(w) - len(v), 0) * max(u_maxlen - len(v) + 1, 0)
-
-
-def _int64_keys(n_pairs: int, longest: int, k: int, u_maxlen: int) -> bool:
-    """Whether the packed keys (pair, m, image, word) of a pass fit in 62 bits."""
-    return n_pairs * (u_maxlen + 1) * k ** (longest + u_maxlen) <= 1 << 62
-
-
-def _level_bounds(v, alphabet: W.Alphabet, u_maxlen: int) -> list:
-    """For L = 0..u_maxlen, the (u, S) with |u| = L and S a nonempty set of
-    v's occurrences in u: a bound on the nodes and broken entries of level L
-    of v's lemma sweep.
-
-    A walk on the states q, the longest suffix of u that begins v, weighs
-    each word by 2 for each occurrence that ends in it, then drops the empty
-    sets.
-    """
-    n, k = len(v), len(alphabet.symbols)
-
-    def state(x):
-        while v[: len(x)] != x:
-            x = x[1:]
-        return len(x)
-
-    step = [[state(v[:q] + a) for a in alphabet.letters.values()] for q in range(n + 1)]
-    count, out = [1] + [0] * n, [0]
-    for L in range(1, u_maxlen + 1):
-        new = [0] * (n + 1)
-        for q, c in enumerate(count):
-            for r in step[q] if c else ():
-                new[r] += c
-        new[n] *= 2
-        count = new
-        out.append(sum(count) - k**L)
-    return out
-
-
-def _passes(pairs, u_maxlen: int, k: int) -> list:
-    """The pair indices in runs of consecutive pairs whose packed keys fit in
-    int64 together; a pair whose keys do not fit alone runs alone."""
-    passes, longest = [], 0
-    for i, (v, w, _) in enumerate(pairs):
-        reach = _longest_image(v, w, u_maxlen)
-        if passes and _int64_keys(len(passes[-1]) + 1, max(longest, reach), k, u_maxlen):
-            passes[-1].append(i)
-            longest = max(longest, reach)
-        else:
-            passes.append([i])
-            longest = reach
-    return passes
-
-
-def _pair_table(pairs, u_maxlen: int, alphabet: W.Alphabet) -> _PairTable:
-    """The constants of the (v, w) ``pairs`` of one pass; image codes are
-    int64 when every packed key fits, else Python ints in object arrays."""
-    k = len(alphabet.symbols)
-    digit = {a: i for i, a in enumerate(alphabet.symbols)}
-
-    def code(word):
-        c = 0
-        for a in word:
-            c = c * k + digit[a]
-        return c
-
-    longest = max(_longest_image(v, w, u_maxlen) for v, w in pairs)
-    dtype = np.int64 if _int64_keys(len(pairs), longest, k, u_maxlen) else object
-    nv = np.array([len(v) for v, _ in pairs], dtype=np.int32)
-    nw = np.array([len(w) for _, w in pairs], dtype=np.int32)
-    codes = [code(v) for v, _ in pairs]
-    kv = [k ** len(v) for v, _ in pairs]
-    bounds = {}  # pairs that share v share its bounds
-    for v, _ in pairs:
-        if v not in bounds:
-            bounds[v] = _level_bounds(v, alphabet, u_maxlen)
-    return _PairTable(
-        k=k,
-        nv=nv,
-        nw=nw,
-        shift=nw - nv,
-        last=np.array([x % k for x in codes], dtype=np.int32),
-        v=np.array(codes, dtype=dtype),
-        w=np.array([code(w) for _, w in pairs], dtype=dtype),
-        kv=np.array(kv, dtype=dtype),
-        kw=np.array([k ** len(w) for _, w in pairs], dtype=dtype),
-        # |v| <= u_maxlen, and |A|^u_maxlen is within the budget
-        uv=np.array(codes, np.int32),
-        ukv=np.array(kv, np.int32),
-        pw=np.array([k**e for e in range(longest + 1)], dtype=dtype),
-        bound=np.array([bounds[v] for v, _ in pairs], np.int64),
-    )
-
-
-def _popcount(x: np.ndarray) -> np.ndarray:
-    """The set bits of each entry of an integer array of entries in [0, 2^32)."""
-    x = x.astype(np.int64)
-    x = x - (x >> 1 & 0x55555555)
-    x = (x & 0x33333333) + (x >> 2 & 0x33333333)
-    x = x + (x >> 4) & 0x0F0F0F0F
-    return (x * 0x01010101 >> 24 & 0xFF).astype(np.int32)
-
-
-def _failed_sites(table: _PairTable, level: _Level, nodes, lo, hi) -> np.ndarray:
-    """The failed sites, as bits, of the ``nodes`` of ``level`` among their
-    sites s, lo <= s < hi.
-
-    Site s of a node lies at s + (the sites of S left of s)(|w| - |v|) in its
-    image: it fails if that window does not hold w (s in S, persistence) or
-    v (s not in S, survival), or runs out of the image.
-    """
-    L, pair, m, word, sub, img = level[:6]
-    if not len(nodes):
-        return np.zeros(0, np.int32)
-    p, word = pair[nodes], word[nodes]
-    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.int32)]  # the (node, site) pairs
-    for s in range(int(np.min(lo)), int(np.max(hi))):
-        window = word // table.k ** np.maximum(L - s - table.nv[p], 0) % table.ukv[p]
-        rows.append(np.flatnonzero((lo <= s) & (s < hi) & (window == table.uv[p])))
-        cols.append(np.full(len(rows[-1]), s, np.int32))
-    row, s = np.concatenate(rows), np.concatenate(cols)
-    i, p = nodes[row], p[row]
-    own = (sub[i] >> s & 1).astype(bool)
-    at = s + _popcount(sub[i] & (1 << s) - 1) * table.shift[p]
-    room = L + m[i] * table.shift[p] - at - np.where(own, table.nw[p], table.nv[p])
-    fits = (at >= 0) & (room >= 0)
-    window = img[i] // table.pw[np.where(fits, room, 0)] % np.where(own, table.kw[p], table.kv[p])
-    bad = ~fits | (window != np.where(own, table.w[p], table.v[p]))
-    # distinct bits of one node: their sum is their union
-    return np.bincount(row[bad], weights=1 << s[bad], minlength=len(nodes)).astype(np.int32)
-
-
-def _spread(k: int, old: np.ndarray, extra: np.ndarray, letters: bool = False) -> np.ndarray:
-    """``old`` once per letter c, then ``extra``; with ``letters``, the code
-    x becomes x|A| + c in the copy of letter c."""
-    out = np.concatenate([old] * k + [extra])
-    if letters:
-        copies = out[: k * len(old)].reshape(k, len(old))
-        copies *= k
-        copies += np.arange(k, dtype=np.int8)[:, None]
-    return out
-
-
-def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray) -> _Level:
-    """Level L + 1 of the lemma sweep of ``pairs`` from their level L.
-
-    Level L + 1 is level L extended by each letter c, letter-major: word
-    code i becomes i|A| + c and the image code x becomes x|A| + c.  With
-    |w| >= |v| an old site's window lies in the old image, so its verdict
-    stands; with |w| < |v| every old site is checked again.  The other work
-    falls on the words that v ends, at t = L + 1 - |v|: t survives in the
-    image of S exactly when that image ends with v.  If it does not, t fails
-    for S and S + {t} is broken; if it does, S + {t} joins with that v
-    spliced to w, image x // |A|^|v| |A|^|w| + code(w).  Then {t} joins in
-    every word that v ends.  Only the sites whose windows can reach t are
-    checked again on a new node: those that overlap t, or every site when
-    |w| < |v|.  New nodes follow the extended ones, new broken entries the
-    old ones, largest S first; the level is written once, into arrays of its
-    size.
-    """
-    k, dtype = table.k, table.pw.dtype
-    nv, shift, last = table.nv, table.shift, table.last
-    L, pair, m, word, sub, img, failed, bpair, bword, bsub = level
-    L += 1
-    # the nodes that v's last letter extends to a word that v ends, at
-    # t = L - |v|, and whether their images end with v too
-    at = np.flatnonzero((L >= nv[pair]) & ((word * k + last[pair]) % table.ukv[pair] == table.uv[pair]))
-    p = pair[at]
-    x = img[at] * k + last[p]
-    ends = (L + m[at] * shift[p] >= nv[p]) & (x % table.kv[p] == table.v[p])
-    # S + {t}, with that v spliced to w, then {t} in each of the |A|^t
-    # words that v ends: word j |A|^|v| + code(v)
-    grow, gp = at[ends], p[ends]
-    count = np.where(L >= nv[pairs], k ** np.maximum(L - nv[pairs], 0), 0)
-    lone = np.repeat(pairs, count)
-    j = (np.arange(len(lone)) - np.repeat(np.cumsum(count) - count, count)).astype(np.int32)
-    new = np.concatenate([gp, lone])
-    t, zeros = L - nv[new], np.zeros(len(lone), np.int32)
-    extra = (
-        new,
-        np.concatenate([m[grow] + 1, np.ones(len(lone), np.int8)]),
-        np.concatenate([word[grow] * k + last[gp], j * table.ukv[lone] + table.uv[lone]]),
-        np.concatenate([sub[grow], zeros]) | 1 << t,
-        np.concatenate([x[ends] // table.kv[gp], j.astype(dtype)]) * table.kw[new] + table.w[new],
-    )
-    # only the sites whose windows can reach t are checked again: those that
-    # overlap t, or every site when |w| < |v|
-    lo = np.where(shift[new] >= 0, np.maximum(t - nv[new] + 1, 0), 0)
-    kept = np.concatenate([failed[grow], zeros]) & (1 << lo) - 1
-    # the nodes where t fails: S + {t} is broken
-    lost, lp = at[~ends], p[~ends]
-    if len(lost) > 1:
-        order = np.argsort(-m[lost], kind="stable")
-        lost, lp = lost[order], lp[order]
-    bit = 1 << L - nv[lp]
-    bpair = _spread(k, bpair, lp)
-    bword = _spread(k, bword, word[lost] * k + last[lp], letters=True)
-    bsub = _spread(k, bsub, sub[lost] | bit)
-    spot = last[lp] * len(word) + lost  # their copies in the new level
-    old = k * len(word)
-    level = _Level(L, *(
-        _spread(k, column, added, letters)
-        for column, added, letters in zip(level[1:6], extra, (False, False, True, False, True))
-    ), _spread(k, failed, kept), bpair, bword, bsub)
-    del extra  # freed before the site checks
-    level.failed[old:] |= _failed_sites(table, level, np.arange(old, len(level.word)), lo, t)
-    if (shift < 0).any():
-        again = np.flatnonzero(shift[level.pair[:old]] < 0)
-        level.failed[again] = _failed_sites(table, level, again, 0, L - nv[level.pair[again]])
-    level.failed[spot] |= bit
-    return level
-
-
-def _select(level: _Level, pairs, n_pairs: int) -> _Level:
-    """The nodes and broken entries of ``level`` that belong to ``pairs``."""
-    member = np.zeros(n_pairs, bool)
-    member[pairs] = True
-    keep, broken = member[level.pair], member[level.bpair]
-    return _Level(level.L, *(x[keep] for x in level[1:7]), *(x[broken] for x in level[7:]))
-
-
-def _sweep_levels(table: _PairTable, u_maxlen: int):
-    """Yield the ``_Level`` of each word length L = 1..u_maxlen, for each pair
-    in increasing L.
-
-    The pairs start in one pass.  Where a pass's next level would hold more
-    than _SWEEP_NODES nodes by ``table.bound``, it splits into passes of
-    consecutive pairs whose top levels hold at most that many, or of one
-    pair, each going on from the level reached.
-    """
-    n = len(table.nv)
-    none = np.zeros(0, np.int32)
-    start = _Level(0, none, np.zeros(0, np.int8), none, none, np.zeros(0, table.pw.dtype), none, none, none, none)
-    passes = [(np.arange(n, dtype=np.int32), start)]
-    while passes:
-        group, level = passes.pop()
-        while level.L < u_maxlen:
-            if len(group) > 1 and table.bound[group, level.L + 1].sum() > _SWEEP_NODES:
-                parts, total = [], 0
-                for p in group.tolist():
-                    if parts and total + table.bound[p, -1] <= _SWEEP_NODES:
-                        parts[-1].append(p)
-                        total += table.bound[p, -1]
-                    else:
-                        parts.append([p])
-                        total = table.bound[p, -1]
-                passes += [(np.array(part, np.int32), _select(level, part, n)) for part in reversed(parts)]
-                break
-            level = _next_level(table, level, group)
-            yield level
-
-
-def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet, u_maxlen: int):
-    """Yield (pair, witness) for each violation of ``level``: by pair, word,
-    then broken, failed, injectivity; the preimage ones come last, by size
-    and then first node.
-
-    ``_next_level`` keeps a pair's nodes of one size and word in colex order
-    on S, and its broken entries of one word by last site, then largest S
-    first; each kind follows that order, and names an equal image by its
-    first node.
-    """
-    k, L = table.k, level.L
-    pair, m, word, sub, img, failed = level[1:7]
-
-    def spell(code: int, n: int):
-        letters = []
-        for _ in range(n):
-            code, d = divmod(code, k)
-            letters.append(alphabet.symbols[d])
-        letters.reverse()
-        return "".join(letters) if alphabet.single_char else tuple(letters)
-
-    def sites(bits: int) -> list:
-        return [s for s in range(bits.bit_length()) if bits >> s & 1]
-
-    # one sort of the packed keys (pair, m, image, u) brings equal images of
-    # one size together, and each run of equal keys is a collision of one u,
-    # named by its first node
-    node = np.flatnonzero(inj[pair])
-    key = pair[node].astype(table.pw.dtype)
-    for radix, low in ((u_maxlen + 1, m), (table.pw[-1], img), (k**L, word)):
-        key *= radix
-        key += low[node]
-    order = np.argsort(key, kind="stable")
-    key, node = key[order], node[order]
-    start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
-    twin = first = np.zeros(0, np.int64)
-    if len(start) < len(key):
-        first = np.repeat(np.minimum.reduceat(node, start), np.diff(start, append=len(key)))
-        twin = np.flatnonzero(node != first)
-        twin, first = node[twin], first[twin]
-    # rows (pair, word, kind, m, node, other): broken entries, failed sites
-    # (other = the site), injectivity (other = the first node)
-    rows = []
-    for s in range(L if failed.any() else 0):
-        hit = np.flatnonzero(failed >> s & 1)
-        rows.append((pair[hit], word[hit], np.ones_like(hit), m[hit], hit, np.full_like(hit, s)))
-    if len(twin):
-        rows.append((pair[twin], word[twin], np.full_like(twin, 2), m[twin], twin, first))
-    if len(level.bpair):
-        none = np.zeros(len(level.bpair), np.int64)
-        rows.append((level.bpair, level.bword, none, none, np.arange(len(none)), none))
-    rows = np.concatenate([np.stack(r) for r in rows], axis=1) if rows else np.zeros((6, 0), np.int64)
-    for p, j, kind, _, i, other in rows[:, np.lexsort(rows[::-1])].T.tolist() if len(rows[0]) else ():
-        u = spell(j, L)
-        if kind == 0:
-            yield p, {"lemma": "broken-step", "u": u, "S": sites(int(level.bsub[i]))}
-        elif kind == 1:
-            lemma = "persistence" if sub[i] >> other & 1 else "survival"
-            yield p, {"lemma": lemma, "u": u, "S": sites(int(sub[i])), "m": other}
-        else:
-            yield p, {"lemma": "injectivity", "u": u, "S": sites(int(sub[i])), "S'": sites(int(sub[other]))}
-    if not len(key):
-        return
-    # preimage: the images of one size, their counts and first nodes; an
-    # image met once passes when |w| >= |v| and its node has no failed site,
-    # as that node holds w at the m places of its sites
-    key //= k**L
-    edge = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-    start, count = edge[:-1], np.diff(edge)
-    first = np.minimum.reduceat(node, start)
-    suspect = (count > 1) | (table.shift[pair[first]] < 0) | (failed[first] != 0)
-    count, first = count[suspect], first[suspect]
-    p = pair[first]
-    size = L + m[first] * table.shift[p]
-    # the overlapping occurrences of w, read from the image's last letters on
-    room, x, kw, w = size - table.nw[p], img[first], table.kw[p], table.w[p]
-    hits = np.zeros(len(first), np.int64)
-    for o in range(int(room.max(initial=-1)) + 1):
-        hits += (x % kw == w) & (room >= o)
-        x = x // k
-    # C(hits, m), capped far above any count
-    comb = [[min(math.comb(n, r), 1 << 62) for r in range(u_maxlen + 1)] for n in range(hits.max(initial=0) + 1)]
-    bound = np.array(comb, np.int64).reshape(-1, u_maxlen + 1)[hits, m[first]]
-    bad = np.flatnonzero(count > bound)
-    for i in bad[np.lexsort((first[bad], m[first[bad]], p[bad]))].tolist():
-        n = first[i]
-        yield int(p[i]), {"lemma": "preimage", "u'": spell(int(img[n]), int(size[i])), "m": int(m[n]),
-                          "count": int(count[i]), "bound": int(bound[i])}
-
-
 def _subset_sweep(record, pairs, u_maxlen: int, alphabet: W.Alphabet) -> int:
     """Check persistence, survival, injectivity and the preimage bound on
-    every (u, S), |u| <= u_maxlen, of each (v, w, check_inj) of ``pairs``;
-    return the violations.  The witnesses go to ``record`` pair by pair, and
-    params["sweep nodes"] gains the nodes visited.
-
-    A node is a nonempty set S of v's occurrences (sites) in u on which
-    ``words.replace_seq`` goes through, with its image and the sites that
-    fail: persistence for a site of S, survival for the others.  Where it
-    breaks at a step, S[:step] is a "broken-step" violation in u and in its
-    extensions.  Every node is a row of integer arrays (``_Level``), built
-    by ``_sweep_levels``: u is its base-|A| code, canonical order, so that
-    word i|A| + c is word i and letter c; S and the failed sites are
-    bitmasks; the image is its base-|A| code, its length fixed by L, |S|
-    and the pair.  The pairs run together, in passes that split by pair
-    where a level would pass _SWEEP_NODES nodes (``_sweep_levels``).  Pairs
-    whose packed keys (pair, |S|, image, u) would need more than 62 bits
-    run apart (``_passes``), on Python ints in object arrays, by the same
-    expressions.
-
-    Witnesses come by level, word, then broken, failed, injectivity; the
-    preimage ones end the level.  Within a word and a kind they follow |S|,
-    then colex order on S, the numeric order of its bitmask; broken entries
-    go by their last site, then largest S first.  Preimage witnesses follow
-    |S| and then the first node of the image.  A level holds at most
-    (|A| + 1)^L nodes: mark the first letter of each site.
+    every (u, S), |u| <= u_maxlen, of each (v, w, check_inj) of ``pairs``,
+    by ``lemma_sweep.sweep``; return the violations.  The witnesses go to
+    ``record`` pair by pair, and params["sweep nodes"] gains the nodes
+    visited.  A level holds at most (|A| + 1)^L nodes: mark the first letter
+    of each site.
     """
     k = len(alphabet.symbols)
     if pairs and (k + 1) ** u_maxlen > W._SWEEP_BUDGET:
         raise ResourceLimitError(
             f"a subset-sweep level exceeds the budget of {W._SWEEP_BUDGET} nodes; lower u_maxlen"
         )
-    # a v longer than u_maxlen occurs nowhere: its pair has no node
-    live = [i for i, (v, _, _) in enumerate(pairs) if len(v) <= u_maxlen]
-    found = [[] for _ in pairs]
-    visited = 0
-    for batch in _passes([pairs[i] for i in live], u_maxlen, k):
-        ids = [live[i] for i in batch]
-        table = _pair_table([pairs[i][:2] for i in ids], u_maxlen, alphabet)
-        inj = np.array([pairs[i][2] for i in ids], dtype=bool)
-        for level in _sweep_levels(table, u_maxlen):
-            visited += len(level.pair) + len(level.bpair)
-            for p, witness in _level_witnesses(table, inj, level, alphabet, u_maxlen):
-                found[ids[p]].append(witness)
-            del level  # before the next level is built
+    found, visited = LS.sweep(pairs, u_maxlen, alphabet)
     for witnesses in found:
         for witness in witnesses:
             _fail(record, witness)

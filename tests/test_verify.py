@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symshift import extender as E
+from symshift import lemma_sweep as LS
 from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
@@ -729,7 +730,7 @@ def _sweep(sweep, v, w, u_maxlen, alphabet, check_inj):
 
 
 def _level_tables(v, w, u_maxlen, alphabet):
-    """The levels ``V._sweep_levels`` yields for (v, w): (u, [(S, image, or
+    """The levels ``LS._sweep_levels`` yields for (v, w): (u, [(S, image, or
     None for a broken marker), ...]) for each word u with a node, by length
     and then in canonical order, decoded from the level's arrays."""
     k = len(alphabet.symbols)
@@ -743,9 +744,9 @@ def _level_tables(v, w, u_maxlen, alphabet):
     def sites(bits):
         return tuple(s for s in range(u_maxlen) if bits >> s & 1)
 
-    table = V._pair_table([(v, w)], u_maxlen, alphabet)
+    table = LS._pair_table([(v, w)], u_maxlen, alphabet)
     out = []
-    for level in V._sweep_levels(table, u_maxlen):
+    for level in LS._sweep_levels(table, u_maxlen):
         L, nodes = level.L, collections.defaultdict(list)
         assert not level.pair.any() and not level.bpair.any()
         for j, m, sub, img in zip(*(x.tolist() for x in (level.word, level.m, level.sub, level.img))):
@@ -869,7 +870,7 @@ class TestSweepMatchesReference:
         # 8 + 8 * 7 = 64-letter images pass int64, so these sweeps run on
         # object arrays, by the same expressions
         pairs = [("0", "11111111"), ("1", "11111111")]
-        assert all(V._pair_table([pair], 8, W.BINARY).pw.dtype == object for pair in pairs)
+        assert all(LS._pair_table([pair], 8, W.BINARY).pw.dtype == object for pair in pairs)
         total = sum(_sweep(_reference_sweep, v, w, 8, W.BINARY, inj)[0] for v, w in pairs for inj in (True, False))
         self.test_same_violations_as_reference(W.BINARY, pairs, 8, total)
         assert total == 5661
@@ -880,12 +881,12 @@ class TestSweepPasses:
     # 56-letter images need Python ints, which runs apart
     PAIRS = [(v, w, inj) for v, w in _pairs(W.BINARY, 2) for inj in (True, False)] + [("1", "11111111", True)]
 
-    @pytest.mark.parametrize("cap", [V._SWEEP_NODES, 50])
+    @pytest.mark.parametrize("cap", [LS._SWEEP_NODES, 50])
     def test_one_call_equals_a_call_per_pair(self, monkeypatch, cap):
         # a small cap splits the pass at each level, down to single pairs
         alone = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
         count = sum(V._subset_sweep(alone, [pair], 7, W.BINARY) for pair in self.PAIRS)
-        monkeypatch.setattr(V, "_SWEEP_NODES", cap)
+        monkeypatch.setattr(LS, "_SWEEP_NODES", cap)
         together = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
         assert V._subset_sweep(together, self.PAIRS, 7, W.BINARY) == count == len(alone.witnesses)
         assert together.witnesses == alone.witnesses
@@ -895,11 +896,11 @@ class TestSweepPasses:
     def test_split_passes_stay_under_the_cap(self, monkeypatch, cap):
         # each pair gets each level once, in order; a level of several pairs
         # holds at most cap nodes and broken entries
-        monkeypatch.setattr(V, "_SWEEP_NODES", cap)
+        monkeypatch.setattr(LS, "_SWEEP_NODES", cap)
         pairs = [pair[:2] for pair in self.PAIRS[:-1:2]]
-        table = V._pair_table(pairs, 7, W.BINARY)
+        table = LS._pair_table(pairs, 7, W.BINARY)
         levels = collections.defaultdict(list)
-        for level in V._sweep_levels(table, 7):
+        for level in LS._sweep_levels(table, 7):
             owners = set(level.pair.tolist()) | set(level.bpair.tolist())
             assert len(owners) <= 1 or len(level.pair) + len(level.bpair) <= cap
             for p in owners:
