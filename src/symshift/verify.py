@@ -450,9 +450,11 @@ def _subset_sweep(record, pairs, u_maxlen: int, alphabet: W.Alphabet) -> int:
     """Check persistence, survival, injectivity and the preimage bound on
     every (u, S), |u| <= u_maxlen, of each (v, w, check_inj) of ``pairs``,
     by ``lemma_sweep.sweep``; return the violations.  The witnesses go to
-    ``record`` pair by pair, and params["sweep nodes"] gains the nodes
-    visited.  A level holds at most (|A| + 1)^L nodes: mark the first letter
-    of each site.
+    ``record`` pair by pair, in the order ``sweep`` gives (level, word,
+    kind, then colex on S), and params["sweep nodes"] gains the nodes
+    visited.  ``lemma_sweep`` holds the integer codes of a node, the passes
+    and the rule that moves a pass to Python ints.  A level holds at most
+    (|A| + 1)^L nodes: mark the first letter of each site.
     """
     k = len(alphabet.symbols)
     if pairs and (k + 1) ** u_maxlen > W._SWEEP_BUDGET:

@@ -798,6 +798,29 @@ class TestReplacementWalk:
         V._subset_sweep(rec, [("000", "00", True)], 5, W.BINARY)
         assert {"lemma": "preimage", "u'": "000", "m": 2, "count": 3, "bound": 1} in rec.witnesses
 
+    def test_witnesses_follow_the_documented_order(self):
+        # by level, word, then broken (by last site, largest S first, then
+        # colex), failed (by |S|, colex, site), injectivity (by |S|, colex);
+        # the preimage witnesses close their level and are left out here
+        def colex(sub):
+            return sum(1 << s for s in sub)
+
+        def key(wit):
+            S = wit["S"]
+            if wit["lemma"] == "broken-step":
+                return (0, S[-1], -len(S), colex(S))
+            if wit["lemma"] == "injectivity":
+                return (2, len(S), colex(S))
+            return (1, len(S), colex(S), wit["m"])
+
+        kinds = set()
+        for v, w in (("00", "1"), ("00", "10"), ("0", "00"), ("010", "1")):
+            _, witnesses = _sweep(V._subset_sweep, v, w, 8, W.BINARY, True)
+            keys = [(len(x["u"]), int(x["u"], 2), *key(x)) for x in witnesses if x["lemma"] != "preimage"]
+            assert keys == sorted(set(keys)), (v, w)
+            kinds |= {k[2] for k in keys}
+        assert kinds == {0, 1, 2}
+
     def test_witnesses_are_distinct(self):
         # every violation leaves its own witness, without a dedup scan
         rec = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
