@@ -133,19 +133,11 @@ def _pair_table(pairs, u_maxlen: int, alphabet: W.Alphabet) -> _PairTable:
     """The constants of the (v, w) ``pairs`` of one pass; image codes are
     int64 when every packed key fits, else Python ints in object arrays."""
     k = len(alphabet.symbols)
-    digit = {a: i for i, a in enumerate(alphabet.symbols)}
-
-    def code(word):
-        c = 0
-        for a in word:
-            c = c * k + digit[a]
-        return c
-
     longest = max(_longest_image(v, w, u_maxlen) for v, w in pairs)
     dtype = np.int64 if _int64_keys(len(pairs), longest, k, u_maxlen) else object
     nv = np.array([len(v) for v, _ in pairs], dtype=np.int32)
     nw = np.array([len(w) for _, w in pairs], dtype=np.int32)
-    codes = [code(v) for v, _ in pairs]
+    codes = [W._code(v, alphabet) for v, _ in pairs]
     kv = [k ** len(v) for v, _ in pairs]
     bounds = {}  # pairs that share v share its bounds
     for v, _ in pairs:
@@ -158,7 +150,7 @@ def _pair_table(pairs, u_maxlen: int, alphabet: W.Alphabet) -> _PairTable:
         shift=nw - nv,
         last=np.array([x % k for x in codes], dtype=np.int32),
         v=np.array(codes, dtype=dtype),
-        w=np.array([code(w) for _, w in pairs], dtype=dtype),
+        w=np.array([W._code(w, alphabet) for _, w in pairs], dtype=dtype),
         kv=np.array(kv, dtype=dtype),
         kw=np.array([k ** len(w) for _, w in pairs], dtype=dtype),
         # |v| <= u_maxlen, and |A|^u_maxlen is within the budget
@@ -340,14 +332,6 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
     k, L = table.k, level.L
     pair, m, word, sub, img, failed = level[1:7]
 
-    def spell(code: int, n: int):
-        letters = []
-        for _ in range(n):
-            code, d = divmod(code, k)
-            letters.append(alphabet.symbols[d])
-        letters.reverse()
-        return "".join(letters) if alphabet.single_char else tuple(letters)
-
     def sites(bits: int) -> list:
         return [s for s in range(bits.bit_length()) if bits >> s & 1]
 
@@ -380,7 +364,7 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
         rows.append((level.bpair, level.bword, none, none, np.arange(len(none)), none))
     rows = np.concatenate([np.stack(r) for r in rows], axis=1) if rows else np.zeros((6, 0), np.int64)
     for p, j, kind, _, i, other in rows[:, np.lexsort(rows[::-1])].T.tolist() if len(rows[0]) else ():
-        u = spell(j, L)
+        u = W._spell(j, L, alphabet)
         if kind == 0:
             yield p, {"lemma": "broken-step", "u": u, "S": sites(int(level.bsub[i]))}
         elif kind == 1:
@@ -413,7 +397,7 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
     bad = np.flatnonzero(count > bound)
     for i in bad[np.lexsort((first[bad], m[first[bad]], p[bad]))].tolist():
         n = first[i]
-        yield int(p[i]), {"lemma": "preimage", "u'": spell(int(img[n]), int(size[i])), "m": int(m[n]),
+        yield int(p[i]), {"lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
                           "count": int(count[i]), "bound": int(bound[i])}
 
 

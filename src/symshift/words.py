@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .errors import (
     InvalidPositionError,
     InvalidWordError,
@@ -265,6 +267,31 @@ def _check_sweep(k: int, shortest: int, max_len: int) -> None:
             )
 
 
+# the anchored words that one block of the oracle's array pass holds,
+# bounding its memory
+_ORACLE_ROWS = 1 << 15
+_CONDITIONS = ("iv", "i", "ii", "iii")
+
+
+def _code(word, alphabet: Alphabet) -> int:
+    """The base-|A| code of a word: its index among the words of its length
+    in canonical order."""
+    c = 0
+    for a in word:
+        c = c * len(alphabet.symbols) + alphabet.symbols.index(a)
+    return c
+
+
+def _spell(code: int, length: int, alphabet: Alphabet):
+    """The word of the given length whose base-|A| code is ``code``."""
+    letters = []
+    for _ in range(length):
+        code, d = divmod(code, len(alphabet.symbols))
+        letters.append(alphabet.symbols[d])
+    letters.reverse()
+    return "".join(letters) if alphabet.single_char else tuple(letters)
+
+
 def transition_oracle(
     pairs: dict, alphabet: Alphabet = BINARY
 ) -> dict[tuple, tuple[bool, Optional[TransitionWitness]]]:
@@ -274,10 +301,9 @@ def transition_oracle(
     (ok, witness).  A pair is checked on every word u over ``alphabet`` with
     |v| <= |u| <= max_len and every occurrence i of v in u against every
     other site j, in canonical order, and stops at its first violation, so
-    it gets the same answer as a sweep of its own.  The words are enumerated
-    once for all pairs.
+    it gets the same answer as a sweep of its own.
 
-    Only the site pairs anchored at both ends of u are tested: one site
+    Only the site pairs anchored at both ends of u need a test: one site
     starts at 0 and one ends at |u| = L.  Take the first word u on which
     some check of a pair fails; every check on every shorter word passed.
 
@@ -299,80 +325,122 @@ def transition_oracle(
     when v starts u, then (t, 0) against the v or w that starts u; the word
     u = w gets every site pair with min(i, j) = 0.  These are tested in the
     order of the full check, so the first failing check, and so the
-    witness, is the same as when every site pair is tested.  A word is
-    therefore looked at only for the live pairs whose v or w it starts with
-    and whose v it ends with, and for the pairs whose w it is.
+    witness, is the same as when every site pair is tested.  So at each
+    length a pair looks only at the words that start with v or w and end
+    with v, and at u = w: ``_anchored_sweep`` builds the first as base-|A|
+    codes and reads the four conditions off digit windows.
 
     Independent oracle for respects_transition_exact.  Each pair is
-    validated before any word is swept: v and w must be nonempty words over
-    ``alphabet``, max_len at least |v|, and the pair's own sweep, the sum of
-    |A|^L over its lengths, within the budget.
+    validated before any word is swept: v and w must be distinct nonempty
+    words over ``alphabet``, max_len at least |v|, and the pair's own sweep,
+    the sum of |A|^L over its lengths, within the budget.
     """
     k = len(alphabet.symbols)
     for (v, w), max_len in pairs.items():
         if len(v) == 0 or len(w) == 0:
             raise InvalidWordError("words must be nonempty")
+        if v == w:
+            raise InvalidWordError("the two words must differ")
         if max_len < len(v):
             raise InvalidWordError("max_len must be at least |v|")
         _check_over(v, alphabet)
         _check_over(w, alphabet)
         _check_sweep(k, len(v), max_len)
     results = {pair: (True, None) for pair in pairs}
-    for L in range(1, max(pairs.values(), default=0) + 1):
-        by_ends = {}  # (v or w, v) -> the live pairs of a word that starts and ends so
-        whole = {}  # w of length L -> its live pairs
-        live = 0
-        for (v, w), max_len in pairs.items():
-            if len(v) <= L <= max_len and results[v, w][0]:
-                live += 1
-                if len(v) < L:
-                    for head in (v, w):
-                        by_ends.setdefault((head, v), []).append((v, w))
-                if len(w) == L:
-                    whole.setdefault(w, []).append((v, w))
-        if not live:
-            continue
-        heads = sorted({len(h) for h, _ in by_ends if len(h) <= L})
-        tails = sorted({len(v) for _, v in by_ends})
-        for u in alphabet.words(L):
-            ends = [u[L - m :] for m in tails]
-            reached = {}  # a pair met through both of its words is checked once
-            for n in heads:
-                head = u[:n]
-                for end in ends:
-                    pairs_here = by_ends.get((head, end))
-                    if pairs_here:
-                        reached.update(dict.fromkeys(pairs_here))
-            if u in whole:
-                reached.update(dict.fromkeys(whole[u]))
-            for v, w in reached:
-                if not results[v, w][0]:
-                    continue
-                head_v = (0,) if u[: len(v)] == v else ()
-                head_w = (0,) if u[: len(w)] == w else ()
-                if u == w:
-                    # every site pair with min(i, j) = 0
-                    witness = None
-                    occ_v = occurrences(u, v)
-                    for i in occ_v:
-                        if i == 0:
-                            witness = _check_conditions(u, v, w, 0, occ_v, ())
-                        else:
-                            witness = _check_conditions(u, v, w, i, head_v, head_w)
-                        if witness is not None:
-                            break
-                else:
-                    # the v ending u at t: (0, t), then (t, 0)
-                    t = L - len(v)
-                    witness = _check_conditions(u, v, w, 0, (t,), ()) if head_v else None
-                    if witness is None:
-                        witness = _check_conditions(u, v, w, t, head_v, head_w)
-                if witness is not None:
-                    results[v, w] = (False, witness)
-                    live -= 1
-            if not live:
-                break
+    # the longest spliced word has max_len + max(|w| - |v|, 0) letters; pairs
+    # whose codes pass 62 bits run on Python ints in object arrays
+    narrow, wide = [], []
+    for (v, w), max_len in pairs.items():
+        fits = k ** (max_len + max(len(w) - len(v), 0)) <= 1 << 62
+        (narrow if fits else wide).append((v, w, max_len))
+    for group, dtype in ((narrow, np.int64), (wide, object)):
+        if group:
+            results.update(_anchored_sweep(group, alphabet, dtype))
     return results
+
+
+def _anchored_sweep(group, alphabet: Alphabet, dtype) -> dict:
+    """(v, w) -> (False, witness) for each failing (v, w, max_len) of
+    ``group``: ``transition_oracle``'s anchored checks, on codes of ``dtype``.
+
+    At length L a row is a word u = h x v of a pair: its head h, v or w,
+    any x, and v at t = L - |v|; where h and that v overlap they must agree,
+    and u is their union.  A head whose words the other head's cover is
+    dropped (v if v starts with w, w if w starts with v), so no word is a
+    row twice; u = w is left to ``_check_conditions``.  Rows go by pair,
+    head and x, so by code within a head, in blocks of _ORACLE_ROWS; a
+    pair's witness is its least failing word at the first length that has
+    one.
+    """
+    k = len(alphabet.symbols)
+    nv = np.array([len(v) for v, _, _ in group])
+    nw = np.array([len(w) for _, w, _ in group])
+    top = np.array([max_len for _, _, max_len in group])
+    codes = {x: _code(x, alphabet) for v, w, _ in group for x in (v, w)}
+    cv = np.array([codes[v] for v, _, _ in group], dtype)
+    cw = np.array([codes[w] for _, w, _ in group], dtype)
+    pw = np.array([k**e for e in range(int(np.max(top + np.maximum(nw - nv, 0))) + 1)], dtype)
+    heads = [(p, h) for p, (v, w, _) in enumerate(group) for h, g in ((v, w), (w, v)) if h[: len(g)] != g]
+    hp = np.array([p for p, _ in heads])
+    hn = np.array([len(h) for _, h in heads])
+    hc = np.array([codes[h] for _, h in heads], dtype)
+    ok = np.ones(len(group), bool)
+    found = {}
+    for L in range(1, int(top.max()) + 1):
+        live = ok & (nv <= L) & (L <= top)
+        if not live.any():
+            continue
+        h = np.flatnonzero(live[hp] & (nv[hp] < L) & (hn <= L))
+        q = hp[h]
+        # the letters of x, or minus the letters that h shares with the v at t
+        gap = L - nv[q] - hn[h]
+        over = np.maximum(-gap, 0)
+        count = np.where(hc[h] % pw[over] == cv[q] // pw[nv[q] - over], k ** np.maximum(gap, 0), 0)
+        ends = np.cumsum(count)
+        total = int(ends[-1]) if len(ends) else 0
+        best = {}  # pair -> (code of u, condition or witness) of its first failure
+        for start in range(0, total, _ORACLE_ROWS):
+            row = np.arange(start, min(start + _ORACLE_ROWS, total))
+            r = np.searchsorted(ends, row, side="right")
+            p = hp[h[r]]
+            x = row - (ends - count)[r]
+            t, kv, shift = L - nv[p], pw[nv[p]], nw[p] - nv[p]
+            u = (hc[h[r]] * pw[np.maximum(gap[r], 0)] + x) // pw[over[r]] * kv + cv[p]
+            v_head = u // pw[t] == cv[p]
+            w_head = (nw[p] <= L) & (u // pw[np.maximum(L - nw[p], 0)] == cw[p])
+            # (0, t): w spliced in at 0, w + u[|v|:], must leave the v at t
+            # right of it (iv) and a v (i); (t, 0): w spliced in at t,
+            # u[:t] + w, must leave the v (ii) or w (iii) at 0
+            up = u // kv * pw[nw[p]] + cw[p]
+            fails = np.stack([
+                v_head & (t + shift <= 0),
+                v_head & ((cw[p] * pw[t] + u % pw[t]) % kv != cv[p]),
+                v_head & ((t + shift < 0) | (up // pw[np.maximum(t + shift, 0)] != cv[p])),
+                w_head & (up // pw[t] != cw[p]),
+            ])
+            bad = np.flatnonzero(fails.any(0) & ((L != nw[p]) | (u != cw[p])))
+            # a head's codes grow with x, so its first failing row is its least
+            bad = bad[np.diff(r[bad], prepend=-1) != 0]
+            for pair, code, cond in zip(p[bad].tolist(), u[bad].tolist(), fails[:, bad].argmax(0).tolist()):
+                if pair not in best or code < best[pair][0]:
+                    best[pair] = (code, cond)
+        for pair in np.flatnonzero(live & (nw == L)).tolist():
+            # u = w: every site pair with min(i, j) = 0
+            v, w, _ = group[pair]
+            occ_v, head_v = occurrences(w, v), (0,) if w[: len(v)] == v else ()
+            for site in occ_v:
+                witness = _check_conditions(w, v, w, site, *((occ_v, ()) if site == 0 else (head_v, (0,))))
+                if witness is not None:
+                    if pair not in best or codes[w] < best[pair][0]:
+                        best[pair] = (codes[w], witness)
+                    break
+        for pair, (code, why) in best.items():
+            if isinstance(why, int):
+                t = L - len(group[pair][0])
+                why = TransitionWitness(_CONDITIONS[why], _spell(code, L, alphabet), *((0, t) if why < 2 else (t, 0)))
+            ok[pair] = False
+            found[group[pair][:2]] = (False, why)
+    return found
 
 
 def respects_transition_bounded(
@@ -380,6 +448,6 @@ def respects_transition_bounded(
 ) -> tuple[bool, Optional[TransitionWitness]]:
     """Brute-force sweep of the four conditions over all u with |u| <= max_len.
 
-    One pair of transition_oracle, with its validation; cost |A|^max_len.
+    One pair of transition_oracle, with its validation.
     """
     return transition_oracle({(v, w): max_len}, alphabet)[v, w]

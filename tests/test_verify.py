@@ -3,9 +3,13 @@ import functools
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 import types
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +202,21 @@ class TestIndividualChecks:
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
         assert rec.status == "pass"
         assert rec.residuals["decider vs oracle disagreements"] == 0
+
+    def test_replacement_lemmas_leave_numpy_ma_unimported(self):
+        # numpy.ma costs about 15 ms to import (np.unique loads it on first
+        # call), so a fresh interpreter running the check must not load it
+        script = (
+            "import sys\n"
+            "from symshift import verify as V, words as W\n"
+            "assert V.check_replacement_lemmas(W.BINARY, 2, 4).status == 'pass'\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 SGAP_01 = S.SGapShift(S.SGapSet((0, 1)))

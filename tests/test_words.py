@@ -238,6 +238,57 @@ def _reference_sweep(v, w, max_len, alphabet):
     return True, None
 
 
+def _anchored_reference(pairs, alphabet):
+    """The per-word anchored sweep that ``W.transition_oracle`` replaced
+    (test reference): each word u of length L is checked only for the live
+    pairs whose v or w starts it and whose v ends it, at (0, t) and then
+    (t, 0) for the v at t = L - |v|, and for the pairs whose w it is, at
+    every site pair with min(i, j) = 0."""
+    results = {pair: (True, None) for pair in pairs}
+    for L in range(1, max(pairs.values(), default=0) + 1):
+        by_ends = {}  # (v or w, v) -> the live pairs of a word that starts and ends so
+        whole = {}  # w of length L -> its live pairs
+        for (v, w), max_len in pairs.items():
+            if len(v) <= L <= max_len and results[v, w][0]:
+                if len(v) < L:
+                    for head in (v, w):
+                        by_ends.setdefault((head, v), []).append((v, w))
+                if len(w) == L:
+                    whole.setdefault(w, []).append((v, w))
+        heads = sorted({len(h) for h, _ in by_ends if len(h) <= L})
+        tails = sorted({len(v) for _, v in by_ends})
+        for u in alphabet.words(L):
+            reached = {}  # a pair met through both of its words is checked once
+            for n in heads:
+                for m in tails:
+                    reached.update(dict.fromkeys(by_ends.get((u[:n], u[L - m :]), ())))
+            reached.update(dict.fromkeys(whole.get(u, ())))
+            for v, w in reached:
+                if not results[v, w][0]:
+                    continue
+                head_v = (0,) if u[: len(v)] == v else ()
+                head_w = (0,) if u[: len(w)] == w else ()
+                witness = None
+                if u == w:
+                    occ_v = W.occurrences(u, v)
+                    for i in occ_v:
+                        if i == 0:
+                            witness = _reference_conditions(u, v, w, 0, occ_v, ())
+                        else:
+                            witness = _reference_conditions(u, v, w, i, head_v, head_w)
+                        if witness is not None:
+                            break
+                else:
+                    t = L - len(v)
+                    if head_v:
+                        witness = _reference_conditions(u, v, w, 0, (t,), ())
+                    if witness is None:
+                        witness = _reference_conditions(u, v, w, t, head_v, head_w)
+                if witness is not None:
+                    results[v, w] = (False, witness)
+    return results
+
+
 def _all_pairs(alphabet, v_maxlen):
     """Every pair of distinct words of length <= v_maxlen, at the decider's max_len."""
     pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
@@ -260,6 +311,48 @@ class TestTransitionOracle:
             assert (ok, witness) == _reference_sweep(v, w, max_len, alphabet), (v, w)
             assert ok == W.respects_transition_exact(v, w)[0], (v, w)
 
+    @pytest.mark.parametrize(
+        "alphabet, v_maxlen",
+        [(W.BINARY, 4), (W.Alphabet(("a", "b", "c")), 2), (W.Alphabet(("x0", "x1", "y")), 2)],
+    )
+    def test_matches_anchored_reference(self, alphabet, v_maxlen):
+        # result for result, in the order of the pairs, witnesses included
+        pairs = _all_pairs(alphabet, v_maxlen)
+        batch = W.transition_oracle(pairs, alphabet)
+        assert list(batch.items()) == list(_anchored_reference(pairs, alphabet).items())
+        # plain ints, which a JSON report can hold
+        assert {type(x) for _, witness in batch.values() if witness for x in (witness.i, witness.j)} == {int}
+
+    def test_blocks_of_rows_match_anchored_reference(self, monkeypatch):
+        # blocks of 5 rows split a head's words and a pair's two heads, so a
+        # pair's least failing word is taken across blocks
+        pairs = _all_pairs(W.BINARY, 3)
+        monkeypatch.setattr(W, "_ORACLE_ROWS", 5)
+        assert W.transition_oracle(pairs) == _anchored_reference(pairs, W.BINARY)
+
+    @pytest.mark.parametrize(
+        "v, w, max_len, alphabet",
+        [
+            ("0", "1" * 70, 8, W.BINARY),
+            ("01", "0" * 40 + "1" * 40, 6, W.BINARY),
+            ("aba", "c" * 45, 8, W.Alphabet(("a", "b", "c"))),
+        ],
+    )
+    def test_wide_codes_run_on_python_ints(self, monkeypatch, v, w, max_len, alphabet):
+        # a spliced word of max_len + |w| - |v| letters passes int64, so the
+        # pair runs on object arrays, by the same expressions
+        dtypes = []
+        sweep = W._anchored_sweep
+
+        def spy(group, alphabet, dtype):
+            dtypes.append(dtype)
+            return sweep(group, alphabet, dtype)
+
+        monkeypatch.setattr(W, "_anchored_sweep", spy)
+        got = W.transition_oracle({(v, w): max_len}, alphabet)[v, w]
+        assert dtypes == [object]
+        assert got == _reference_sweep(v, w, max_len, alphabet)
+
     def test_matches_per_pair_reference_when_w_is_shorter(self):
         # max_len 9 is short of the decider's 2|v| + |w| + 2, so only the
         # reference sweep is compared
@@ -277,7 +370,7 @@ class TestTransitionOracle:
                     st.text(alphabet="abc"[:k], min_size=1, max_size=3),
                     st.text(alphabet="abc"[:k], min_size=1, max_size=3),
                     st.integers(0, 5),
-                ),
+                ).filter(lambda triple: triple[0] != triple[1]),
                 min_size=1,
                 max_size=4,
             ).map(lambda triples: (k, triples))
@@ -318,7 +411,7 @@ class TestTransitionOracle:
                     st.text(alphabet="abc"[:k], min_size=1, max_size=4),
                     st.integers(0, 4),
                     st.booleans(),
-                ),
+                ).filter(lambda quad: quad[0] != quad[1]),
                 min_size=1,
                 max_size=4,
             ).map(lambda quads: (k, quads))
@@ -350,6 +443,7 @@ class TestTransitionOracle:
             (("", "1", 3), InvalidWordError),
             (("11", "1", 1), InvalidWordError),
             (("1", "11", 30), ResourceLimitError),  # the budget is per pair
+            (("01", "01", 6), InvalidWordError),  # as the decider refuses it
         ],
     )
     def test_batch_raises_like_single_call(self, bad, error):
