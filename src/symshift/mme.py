@@ -31,12 +31,13 @@ def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
 
     With right and left Perron vectors r and l, the stationary vector is l*r
     normalized to sum 1 and P[i, j] = A[i, j] r[j] / (lam r[i]).  A reducible
-    (or empty) A raises ReduciblePresentationError.
+    (or empty) A raises ReduciblePresentationError.  A symmetric A (the
+    hard-square strips, the golden mean) has l = r and takes one solve.
     """
     if not S._strongly_connected(A):
         raise ReduciblePresentationError("graph is reducible")
     lam, r = S.perron_value(A)
-    _, l = S.perron_value(A.T)
+    l = r if np.array_equal(A, A.T) else S.perron_value(A.T)[1]
     stationary = l * r
     stationary /= stationary.sum()
     # in place: a one-expression quotient would allocate a second n x n array

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -75,9 +74,13 @@ class SGapSet:
         return ("{" + inner + "}u" + tail) if self.extra else tail
 
 
+# Specs key lru caches, so each hashes its fields' contents, not nested dataclasses.
 @dataclass(frozen=True)
 class FullShift:
     alphabet: W.Alphabet
+
+    def __hash__(self):
+        return hash(self.alphabet.symbols)
 
 
 @dataclass(frozen=True)
@@ -89,10 +92,16 @@ class SftShift:
         if any(len(f) == 0 for f in self.forbidden):
             raise SpecFormatError("forbidden words must be nonempty")
 
+    def __hash__(self):
+        return hash((self.alphabet.symbols, self.forbidden))
+
 
 @dataclass(frozen=True)
 class SGapShift:
     gaps: SGapSet
+
+    def __hash__(self):
+        return hash((self.gaps.extra, self.gaps.cofinite_from))
 
     @property
     def alphabet(self) -> W.Alphabet:
@@ -215,6 +224,11 @@ class Automaton:
         for q, _a, r in self.transitions:
             A[q, r] += 1.0
         return A
+
+    @cached_property
+    def _count_cursor(self) -> list:
+        """[k, |L_k|, the ``_counts`` walk at k]; it starts past every length."""
+        return [math.inf, 0, None]
 
     @cached_property
     def irreducible(self) -> bool:
@@ -376,23 +390,32 @@ def build_automaton(spec) -> Automaton:
 
 def _components(A: np.ndarray):
     """Yield the strongly connected components of the graph of A > 0, each a
-    sorted index array, by least state."""
-    fwd = A > 0
-    left = np.ones(len(A), dtype=bool)
+    sorted index array, by least state.  State sets are the bits of ints, so
+    a search costs one OR per state reached (of its successor/predecessor set)."""
+    n = len(A)
+    succ, pred = (
+        [int.from_bytes(row.tobytes(), "little") for row in np.packbits(B, 1, bitorder="little")]
+        for B in (A > 0, np.ascontiguousarray(A.T > 0))
+    )
+    left = (1 << n) - 1
 
-    def reach(adj, start):
-        seen = np.zeros(len(A), dtype=bool)
-        seen[start] = True
-        frontier = seen
-        while frontier.any():
-            frontier = adj[frontier].any(axis=0) & left & ~seen
+    def reach(table, q):
+        seen = frontier = 1 << q
+        while frontier:
+            step = 0
+            while frontier:
+                low = frontier & -frontier
+                step |= table[low.bit_length() - 1]
+                frontier ^= low
+            frontier = step & left & ~seen
             seen |= frontier
         return seen
 
-    while left.any():
-        q = int(np.argmax(left))
-        comp = reach(fwd, q) & reach(fwd.T, q)
-        yield np.flatnonzero(comp)
+    while left:
+        q = (left & -left).bit_length() - 1
+        comp = reach(succ, q) & reach(pred, q)
+        bits = np.frombuffer(comp.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+        yield np.flatnonzero(np.unpackbits(bits, bitorder="little")[:n])
         left &= ~comp
 
 
@@ -413,10 +436,11 @@ def _walk(graph: tuple, node: int, u) -> Optional[int]:
     """The node of the word graph ``graph`` reached by reading u from
     ``node``, or None where u dies; from node 0, u dies exactly when it is
     not in the language."""
-    for a in u:
-        node = graph[node].get(a)
-        if node is None:
-            return None
+    try:
+        for a in u:
+            node = graph[node][a]
+    except KeyError:
+        return None
     return node
 
 
@@ -445,10 +469,17 @@ def _scaled_counts(spec, lam: float):
 
 
 def count_words(spec, n: int) -> int:
-    """Exact |L_n| via path counting on the word graph (big integers)."""
+    """Exact |L_n| via path counting on the word graph (big integers),
+    resumed from the last length asked of the presentation; a shorter one restarts."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    return next(itertools.islice(_counts(spec), n, None))
+    cursor = build_automaton(spec)._count_cursor
+    if n < cursor[0]:
+        walk = _counts(spec)
+        cursor[:] = 0, next(walk), walk
+    while cursor[0] < n:
+        cursor[:2] = cursor[0] + 1, next(cursor[2])
+    return cursor[1]
 
 
 def _word_levels(spec, maxlen: int):
@@ -457,9 +488,9 @@ def _word_levels(spec, maxlen: int):
     the level before followed by the symbol of column last[i] of ``T``.
 
     |L_n| never shrinks, since every word extends to the right, so the
-    budget is checked once, on L_maxlen, before any level is built.
+    first count over the budget refuses L_maxlen before any level is built.
     """
-    if count_words(spec, maxlen) > W._SWEEP_BUDGET:
+    if any(count_words(spec, n) > W._SWEEP_BUDGET for n in range(maxlen + 1)):
         raise ResourceLimitError(f"enumerating length-{maxlen} words exceeds the budget")
     aut = build_automaton(spec)
     # the word graph as a table: step[node, column[a]] is the node after a, or -1
@@ -499,16 +530,25 @@ def _dense_vector(A: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _power_steps(A: np.ndarray, x: np.ndarray, steps: int) -> tuple[Optional[float], np.ndarray]:
+def _power_steps(
+    A: np.ndarray, x: np.ndarray, steps: int, quit_early: bool = False
+) -> tuple[Optional[float], np.ndarray]:
     """Up to ``steps`` normalized A + I steps from x >= 0, stopping at the
     first certified x: the step is below 1e-15, x > 0 and the Collatz-Wielandt
     bracket min (Ax)_i / x_i <= lam <= max (Ax)_i / x_i is at most
-    1e-12 max(1, lam) wide.  Returns (lam, x), with lam None if uncertified."""
-    for _ in range(steps):
+    1e-12 max(1, lam) wide.  Returns (lam, x), with lam None if uncertified.
+
+    ``quit_early`` also stops once the least ratio q of two successive step
+    sizes so far cannot take the step d below 1e-15 in the steps left (d q^left
+    >= 1e-15); it waits for two ratios, as the first alone can overstate q.
+    """
+    fastest = math.inf
+    for k in range(steps):
         Ax = A @ x
         y = Ax + x
         y /= y.sum()
-        if abs(y - x).max() < 1e-15:
+        step = float(abs(y - x).max())
+        if step < 1e-15:
             if np.all(x > 0):
                 ratios = Ax / x
                 lo, hi = float(ratios.min()), float(ratios.max())
@@ -518,6 +558,11 @@ def _power_steps(A: np.ndarray, x: np.ndarray, steps: int) -> tuple[Optional[flo
             elif np.count_nonzero(y) == np.count_nonzero(x):
                 # when A is irreducible every step shrinks the zeros of x
                 raise NumericalError("Perron vector is not positive")
+        elif quit_early and k:
+            fastest = min(fastest, step / prev)
+            if k > 1 and (fastest >= 1 or step * fastest ** (steps - 1 - k) >= 1e-15):
+                return None, x
+        prev = step
         x = y
     return None, x
 
@@ -526,18 +571,19 @@ def perron_value(A: np.ndarray):
     """Perron eigenvalue and positive right eigenvector of a nonnegative matrix.
 
     Power iteration on A + I (so periodic irreducible graphs converge too)
-    runs n steps from the flat vector, then restarts from the dense
-    eigenvector if it is not done.  Every result is certified by the
-    Collatz-Wielandt bracket, which holds lam for any positive x when A is
-    irreducible; the dense vector is polished by A + I steps until it is.  A
-    narrow bracket also means every entry of x is accurate relative to
-    itself, which a small step alone does not give the entries far below the
-    largest (the dense vector's are exact only to about 1e-16 of the largest).
+    runs n steps from the flat vector (fewer once they cannot finish), then
+    restarts from the dense eigenvector if it is not done.  Every result is
+    certified by the Collatz-Wielandt bracket, which holds lam for any
+    positive x when A is irreducible; the dense vector is polished by A + I
+    steps until it is.  A narrow bracket also means every entry of x is
+    accurate relative to itself, which a small step alone does not give the
+    entries far below the largest (the dense vector's are exact only to
+    about 1e-16 of the largest).
     """
     n = A.shape[0]
     if n == 0:
         raise EmptySubshiftError("empty transition matrix")
-    lam, x = _power_steps(A, np.full(n, 1.0 / n), n)
+    lam, x = _power_steps(A, np.full(n, 1.0 / n), n, quit_early=True)
     if lam is not None:
         return lam, x
     lam, x = _power_steps(A, _dense_vector(A), _MAX_STEPS)

@@ -1,5 +1,6 @@
 """Random small SFTs: the automaton-based answers against plain enumeration."""
 
+import itertools
 import math
 
 import pytest
@@ -70,3 +71,15 @@ def test_entropy_is_below_every_growth_ratio(spec):
     assert h >= 0.0
     for n in range(1, 31):
         assert h <= math.log(S.count_words(spec, n)) / n + 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(sft_specs(), sft_specs(), st.lists(st.tuples(st.booleans(), st.integers(0, 30))))
+def test_resumed_counts_match_a_fresh_walk(first, second, asks):
+    # lengths up, down and repeated, on two presentations in turn
+    if presentation(first) is None or presentation(second) is None:
+        return
+    fresh = {spec: list(itertools.islice(S._counts(spec), 31)) for spec in (first, second)}
+    for use_second, n in asks:
+        spec = second if use_second else first
+        assert S.count_words(spec, n) == fresh[spec][n]

@@ -1,12 +1,17 @@
 import itertools
 import math
+import pickle
+import random
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from symshift import mme as M
 from symshift import subshifts as S
+from symshift import verify as V
 from symshift import words as W
 from symshift.errors import (
     EmptySubshiftError,
@@ -138,6 +143,33 @@ class TestLanguage:
         with pytest.raises(ResourceLimitError):
             S.enumerate_words(FULL, 30)
 
+    def test_enumerate_budget_refuses_before_counting_every_length(self):
+        # |L_n| passes the budget near n = 32; counting |L_maxlen| in full
+        # took about a minute at 10^6
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="length-1000000 words exceeds the budget"):
+            S.enumerate_words(GOLDEN, 10**6)
+        assert time.perf_counter() - start < 1.0
+
+    def test_count_resumes_from_the_last_length(self, monkeypatch):
+        walked = []
+
+        def counted(spec):
+            for count in real(spec):
+                walked.append(count)
+                yield count
+
+        real = S._counts
+        monkeypatch.setattr(S, "_counts", counted)
+        # an alphabet no other test uses, so the presentation is fresh
+        spec = S.SftShift(W.Alphabet(("p", "q")), ("qq",))
+        assert S.count_words(spec, 120) == S.count_words(GOLDEN, 120)
+        assert len(walked) == 121  # |L_0| and 120 DP steps
+        assert S.count_words(spec, 121) == S.count_words(GOLDEN, 121)
+        assert len(walked) == 122  # one DP step
+        assert S.count_words(spec, 3) == 5
+        assert len(walked) == 126  # a shorter length restarts the walk
+
     def test_negative_length(self):
         with pytest.raises(InvalidWordError):
             S.count_words(GOLDEN, -1)
@@ -191,6 +223,19 @@ class TestEntropy:
         assert S._strongly_connected(A[:2, :2])
         assert not S._strongly_connected(np.zeros((0, 0)))
 
+    @given(st.integers(1, 24).flatmap(lambda n: st.sets(st.tuples(*[st.integers(0, n - 1)] * 2))))
+    def test_components_match_the_transitive_closure(self, edges):
+        n = 1 + max((max(e) for e in edges), default=0)
+        A = np.zeros((n, n))
+        for q, r in edges:
+            A[q, r] = 1.0
+        reach = np.eye(n) + A > 0
+        for _ in range(n.bit_length()):
+            reach = reach.astype(float) @ reach > 0
+        mutual = reach & reach.T
+        expected = list({tuple(np.flatnonzero(row)): None for row in mutual})
+        assert [tuple(c) for c in S._components(A)] == expected
+
     def test_unconverged_power_iteration_is_typed(self, monkeypatch):
         # S = {0,100} needs thousands of steps from the flat vector: with the
         # dense restart flat too, n + 10 steps reach the step cap
@@ -235,6 +280,83 @@ def _hard_square_strip(width):
     return np.array([[float(not a & b) for b in columns] for a in columns])
 
 
+def _reference_perron(A):
+    """The Perron kernel before the flat phase could quit early: n power
+    steps from the flat vector, then the dense restart."""
+
+    def power_steps(x, steps):
+        for _ in range(steps):
+            Ax = A @ x
+            y = Ax + x
+            y /= y.sum()
+            if abs(y - x).max() < 1e-15:
+                if np.all(x > 0):
+                    ratios = Ax / x
+                    lo, hi = float(ratios.min()), float(ratios.max())
+                    if hi - lo <= 1e-12 * max(1.0, lo):
+                        return min(max(float(x @ Ax / (x @ x)), lo), hi), x
+                elif np.count_nonzero(y) == np.count_nonzero(x):
+                    raise NumericalError("Perron vector is not positive")
+            x = y
+        return None, x
+
+    n = A.shape[0]
+    lam, x = power_steps(np.full(n, 1.0 / n), n)
+    if lam is None:
+        lam, x = power_steps(S._dense_vector(A), S._MAX_STEPS)
+    if lam is None:
+        raise NumericalError(f"no Collatz-Wielandt certificate after {S._MAX_STEPS} steps")
+    return lam, x
+
+
+def _zoo_style_specs(seed):
+    """Specs drawn as the spec-zoo benchmark draws them: binary SFTs of
+    memory 1 and 3..10 whose forbidden words contain 11, and finite and
+    cofinite S-gap sets."""
+    rng = random.Random(seed)
+    specs = [S.SftShift(W.BINARY, (rng.choice(pair),)) for pair in [("00", "11"), ("01", "10")]]
+    for m in range(3, 11):
+        forbidden = set()
+        for n in [m + 1] + [rng.randint(max(4, m - 1), m + 1) for _ in range(rng.randint(0, 3))]:
+            word = [rng.choice("01") for _ in range(n)]
+            i = rng.randrange(n - 1)
+            word[i] = word[i + 1] = "1"
+            forbidden.add("".join(word))
+        specs.append(S.SftShift(W.BINARY, tuple(sorted(forbidden))))
+    for top in (3, 5, 7):
+        below = tuple(sorted(rng.sample(range(top), (top + 1) // 2)))
+        specs.append(S.SGapShift(S.SGapSet(below + (top,))))
+        extra = tuple(sorted(rng.sample(range(top - 1), (top - 1) // 2)))
+        specs.append(S.SGapShift(S.SGapSet(extra, top)))
+    return specs
+
+
+def _presentation_matrices(spec):
+    """The matrices the spectral layer solves for a spec: its adjacency, the
+    transpose ``parry_chain`` solves, and each strongly connected component."""
+    A = S.build_automaton(spec).adjacency()
+    parts = [] if S._strongly_connected(A) else [A[np.ix_(c, c)] for c in S._components(A)]
+    return [B for part in [A] + parts for B in (part, part.T)]
+
+
+def _kernel_outcome(kernel, A):
+    try:
+        lam, x = kernel(A)
+    except NumericalError as exc:
+        return str(exc)
+    return lam, x.tobytes()
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts its products with a vector."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        type(self).products += 1
+        return np.asarray(self) @ other
+
+
 class TestPerronKernel:
     @pytest.mark.parametrize("gaps", [(0, 7), (0, 40), (0, 100), (1, 3), (0, 2, 50), (0, 1, 170)])
     def test_gap_chains_match_root(self, gaps):
@@ -265,6 +387,99 @@ class TestPerronKernel:
         top = np.linalg.eigvalsh(A)[-1]
         assert abs(lam - top) <= 1e-13 * top
         _assert_certified(A, lam, x)
+
+    @pytest.mark.parametrize("width", [8, 10])
+    def test_fast_mixing_strips_never_go_dense(self, width, monkeypatch):
+        def refuse(A):
+            raise AssertionError("dense restart")
+
+        monkeypatch.setattr(S, "_dense_vector", refuse)
+        S.perron_value(_hard_square_strip(width))
+
+    def test_slow_chain_leaves_the_flat_phase_early(self, monkeypatch):
+        # S = {0,40} needs thousands of steps from the flat vector; its 41
+        # flat steps used to come before every dense restart
+        A = S.build_automaton(S.SGapShift(S.SGapSet((0, 40)))).adjacency()
+        flat = []
+        dense = S._dense_vector
+
+        def restart(B):
+            flat.append(B.products)
+            return dense(np.asarray(B))
+
+        monkeypatch.setattr(_CountingMatrix, "products", 0)
+        monkeypatch.setattr(S, "_dense_vector", restart)
+        S.perron_value(A.view(_CountingMatrix))
+        # it waits for three step sizes, two ratios, before it quits
+        assert len(flat) == 1 and 3 <= flat[0] <= 8
+
+    def test_bit_identical_to_the_reference_kernel(self):
+        specs = [spec for seed in range(1, 6) for spec in _zoo_style_specs(seed)]
+        for key in ("sgap_specs", "pair_specs", "hereditary_specs"):
+            specs += [S.spec_from_dict(doc) for doc in V.DEFAULT_CONFIG[key]]
+        gap_chains = [(0, 7), (0, 40), (0, 100), (1, 3), (0, 2, 50), (0, 1, 170)]
+        specs += [S.SGapShift(S.SGapSet(gaps)) for gaps in gap_chains]
+        matrices = [A for spec in specs for A in _presentation_matrices(spec)]
+        matrices += [_hard_square_strip(width) for width in range(2, 13)]
+        for A in matrices:
+            assert _kernel_outcome(S.perron_value, A) == _kernel_outcome(_reference_perron, A)
+
+
+class TestParryChainSolves:
+    def _solves(self, A, monkeypatch):
+        calls = []
+        perron = S.perron_value
+        monkeypatch.setattr(S, "perron_value", lambda B: calls.append(B) or perron(B))
+        M.parry_chain(A)
+        return len(calls)
+
+    def test_symmetric_matrix_is_solved_once(self, monkeypatch):
+        assert self._solves(_hard_square_strip(8), monkeypatch) == 1
+        assert self._solves(S.build_automaton(GOLDEN).adjacency(), monkeypatch) == 1
+
+    def test_other_matrix_is_solved_twice(self, monkeypatch):
+        A = S.build_automaton(S.SGapShift(S.SGapSet((0, 2)))).adjacency()
+        assert not np.array_equal(A, A.T)
+        assert self._solves(A, monkeypatch) == 2
+
+    def test_one_solve_matches_two(self):
+        A = _hard_square_strip(8)
+        lam, stationary, P = M.parry_chain(A)
+        _, r = S.perron_value(A)
+        _, l = S.perron_value(A.T)
+        np.testing.assert_allclose(stationary, l * r / (l * r).sum(), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(P, A * r / (lam * r[:, None]), rtol=1e-15, atol=0)
+
+
+class TestSpecHash:
+    DOCS = [
+        {"type": "full", "alphabet": ["0", "1"]},
+        {"type": "sft", "alphabet": ["a", "b", "c"], "forbidden": ["ab", "cc"]},
+        {"type": "sgap", "finite": [0, 2, 5]},
+        {"type": "sgap", "extra": [1], "from": 4},
+    ]
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_equal_specs_hash_equal(self, doc):
+        a, b = S.spec_from_dict(doc), S.spec_from_dict(dict(doc))
+        assert a is not b and a == b and hash(a) == hash(b)
+
+    @pytest.mark.parametrize("doc", DOCS)
+    def test_pickle_round_trip_hits_the_cache(self, doc):
+        spec = S.spec_from_dict(doc)
+        aut = S.build_automaton(spec)
+        hits = S.build_automaton.cache_info().hits
+        copy = pickle.loads(pickle.dumps(spec))
+        assert copy == spec and hash(copy) == hash(spec)
+        assert S.build_automaton(copy) is aut
+        assert S.build_automaton.cache_info().hits == hits + 1
+
+    def test_alphabet_tells_specs_apart(self):
+        binary = S.SftShift(W.BINARY, ("11",))
+        ternary = S.SftShift(W.Alphabet(("0", "1", "2")), ("11",))
+        assert binary != ternary
+        assert S.FullShift(W.BINARY) != S.FullShift(W.Alphabet(("1", "0")))
+        assert S.count_words(binary, 3) != S.count_words(ternary, 3)
 
 
 class TestStructuralPredicates:
