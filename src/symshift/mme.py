@@ -1,11 +1,11 @@
 """Measures of maximal entropy: Parry models and the S-gap recursion.
 
-Every Parry measure here is built one way, from a labelled graph: the
-minimal presentation of a spec (``parry``) and the S-gap counter
-(``gap_chain``) each give their ``(q, symbol, r)`` edges to one constructor,
-and ``mu_parry`` reads cylinders off the result; the strips of ``grid2d``
-share ``parry_chain``.  For S-gap shifts a second, independent route exists:
-a memoized recursion driven by the synchronization identity
+Every Parry measure here is built one way, from a labelled graph: the minimal
+presentation of a spec (``parry``, on the right Perron pair ``Automaton.perron``
+holds) and the S-gap counter (``gap_chain``) each give their ``(q, symbol, r)``
+edges to one constructor, and ``mu_parry`` reads cylinders off the result; the
+strips of ``grid2d`` share ``parry_chain``.  For S-gap shifts a second,
+independent route exists: a memoized recursion driven by the synchronization identity
 mu(1 z 1) = mu(1) t^(|z|+1), which also produces an integer certificate
 (k, f) with mu(w) = k + mu(1) f(t).  The recursion shares no code with the
 gap chain, and the two must agree; the test suite enforces it.
@@ -36,7 +36,11 @@ def parry_chain(A: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """
     if not S._strongly_connected(A):
         raise ReduciblePresentationError("graph is reducible")
-    lam, r = S.perron_value(A)
+    return _chain_from(A, *S.perron_value(A))
+
+
+def _chain_from(A: np.ndarray, lam: float, r: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """``parry_chain`` of an irreducible A whose right Perron pair is (lam, r)."""
     l = r if np.array_equal(A, A.T) else S.perron_value(A.T)[1]
     stationary = l * r
     stationary /= stationary.sum()
@@ -65,15 +69,15 @@ class ParryModel:
         return [], [dict(enumerate(self.stationary.tolist()))]
 
 
-def _labelled_parry(n: int, edges) -> ParryModel:
+def _labelled_parry(n: int, edges, perron=None) -> ParryModel:
     """Parry model of the graph on states 0..n-1 with ``(q, symbol, r)`` edges.
 
-    Parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each.
+    Parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each; a known Perron pair ``perron`` is reused.
     """
     A = np.zeros((n, n))
     for q, _, r in edges:
         A[q, r] += 1.0
-    _, stationary, P = parry_chain(A)
+    _, stationary, P = parry_chain(A) if perron is None else _chain_from(A, *perron)
     steps = {}
     for q, a, r in edges:
         steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
@@ -83,7 +87,9 @@ def _labelled_parry(n: int, edges) -> ParryModel:
 def parry(spec) -> ParryModel:
     """Markov measure of maximal entropy of the spec's minimal presentation."""
     aut = S.build_automaton(spec)
-    return _labelled_parry(len(aut.states), aut.transitions)
+    if not aut.irreducible:
+        raise ReduciblePresentationError("graph is reducible")
+    return _labelled_parry(len(aut.states), aut.transitions, aut.perron)
 
 
 def mu_parry(model: ParryModel, w) -> float:

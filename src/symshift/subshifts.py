@@ -234,6 +234,15 @@ class Automaton:
     def irreducible(self) -> bool:
         return _strongly_connected(self.adjacency())
 
+    @cached_property
+    def perron(self) -> tuple:
+        """(lam, r), shared by ``entropy`` and ``mme.parry``: the largest Perron value over the
+        components (Lind & Marcus, Thm 4.4.4) and the right Perron vector, None if reducible."""
+        if self.irreducible:
+            return perron_value(self.adjacency())
+        A = self.adjacency()
+        return max(perron_value(A[np.ix_(c, c)])[0] for c in _components(A)), None
+
     def follower_contains(self, p: int, q: int) -> bool:
         """Whether every legal right ray from p is legal from q."""
         return bool(self._containment_table[p, q])
@@ -607,13 +616,8 @@ def entropy(spec) -> float:
 
 
 def perron_eigenvalue(spec) -> float:
-    """Spectral radius of the presentation: the largest Perron value over its
-    strongly connected components (Lind & Marcus, Thm 4.4.4)."""
-    aut = build_automaton(spec)
-    if aut.irreducible:  # asked first, so its own adjacency matrix is freed before A
-        return perron_value(aut.adjacency())[0]
-    A = aut.adjacency()
-    return max(perron_value(A[np.ix_(c, c)])[0] for c in _components(A))
+    """Spectral radius of the presentation, read off ``Automaton.perron``."""
+    return build_automaton(spec).perron[0]
 
 
 def sgap_lambda(gaps: SGapSet) -> float:

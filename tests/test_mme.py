@@ -11,11 +11,25 @@ from symshift import subshifts as S
 from symshift import verify as V
 from symshift import words as W
 from symshift.errors import InvalidWordError, ReduciblePresentationError
+from test_subshifts import _zoo_style_specs
 
 PHI = (1 + math.sqrt(5)) / 2
 
 GOLDEN = S.SftShift(W.BINARY, ("11",))
 FULL = S.FullShift(W.BINARY)
+
+# spec-zoo-style specs of five seeds and the default config's specs, each once
+STATIONARITY_SPECS = list(
+    dict.fromkeys(
+        [GOLDEN]
+        + [spec for seed in range(1, 6) for spec in _zoo_style_specs(seed)]
+        + [
+            S.spec_from_dict(doc)
+            for key in ("sgap_specs", "pair_specs", "hereditary_specs")
+            for doc in V.DEFAULT_CONFIG[key]
+        ]
+    )
+)
 
 GAP_SETS = [
     S.SGapSet((0, 1)),
@@ -131,9 +145,24 @@ class TestParry:
                 sum(M.mu_parry(model, a + w) for a in "01"), abs=1e-12
             )
 
-    def test_stationarity(self):
-        _, stationary, P = M.parry_chain(S.build_automaton(GOLDEN).adjacency())
-        assert np.array_equal(M.parry(GOLDEN).stationary, stationary)
+    @pytest.mark.parametrize("spec", STATIONARITY_SPECS, ids=S.describe)
+    def test_stationarity(self, spec):
+        # parry reads the right Perron pair of the presentation's record; a
+        # model built here from parry_chain's own solves must equal it bit for bit
+        aut = S.build_automaton(spec)
+        A = aut.adjacency()
+        if not aut.irreducible:
+            for build in (M.parry, lambda spec: M.parry_chain(A)):
+                with pytest.raises(ReduciblePresentationError, match="graph is reducible"):
+                    build(spec)
+            return
+        _, stationary, P = M.parry_chain(A)
+        steps = {}
+        for q, a, r in aut.transitions:
+            steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
+        model = M.parry(spec)
+        assert model.stationary.tobytes() == stationary.tobytes()
+        assert model.steps == steps
         assert np.max(np.abs(stationary @ P - stationary)) < 1e-12
 
     def test_transition_matches_entrywise_formula(self):

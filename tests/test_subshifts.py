@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import pickle
@@ -17,6 +18,7 @@ from symshift.errors import (
     EmptySubshiftError,
     InvalidWordError,
     NumericalError,
+    ReduciblePresentationError,
     ResourceLimitError,
     SpecFormatError,
 )
@@ -449,6 +451,74 @@ class TestParryChainSolves:
         _, l = S.perron_value(A.T)
         np.testing.assert_allclose(stationary, l * r / (l * r).sum(), rtol=1e-15, atol=0)
         np.testing.assert_allclose(P, A * r / (lam * r[:, None]), rtol=1e-15, atol=0)
+
+
+class TestSpectralRecord:
+    """``Automaton.perron`` holds a presentation's one solve of A and its one
+    connectivity search; ``entropy`` and ``mme.parry`` both read it."""
+
+    GAP_02 = S.SGapShift(S.SGapSet((0, 2)))
+    # 2 can only be followed by 2s: a fixed point beside the full 2-shift on {0, 1}
+    REDUCIBLE = S.SftShift(W.Alphabet(("0", "1", "2")), ("20", "21"))
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The matrices handed to ``perron_value`` and ``_strongly_connected``,
+        on cold presentations."""
+        S.build_automaton.cache_clear()
+        calls = {"perron_value": [], "_strongly_connected": []}
+        for name, log in calls.items():
+            kernel = getattr(S, name)
+            monkeypatch.setattr(S, name, lambda A, kernel=kernel, log=log: log.append(A) or kernel(A))
+        yield calls
+        S.build_automaton.cache_clear()
+
+    def test_entropy_solves_A_once(self, calls):
+        S.entropy(self.GAP_02)
+        S.entropy(self.GAP_02)
+        A = S.build_automaton(self.GAP_02).adjacency()
+        assert [B.tolist() for B in calls["perron_value"]] == [A.tolist()]
+
+    def test_parry_solves_only_the_transpose(self, calls):
+        S.entropy(self.GAP_02)
+        M.parry(self.GAP_02)
+        A = S.build_automaton(self.GAP_02).adjacency()
+        assert [B.tolist() for B in calls["perron_value"]] == [A.tolist(), A.T.tolist()]
+
+    def test_symmetric_presentation_is_solved_once(self, calls):
+        S.entropy(GOLDEN)
+        M.parry(GOLDEN)
+        assert len(calls["perron_value"]) == 1
+
+    @pytest.mark.parametrize("spec", [GAP_02, GOLDEN, REDUCIBLE], ids=S.describe)
+    def test_one_connectivity_search(self, calls, spec):
+        S.entropy(spec)
+        with contextlib.suppress(ReduciblePresentationError):
+            M.parry(spec)
+        assert len(calls["_strongly_connected"]) == 1
+
+    def test_reducible_presentation(self, calls):
+        aut = S.build_automaton(self.REDUCIBLE)
+        A = aut.adjacency()
+        lam = max(S.perron_value(A[np.ix_(c, c)])[0] for c in S._components(A))
+        assert S.entropy(self.REDUCIBLE) == math.log(lam) == pytest.approx(math.log(2), abs=1e-12)
+        with pytest.raises(ReduciblePresentationError, match="graph is reducible"):
+            M.parry(self.REDUCIBLE)
+
+    def test_record_is_the_kernel_pair(self, calls):
+        specs = [spec for seed in range(1, 6) for spec in _zoo_style_specs(seed)]
+        for key in ("sgap_specs", "pair_specs", "hereditary_specs"):
+            specs += [S.spec_from_dict(doc) for doc in V.DEFAULT_CONFIG[key]]
+        for spec in specs + [self.REDUCIBLE]:
+            aut = S.build_automaton(spec)
+            A = aut.adjacency()
+            if aut.irreducible:
+                lam, r = S.perron_value(A)
+                assert (aut.perron[0], aut.perron[1].tobytes()) == (lam, r.tobytes())
+            else:
+                lam = max(S.perron_value(A[np.ix_(c, c)])[0] for c in S._components(A))
+                assert aut.perron == (lam, None)
+            assert S.perron_eigenvalue(spec) == lam
 
 
 class TestSpecHash:

@@ -1,9 +1,12 @@
-"""Every public name has a reader outside the tests.
+"""Every public name has a reader outside the tests, and so does every private one.
 
 A name in ``symshift.__all__`` must be mentioned by the library itself
 (``__init__.py`` and the name's own definition line do not count), by a demo
 or by the benchmark harness.  A function that only a unit test calls is
 surface to document, test and carry through every refactor for nothing.
+A module-level private name (``def _x``, ``class _X``, ``_X =``; dunders
+aside) must be mentioned off its definition line in ``src/``, a demo or the
+harness, so that a helper a refactor leaves behind does not stay.
 """
 
 import pathlib
@@ -46,3 +49,26 @@ def test_public_name_has_a_reader(name):
 
 def test_allowed_names_are_exported():
     assert set(ALLOWED) <= set(symshift.__all__)
+
+
+def _private_names() -> list[str]:
+    define = re.compile(r"(?:def|class)\s+(_\w+)|(_\w+)\s*=")
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for line in path.read_text().splitlines():
+            found = define.match(line)
+            name = found and (found[1] or found[2])
+            if name and not (name.startswith("__") and name.endswith("__")):
+                names.append(f"{path.stem}.{name}")
+    return names
+
+
+PRIVATE_READER_LINES = READER_LINES + (PACKAGE / "__init__.py").read_text().splitlines()
+
+
+@pytest.mark.parametrize("qualified", _private_names())
+def test_private_name_has_a_reader(qualified):
+    name = qualified.split(".")[1]
+    mention = re.compile(rf"\b{re.escape(name)}\b")
+    readers = [line for line in PRIVATE_READER_LINES if mention.search(line) and not _defines(line, name)]
+    assert readers, f"{qualified} is defined but nothing outside tests/ mentions it"

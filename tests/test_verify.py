@@ -53,13 +53,17 @@ SMALL_CONFIG = {
 
 
 @pytest.fixture
-def cold_classes():
-    """An empty landing-class cache before and after the test, so that a
-    table built under a patched measure, Perron kernel or block size is
-    neither read nor left behind."""
-    V._landing_classes.cache_clear()
+def cold_caches():
+    """Empty landing-class and presentation caches before and after the test,
+    so that a table or a spectral record (``Automaton.perron``) built under a
+    patched measure, Perron kernel or block size is neither read nor left
+    behind."""
+    caches = (V._landing_classes, S.build_automaton)
+    for cache in caches:
+        cache.cache_clear()
     yield
-    V._landing_classes.cache_clear()
+    for cache in caches:
+        cache.cache_clear()
 
 
 class TestIndividualChecks:
@@ -84,7 +88,7 @@ class TestIndividualChecks:
         assert rec.status == "pass"
 
     @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (1e-9, "fail")])
-    def test_entropy_root_sees_a_scaled_lambda(self, monkeypatch, cold_classes, eps, status):
+    def test_entropy_root_sees_a_scaled_lambda(self, monkeypatch, cold_caches, eps, status):
         # negative control: the graph side's lambda off by a factor 1 + eps
         perron_value = S.perron_value
 
@@ -98,6 +102,18 @@ class TestIndividualChecks:
             assert rec.status == status
             assert rec.residuals["root equation"] <= 1e-12
             assert (rec.residuals["log-lambda vs graph entropy"] > 1e-10) == bool(eps)
+
+    @pytest.mark.parametrize("p, status", [(0.3, "fail"), (0.382, "fail"), ((3 - math.sqrt(5)) / 2, "pass")])
+    def test_extender_checks_see_a_planted_measure(self, monkeypatch, cold_caches, p, status):
+        # negative control: the golden mean under the Markov measure with
+        # P(0 -> 1) = p, which is its Parry measure only at p = 1/phi^2
+        model = M.ParryModel(
+            stationary=np.array([1.0, p]) / (1.0 + p),
+            steps={"0": {0: (0, 1.0 - p), 1: (0, 1.0)}, "1": {0: (1, p)}},
+        )
+        monkeypatch.setattr(M, "parry", lambda spec: model)
+        for check, tol in [(V.check_main_inequality, 1e-12), (V.check_equality_corollary, 1e-9)]:
+            assert check(GOLDEN, 6, tol).status == status
 
     def test_entropy_root_degenerate(self):
         rec = V.check_entropy_root(S.SGapSet((0,)), 1e-12, 1e-10)
@@ -405,7 +421,7 @@ class TestLandingClassTable:
         assert _exact(asdict(rec)) == _exact(asdict(ref))
 
     @pytest.mark.parametrize("spec", [GOLDEN, SFT_7], ids=S.describe)
-    def test_matches_pairwise_loop_on_a_nan_measure(self, monkeypatch, cold_classes, spec):
+    def test_matches_pairwise_loop_on_a_nan_measure(self, monkeypatch, cold_caches, spec):
         mu_parry = M.mu_parry
         monkeypatch.setattr(
             M, "mu_parry", lambda model, w: math.nan if w == "0100" else mu_parry(model, w)
@@ -417,7 +433,7 @@ class TestLandingClassTable:
             assert rec.status == "fail"
             assert _exact(asdict(rec)) == _exact(asdict(ref))
 
-    def test_check_order_does_not_matter(self, cold_classes):
+    def test_check_order_does_not_matter(self, cold_caches):
         # the equality check first, the main check first, and each on a cold
         # cache give the same records
         main = (V.check_main_inequality, 1e-12)
@@ -435,7 +451,7 @@ class TestLandingClassTable:
             cold += records(check)
         assert eq_first[::-1] == main_first == cold
 
-    def test_one_table_is_kept(self, cold_classes):
+    def test_one_table_is_kept(self, cold_caches):
         def stats():
             info = V._landing_classes.cache_info()
             return info.hits, info.misses, info.currsize
@@ -451,7 +467,7 @@ class TestLandingClassTable:
         table = V._landing_classes(GOLDEN, 5)
         assert not any(a.flags.writeable for a in table if isinstance(a, np.ndarray))
 
-    def test_run_all_builds_one_table_per_pair_spec(self, cold_classes):
+    def test_run_all_builds_one_table_per_pair_spec(self, cold_caches):
         config = dict(
             SMALL_CONFIG,
             pair_specs=V.DEFAULT_CONFIG["pair_specs"],
@@ -465,7 +481,7 @@ class TestLandingClassTable:
         assert (info.hits, info.misses) == (2, 2)
 
 
-@pytest.mark.usefixtures("cold_classes")
+@pytest.mark.usefixtures("cold_caches")
 class TestNaNFailsClosed:
     """A NaN measure fails every family of checks; no residual passes as NaN."""
 
@@ -558,7 +574,7 @@ class TestExtenderSweep:
         "spec, maxlen, two_sided, pairs, classes, states, residual", PINNED_SWEEPS
     )
     def test_pinned_records_in_small_blocks(
-        self, monkeypatch, cold_classes, spec, maxlen, two_sided, pairs, classes, states, residual
+        self, monkeypatch, cold_caches, spec, maxlen, two_sided, pairs, classes, states, residual
     ):
         # the class table is built here, not read from the cache, with its
         # class pairs decided in chunks of at most 64 entries (or one v row,
@@ -579,7 +595,7 @@ class TestExtenderSweep:
         assert len(chunks) > 1 or classes * states <= 64
 
     @pytest.mark.parametrize("block", [1, 7, 64, 1000])
-    def test_chunks_match_one_block(self, monkeypatch, cold_classes, block):
+    def test_chunks_match_one_block(self, monkeypatch, cold_caches, block):
         aut = S.build_automaton(SFT_7)
         rows = np.concatenate([r for _, _, r in S._landing_levels(SFT_7, 5)])
         reps = np.unique(rows, axis=0)
@@ -623,7 +639,7 @@ class TestExtenderSweep:
 
     @pytest.mark.parametrize("check", [V.check_main_inequality, V.check_equality_corollary])
     def test_over_budget_sweep_is_refused_before_any_measure(
-        self, monkeypatch, cold_classes, check
+        self, monkeypatch, cold_caches, check
     ):
         # |L_4| = 64^4 is over the budget: the 266,304 words of L_1..L_3 used
         # to be measured first
@@ -1085,7 +1101,7 @@ class TestSuite:
                 header = fh.readline().strip()
             assert "," in header
 
-    def test_numerical_error_does_not_abort_suite(self, report, monkeypatch, cold_classes):
+    def test_numerical_error_does_not_abort_suite(self, report, monkeypatch, cold_caches):
         # an unconverged power iteration on the pair spec's presentation only
         spec = {"type": "sft", "alphabet": ["a", "b", "c"], "forbidden": ["aa"]}
         target = S.build_automaton(S.spec_from_dict(spec)).adjacency()
