@@ -47,9 +47,10 @@ def _chain_from(A: np.ndarray, lam: float, r: np.ndarray) -> tuple[float, np.nda
     # in place: a one-expression quotient would allocate a second n x n array
     P = A * r
     P /= lam * r[:, None]
-    if abs(stationary.sum() - 1.0) > 1e-12:
+    # written to fail on NaN as well
+    if not abs(stationary.sum() - 1.0) <= 1e-12:
         raise NumericalError("stationary vector does not normalize")
-    if np.max(np.abs(stationary @ P - stationary)) > 1e-12:
+    if not np.max(np.abs(stationary @ P - stationary)) <= 1e-12:
         raise NumericalError("stationary vector is not invariant")
     return lam, stationary, P
 
@@ -209,6 +210,8 @@ class SGapMME:
 
     ``certificate`` is the public entry: it validates the word once, and the
     recursion below it reads and fills the memo without validating again.
+    The recursion runs on an explicit stack, so a long word is no deeper
+    for Python than a short one.
     """
 
     gaps: S.SGapSet
@@ -225,14 +228,37 @@ class SGapMME:
         return self._certificate(w)
 
     def _certificate(self, w: str) -> MeasureCertificate:
-        """``certificate`` of a binary string w, memoized."""
-        cached = self._memo.get(w)
-        if cached is None:
-            cached = self._build(w)
-            self._memo[w] = cached
-        return cached
+        """``certificate`` of a binary string w, memoized.  A word waits on
+        the stack until the memo holds each word of its terms."""
+        memo = self._memo
+        cached = memo.get(w)
+        if cached is not None:
+            return cached
+        stack = [(w, self._build(w))]
+        while stack:
+            u, built = stack[-1]
+            if type(built) is list:
+                depth = len(stack)
+                terms = []
+                for sign, x in built:
+                    child = memo.get(x)
+                    if child is None:
+                        child = self._build(x)
+                        if type(child) is list:
+                            stack.append((x, child))
+                            continue
+                        memo[x] = child
+                    terms.append((sign, child))
+                if len(stack) > depth:
+                    continue
+                built = _signed_sum(terms)
+            memo[u] = built
+            stack.pop()
+        return built
 
-    def _build(self, w: str) -> MeasureCertificate:
+    def _build(self, w: str):
+        """The certificate of w when it needs no other word, else the
+        ``(sign, word)`` terms whose signed sum of measures is mu(w)."""
         n = len(w)
         if n == 0:
             return MeasureCertificate(1, ())
@@ -243,18 +269,12 @@ class SGapMME:
         if w[0] == "1" and w[-1] == "1":
             return self._pinned(w)
         z = w[1:-1]
-        one_z_one = self._certificate("1" + z + "1")
         if w[0] == "1":  # 1 z 0
-            return _signed_sum([(1, self._certificate("1" + z)), (-1, one_z_one)])
+            return [(1, "1" + z), (-1, "1" + z + "1")]
         if w[-1] == "1":  # 0 z 1
-            return _signed_sum([(1, self._certificate(z + "1")), (-1, one_z_one)])
+            return [(1, z + "1"), (-1, "1" + z + "1")]
         # 0 z 0: mu(z) minus the three sibling extensions of the z-cylinder
-        return _signed_sum([
-            (1, self._certificate(z)),
-            (-1, self._certificate("1" + z)),
-            (-1, self._certificate(z + "1")),
-            (1, one_z_one),
-        ])
+        return [(1, z), (-1, "1" + z), (-1, z + "1"), (1, "1" + z + "1")]
 
     def _pinned(self, w: str) -> MeasureCertificate:
         """Certificate for a word starting and ending with 1: mu(1) t^(|w|-1)

@@ -297,20 +297,18 @@ def check_limit(
     for n, exact in enumerate(itertools.islice(S._counts(spec), 1, exact_n + 1), 1):
         rows.append([n, exact, a[n]])
         try:
-            worst_rel = max(worst_rel, abs(exact / lam**n - a[n]) / a[n])
+            rel = abs(exact / lam**n - a[n]) / a[n]
         except OverflowError:
             raise NumericalError(f"|L_{n}| / lambda^{n} overflows; lower limit_exact_n") from None
+        if not (rel <= worst_rel or math.isnan(worst_rel)):  # a NaN stays the worst
+            worst_rel = rel
     record.series["growth"] = {"columns": ["n", "count", "count_over_lambda_n"], "rows": rows}
     _bound(record, "exact vs scaled (relative)", worst_rel, rel_tol, {"worst_relative": worst_rel})
     return record
 
 
 def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord:
-    if 2 ** (maxlen + 1) - 2 > W._SWEEP_BUDGET:  # the binary words of lengths 1..maxlen
-        raise ResourceLimitError(
-            f"the value-theorem sweep exceeds the budget of {W._SWEEP_BUDGET} words; "
-            "lower maxlen_value"
-        )
+    W._check_sweep(2, 1, maxlen, "maxlen_value")  # the binary words of lengths 1..maxlen
     record = CheckRecord(
         name=f"value-theorem[S={gaps.describe()}]",
         spec=S.describe(S.SGapShift(gaps)),
@@ -456,11 +454,8 @@ def _subset_sweep(record, pairs, u_maxlen: int, alphabet: W.Alphabet) -> int:
     and the rule that moves a pass to Python ints.  A level holds at most
     (|A| + 1)^L nodes: mark the first letter of each site.
     """
-    k = len(alphabet.symbols)
-    if pairs and (k + 1) ** u_maxlen > W._SWEEP_BUDGET:
-        raise ResourceLimitError(
-            f"a subset-sweep level exceeds the budget of {W._SWEEP_BUDGET} nodes; lower u_maxlen"
-        )
+    if pairs:
+        W._check_sweep(len(alphabet.symbols) + 1, u_maxlen, u_maxlen, "u_maxlen")
     found, visited = LS.sweep(pairs, u_maxlen, alphabet)
     for witnesses in found:
         for witness in witnesses:
@@ -480,7 +475,7 @@ def check_replacement_lemmas(
     )
     # the oracle's largest sweep is the pair with |v| = |w| = v_maxlen: refused
     # here, before the pool and its ordered pairs are listed
-    W._check_sweep(len(alphabet.symbols), v_maxlen, 3 * v_maxlen + 2)
+    W._check_sweep(len(alphabet.symbols), v_maxlen, 3 * v_maxlen + 2, "v_maxlen")
     pool = [u for n in range(1, v_maxlen + 1) for u in alphabet.words(n)]
     pairs = [(v, w) for v, w in itertools.product(pool, repeat=2) if v != w]
     oracle = W.transition_oracle({(v, w): 2 * len(v) + len(w) + 2 for v, w in pairs}, alphabet)

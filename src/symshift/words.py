@@ -253,18 +253,22 @@ def _check_conditions(u, v, w, i: int, sites_v, sites_w) -> Optional[TransitionW
     return None
 
 
-def _check_sweep(k: int, shortest: int, max_len: int) -> None:
+def _check_sweep(k: int, shortest: int, max_len: int, field: str) -> None:
     """Refuse a sweep of the words of lengths shortest..max_len over k
-    symbols when there are more than the budget, as soon as the running
-    count passes it: a sum of every power up to a large max_len is slow."""
-    total = 0
-    for L in range(shortest, max_len + 1):
-        total += k**L
-        if total > _SWEEP_BUDGET:
-            raise ResourceLimitError(
-                f"a sweep up to max_len exceeds the budget of {_SWEEP_BUDGET} words; "
-                "lower max_len or shrink the alphabet"
-            )
+    symbols, the sum of k^L, when it passes the budget; the message names
+    ``field``, the setting to lower.  No power past the budget is built:
+    with k >= 2, every length from the budget's bit length on is over it."""
+    budget = _SWEEP_BUDGET
+    if k == 1:
+        total = max_len - shortest + 1
+    elif max_len >= max(shortest, budget.bit_length()):
+        total = budget + 1  # k^max_len alone is over
+    else:
+        total = sum(k**L for L in range(shortest, max_len + 1))
+    if total > budget:
+        raise ResourceLimitError(
+            f"a sweep up to {field} exceeds the budget of {budget} words; lower {field}"
+        )
 
 
 # the anchored words that one block of the oracle's array pass holds,
@@ -345,7 +349,7 @@ def transition_oracle(
             raise InvalidWordError("max_len must be at least |v|")
         _check_over(v, alphabet)
         _check_over(w, alphabet)
-        _check_sweep(k, len(v), max_len)
+        _check_sweep(k, len(v), max_len, "max_len")
     results = {pair: (True, None) for pair in pairs}
     # the longest spliced word has max_len + max(|w| - |v|, 0) letters; pairs
     # whose codes pass 62 bits run on Python ints in object arrays

@@ -5,6 +5,7 @@ from click.testing import CliRunner
 
 from symshift import cli
 from symshift import grid2d as G
+from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift.errors import SymshiftError
@@ -85,6 +86,13 @@ class TestBasicCommands:
         out = payload(result)
         assert out["mu"] == pytest.approx(0.4472135954999579, abs=1e-9)
         assert out["certificate"] == {"offset": 0, "coeffs": [0, 1]}
+
+    def test_mme_long_word(self, runner, sgap_spec):
+        # 1000 zeros used to end in a RecursionError traceback
+        result = runner.invoke(cli.main, ["mme", "--spec", sgap_spec, "0" * 1000])
+        assert result.exit_code == 0
+        value, cert = M.sgap_mu(S.SGapSet((0, 1)), "0" * 1000)
+        assert payload(result)["certificate"] == {"offset": cert.offset, "coeffs": list(cert.coeffs)}
 
     def test_replace(self, runner):
         result = runner.invoke(cli.main, ["replace", "0101", "01", "001", "-p", "0", "-p", "2"])

@@ -400,6 +400,19 @@ class TestValueRecursion:
         assert M.sgap_mu(gaps, "111")[0] == 1.0
         assert M.sgap_mu(gaps, "110")[0] == 0.0
 
+    def test_long_word_from_a_cold_memo(self):
+        # one Python frame pair per peeled letter used to raise RecursionError
+        gaps = S.SGapSet((1, 3))
+        w = "0" * 2000
+        M.sgap_model.cache_clear()
+        value, cold = M.sgap_mu(gaps, w)
+        # a memo filled length by length never waits on more than one level
+        warm = M.SGapMME(gaps)
+        for n in range(1, len(w) + 1):
+            cert = warm.certificate(w[:n])
+        assert cert == cold
+        assert value == cold.evaluate(warm.mu1, warm.t)
+
 
 class TestTails:
     def test_geometric_tail(self):

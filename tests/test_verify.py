@@ -529,6 +529,34 @@ class TestNaNFailsClosed:
         assert math.isnan(rec.residuals["max(log ratio - h)"])
         assert rec.residuals["mu(1) - mu(0)"] <= 1e-9
 
+    def test_counting_limit(self, monkeypatch):
+        # a NaN among the scaled counts past limit_n, so only the exact-vs-scaled
+        # comparison reads it; a max() fold used to drop it and pass
+        scaled_counts = S._scaled_counts
+
+        def planted(spec, lam):
+            for n, a in enumerate(scaled_counts(spec, lam)):
+                yield math.nan if n == 20 else a
+
+        gaps = S.SGapSet((0, 1))
+        assert V.check_limit(gaps, 10, 40, 1e-3, 1e-9).status == "pass"
+        monkeypatch.setattr(S, "_scaled_counts", planted)
+        rec = V.check_limit(gaps, 10, 40, 1e-3, 1e-9)
+        assert rec.status == "fail"
+        assert math.isnan(rec.residuals["exact vs scaled (relative)"])
+        assert rec.residuals["|a_N - a_{N-1}|"] <= 1e-3
+
+    @pytest.mark.parametrize(
+        "lam, r, message",
+        [(1.618, [math.nan, 1.0], "normalize"), (math.nan, [1.618, 1.0], "invariant")],
+        ids=["stationary", "P"],
+    )
+    def test_parry_chain(self, lam, r, message):
+        # a planted Perron pair: NaN reaches the stationary vector, or P alone
+        A = np.array([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(NumericalError, match=message):
+            M._chain_from(A, lam, np.array(r))
+
 
 class TestExtenderSweep:
     @pytest.mark.parametrize("spec", SWEEP_SPECS, ids=S.describe)
@@ -1341,16 +1369,31 @@ class TestSuite:
     @pytest.mark.parametrize(
         "field, value, name",
         [("maxlen_value", 20000, "value-theorem"),
-         ("replacement_u_maxlen", 10000, "replacement-lemmas")],
+         ("replacement_u_maxlen", 10000, "replacement-lemmas"),
+         ("maxlen_value", 10**12, "value-theorem"),
+         ("replacement_u_maxlen", 10**12, "replacement-lemmas"),
+         ("replacement_v_maxlen", 10**12, "replacement-lemmas")],
     )
     def test_refusal_past_the_int_to_str_limit_is_an_error_record(self, field, value, name):
         # 2^20001 words or 3^10000 nodes: counts past Python's 4300-digit
-        # int-to-str limit, which a message must not format
+        # int-to-str limit, which a message must not format; at 10**12 the
+        # refusal must not build the power (2^(10**9) alone took seconds)
+        t0 = time.monotonic()
         rerun = V.run_all(dict(SMALL_CONFIG, **{field: value}))
+        assert time.monotonic() - t0 < 2.0
         errors = [r for r in rerun.records if r.status == "error"]
         assert {r.name for r in errors} == {name}
         assert all(r.reason.startswith("ResourceLimitError") for r in errors)
         assert all(field.removeprefix("replacement_") in r.reason for r in errors)
+
+    def test_long_synch_word_is_checked(self):
+        # mu(0^1500) used to raise RecursionError out of run_all, ending the suite
+        config = dict(SMALL_CONFIG, sgap_specs=[{"type": "sgap", "extra": [], "from": 1}],
+                      synch_words=["0" * 1500], synch_maxgap=2)
+        records = V.run_all(config).records
+        synch = [r for r in records if r.name.startswith("synchronized-formula")]
+        assert len(synch) == 1 and synch[0].params["u"] == "0" * 1500
+        assert all(r.status != "error" for r in records)
 
     def test_lemma_pool_over_budget_is_refused_before_the_oracle(self, monkeypatch):
         # the pair |v| = |w| = 7 sweeps the words of lengths 7..23, over the

@@ -455,13 +455,35 @@ class TestTransitionOracle:
             W.transition_oracle(pairs)
         assert str(batch.value) == str(single.value)
 
-    @pytest.mark.parametrize("max_len", [20000, 100000])
+    @pytest.mark.parametrize("max_len", [20000, 100000, 10**12])
     def test_refusal_past_the_int_to_str_limit(self, max_len):
         # about 2^20001 words, a count past Python's 4300-digit int-to-str
         # limit, which the message must not format; summing every power up
         # to 100000 before comparing took 17 s
         with pytest.raises(ResourceLimitError, match="lower max_len"):
             W.respects_transition_bounded("11", "1", max_len)
+
+    @pytest.mark.parametrize("budget", [W._SWEEP_BUDGET, 9])
+    def test_sweep_budget_boundary(self, monkeypatch, budget):
+        # the running sum of every power, as the rule was first written, is
+        # the reference; the rule must refuse exactly where it refuses
+        def over(k, shortest, max_len):
+            total = 0
+            for L in range(shortest, max_len + 1):
+                total += k**L
+                if total > budget:
+                    return True
+            return False
+
+        monkeypatch.setattr(W, "_SWEEP_BUDGET", budget)
+        for k, shortest, max_len in itertools.product(range(1, 6), range(30), range(60)):
+            try:
+                W._check_sweep(k, shortest, max_len, "max_len")
+                refused = False
+            except ResourceLimitError as exc:
+                refused = True
+                assert "lower max_len" in str(exc)
+            assert refused == over(k, shortest, max_len), (k, shortest, max_len)
 
     @pytest.mark.parametrize(
         "v, w, alphabet",
