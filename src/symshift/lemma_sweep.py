@@ -343,7 +343,7 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
     for radix, low in ((u_maxlen + 1, m), (table.pw[-1], img), (k**L, word)):
         key *= radix
         key += low[node]
-    order = np.argsort(key, kind="stable")
+    order = np.argsort(key)
     key, node = key[order], node[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     twin = first = np.zeros(0, np.int64)

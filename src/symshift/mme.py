@@ -1,14 +1,14 @@
-"""Measures of maximal entropy: Parry models and the S-gap recursion.
+"""Measures of maximal entropy: Parry models and S-gap certificates.
 
 Every Parry measure here is built one way, from a labelled graph: the minimal
 presentation of a spec (``parry``, on the right Perron pair ``Automaton.perron``
 holds) and the S-gap counter (``gap_chain``) each give their ``(q, symbol, r)``
 edges to one constructor, and ``mu_parry`` reads cylinders off the result; the
 strips of ``grid2d`` share ``parry_chain``.  For S-gap shifts a second,
-independent route exists: a memoized recursion driven by the synchronization identity
-mu(1 z 1) = mu(1) t^(|z|+1), which also produces an integer certificate
-(k, f) with mu(w) = k + mu(1) f(t).  The recursion shares no code with the
-gap chain, and the two must agree; the test suite enforces it.
+independent route exists: the closed form of the recursion driven by the
+synchronization identity mu(1 z 1) = mu(1) t^(|z|+1), an integer certificate
+(k, f) with mu(w) = k + mu(1) f(t).  It reads only membership in S and shares
+no code with the gap chain, and the two must agree; the test suite enforces it.
 """
 
 from __future__ import annotations
@@ -148,7 +148,7 @@ def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
 
 
 # ---------------------------------------------------------------------------
-# S-gap value recursion with integer certificates
+# S-gap integer certificates in closed form
 
 
 def sgap_mu1(gaps: S.SGapSet) -> float:
@@ -187,31 +187,25 @@ class MeasureCertificate:
         return self.offset + mu1 * poly
 
 
-def _monomial(k: int) -> tuple:
-    return (0,) * k + (1,)
-
-
-def _signed_sum(terms) -> MeasureCertificate:
-    """The certificate of sum(sign * mu(w)) over ``(sign, certificate of w)``."""
-    offset = 0
-    coeffs = [0] * max(len(c.coeffs) for _, c in terms)
-    for sign, c in terms:
-        offset += sign * c.offset
-        for i, x in enumerate(c.coeffs):
-            coeffs[i] += sign * x
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return MeasureCertificate(offset, tuple(coeffs))
-
-
 @dataclass
 class SGapMME:
-    """Unique MME of an S-gap shift, via the synchronization recursion.
+    """Unique MME of an S-gap shift, each certificate in closed form.
 
-    ``certificate`` is the public entry: it validates the word once, and the
-    recursion below it reads and fills the memo without validating again.
-    The recursion runs on an explicit stack, so a long word is no deeper
-    for Python than a short one.
+    With A_j(t) = 1 - sum of t^(n+1) over n in S, n < j, and c the part of
+    w from its first 1 to its last,
+
+        mu(0^a c 0^b) = mu(1) t^(|c|-1) A_a(t) A_b(t), or 0 if a gap of c is not in S;
+        mu(0^n)       = 1 - mu(1) sum_{j<n} A_j(t).
+
+    This solves the synchronization recursion in three steps.  (1) Trailing
+    zeros, by mu(x 0) = mu(x) - mu(x 1): mu(0^a c 0^b) is mu(0^a c) minus
+    mu(0^a c 0^j 1) for j < b.  (2) Leading zeros, by mu(0 y 1) =
+    mu(y 1) - mu(1 y 1): mu(0^a c) is mu(c) minus mu(1 0^i c) for i < a,
+    and mu(0^n) is 1 minus mu(0^j 1) for j < n.  (3) Pins, by mu(1 z 1) =
+    mu(1) t^(|z|+1) if every gap of 1 z 1 is in S, else 0: 1 0^i c is legal
+    when c is and i is in S, so step 2 gives mu(1) t^(|c|-1) A_a, and step
+    1 multiplies it by A_b.  ``certificate`` validates the word once and
+    keeps nothing between words.
     """
 
     gaps: S.SGapSet
@@ -221,67 +215,31 @@ class SGapMME:
     def __post_init__(self):
         self.t = 1.0 / S.sgap_lambda(self.gaps)
         self.mu1 = sgap_mu1(self.gaps)
-        self._memo: dict[str, MeasureCertificate] = {}
 
     def certificate(self, w: str) -> MeasureCertificate:
         _check_over(w, BINARY)
-        return self._certificate(w)
+        first, last = w.find("1"), w.rfind("1")
+        if first < 0:
+            # the term x t^e of A_{n-1} is one of each A_j with e <= j < n = |w|
+            terms = self._factor(len(w) - 1)
+            offset, coeffs = 1, [0] * (terms[-1][0] + 1)
+            for e, x in terms:
+                coeffs[e] = -x * (len(w) - e)
+        elif all(len(run) in self.gaps for run in w[first:last].split("1")[1:]):
+            left, right = self._factor(first), self._factor(len(w) - 1 - last)
+            offset, coeffs = 0, [0] * (last - first + left[-1][0] + right[-1][0] + 1)
+            for i, x in left:
+                for j, y in right:
+                    coeffs[last - first + i + j] += x * y
+        else:
+            return MeasureCertificate(0, ())
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        return MeasureCertificate(offset, tuple(coeffs))
 
-    def _certificate(self, w: str) -> MeasureCertificate:
-        """``certificate`` of a binary string w, memoized.  A word waits on
-        the stack until the memo holds each word of its terms."""
-        memo = self._memo
-        cached = memo.get(w)
-        if cached is not None:
-            return cached
-        stack = [(w, self._build(w))]
-        while stack:
-            u, built = stack[-1]
-            if type(built) is list:
-                depth = len(stack)
-                terms = []
-                for sign, x in built:
-                    child = memo.get(x)
-                    if child is None:
-                        child = self._build(x)
-                        if type(child) is list:
-                            stack.append((x, child))
-                            continue
-                        memo[x] = child
-                    terms.append((sign, child))
-                if len(stack) > depth:
-                    continue
-                built = _signed_sum(terms)
-            memo[u] = built
-            stack.pop()
-        return built
-
-    def _build(self, w: str):
-        """The certificate of w when it needs no other word, else the
-        ``(sign, word)`` terms whose signed sum of measures is mu(w)."""
-        n = len(w)
-        if n == 0:
-            return MeasureCertificate(1, ())
-        if n == 1:
-            if w == "1":
-                return MeasureCertificate(0, (1,))
-            return MeasureCertificate(1, (-1,))
-        if w[0] == "1" and w[-1] == "1":
-            return self._pinned(w)
-        z = w[1:-1]
-        if w[0] == "1":  # 1 z 0
-            return [(1, "1" + z), (-1, "1" + z + "1")]
-        if w[-1] == "1":  # 0 z 1
-            return [(1, z + "1"), (-1, "1" + z + "1")]
-        # 0 z 0: mu(z) minus the three sibling extensions of the z-cylinder
-        return [(1, z), (-1, "1" + z), (-1, z + "1"), (1, "1" + z + "1")]
-
-    def _pinned(self, w: str) -> MeasureCertificate:
-        """Certificate for a word starting and ending with 1: mu(1) t^(|w|-1)
-        when each of its gaps is in S (its extender set is that of the 1)."""
-        if all(len(run) in self.gaps for run in w.split("1")[1:-1]):
-            return MeasureCertificate(0, _monomial(len(w) - 1))
-        return MeasureCertificate(0, ())
+    def _factor(self, j: int) -> list[tuple[int, int]]:
+        """A_j as its terms (exponent, coefficient), exponents ascending."""
+        return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
 
 
 @lru_cache(maxsize=None)

@@ -15,7 +15,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -52,10 +52,11 @@ class VerificationReport:
         return all(r.status in ("pass", "skipped") for r in self.records)
 
     def to_dict(self) -> dict:
+        checks = sorted(self.records, key=lambda r: r.name)
         return {
             "meta": self.meta,
             "passed": self.passed,
-            "checks": [asdict(r) for r in sorted(self.records, key=lambda r: r.name)],
+            "checks": [{f.name: getattr(r, f.name) for f in fields(r)} for r in checks],
         }
 
     def to_json(self) -> str:
@@ -315,8 +316,8 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
         params={"maxlen": maxlen},
         tolerance={"value": tol},
     )
-    # the two sides, the recursion of ``sgap_mu`` and the gap-chain oracle of
-    # ``sgap_mu_oracle``, each fetched once for the whole sweep
+    # the two sides, the closed-form certificates of ``sgap_mu`` and the
+    # gap-chain oracle of ``sgap_mu_oracle``, each fetched once for the sweep
     model, chain = M.sgap_model(gaps), M.gap_chain(gaps)
     mu1_gap = abs(M.sgap_mu1(gaps) - M.mu_parry(chain, "1"))
     _bound(record, "mu(1) formula vs oracle", mu1_gap, tol, {"word": "1"})

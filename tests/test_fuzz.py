@@ -1,4 +1,5 @@
-"""Random small SFTs: the automaton-based answers against plain enumeration."""
+"""Random small SFTs: the automaton-based answers against plain enumeration;
+random S-gap sets: the closed-form certificates against the recursion."""
 
 import itertools
 import math
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symshift import extender as E
+from symshift import mme as M
 from symshift import subshifts as S
 from symshift import words as W
 from symshift.errors import EmptySubshiftError
 from test_extender import compare_windowed
+from test_mme import ReferenceRecursion
 
 SYMBOLS = ("0", "1", "2")
 
@@ -23,6 +26,26 @@ def sft_specs(draw):
     word = st.text(alphabet="".join(alphabet.symbols), min_size=1, max_size=4)
     forbidden = draw(st.lists(word, max_size=4, unique=True))
     return S.SftShift(alphabet, tuple(forbidden))
+
+
+@st.composite
+def gap_sets(draw):
+    """Finite or cofinite gap sets whose listed gaps and tail start are <= 12."""
+    extra = draw(st.sets(st.integers(0, 12), min_size=1, max_size=6))
+    if draw(st.booleans()):
+        tail = draw(st.integers(0, 12))
+        return S.SGapSet(tuple(sorted(n for n in extra if n < tail)), tail)
+    return S.SGapSet(tuple(sorted(extra)))
+
+
+@st.composite
+def binary_words(draw):
+    """Binary words of up to 20 letters, drawn as runs of up to 13 zeros
+    between 1s, so long runs at either end are as likely as short ones."""
+    w = "0" * draw(st.integers(0, 13))
+    while len(w) < 20 and draw(st.booleans()):
+        w += "1" + "0" * draw(st.integers(0, 13))
+    return w[:20]
 
 
 def presentation(spec):
@@ -83,3 +106,12 @@ def test_resumed_counts_match_a_fresh_walk(first, second, asks):
     for use_second, n in asks:
         spec = second if use_second else first
         assert S.count_words(spec, n) == fresh[spec][n]
+
+
+@settings(max_examples=200, deadline=None)
+@given(gap_sets(), st.lists(binary_words(), min_size=1, max_size=8))
+def test_sgap_certificates_match_the_recursion(gaps, words):
+    model, reference = M.SGapMME(gaps), ReferenceRecursion(gaps)
+    for w in words:
+        cert = model.certificate(w)
+        assert (cert.offset, cert.coeffs) == reference(w), w

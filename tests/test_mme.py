@@ -2,6 +2,8 @@ import collections
 import itertools
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,6 +39,18 @@ GAP_SETS = [
     S.SGapSet((0, 2, 3)),
     S.SGapSet((), 1),
     S.SGapSet((2,), 5),
+]
+# the default sets, the trivial ends {0} and [0, inf), single gaps, and sets
+# whose members sit far apart or below a cofinite tail
+WIDE_GAP_SETS = GAP_SETS + [
+    S.SGapSet((0,)),
+    S.SGapSet((), 0),
+    S.SGapSet((3,)),
+    S.SGapSet((5,)),
+    S.SGapSet((0, 2), 7),
+    S.SGapSet((0, 2, 30)),
+    S.SGapSet((0, 40)),
+    S.SGapSet((1, 3, 5), 7),
 ]
 
 
@@ -283,10 +297,10 @@ def _poly_add(p: tuple, q: tuple, sign: int = 1) -> tuple:
 
 class ReferenceRecursion:
     """The S-gap recursion with pairwise polynomial sums, 1z1 re-pinned for
-    each word: the reference for ``SGapMME``'s certificates."""
+    each word: the reference for ``SGapMME``'s closed-form certificates."""
 
     def __init__(self, gaps):
-        self.model = M.SGapMME(gaps)
+        self.gaps = gaps
         self.memo = {}
 
     def __call__(self, w):
@@ -301,8 +315,7 @@ class ReferenceRecursion:
         if n == 1:
             return (0, (1,)) if w == "1" else (1, (-1,))
         z = w[1:-1]
-        c = self.model._pinned("1" + z + "1")
-        one_z_one = (c.offset, c.coeffs)
+        one_z_one = self.pinned("1" + z + "1")
         if w[0] == "1" and w[-1] == "1":
             return one_z_one
         cz1, c1z = self(z + "1"), self("1" + z)
@@ -315,14 +328,18 @@ class ReferenceRecursion:
         coeffs = _poly_add(_poly_add(cz[1], _poly_add(c1z[1], cz1[1]), -1), one_z_one[1])
         return (offset, coeffs)
 
+    def pinned(self, w):
+        """mu(1 z 1) = mu(1) t^(|z|+1) when each run of 0s in it is a gap in S."""
+        if all(len(run) in self.gaps for run in w.split("1")[1:-1]):
+            return (0, (0,) * (len(w) - 1) + (1,))
+        return (0, ())
+
 
 class TestValueRecursion:
-    @pytest.mark.parametrize(
-        "gaps", GAP_SETS + [S.SGapSet((0,)), S.SGapSet((), 0)], ids=lambda g: g.describe()
-    )
+    @pytest.mark.parametrize("gaps", WIDE_GAP_SETS, ids=lambda g: g.describe())
     def test_certificates_match_pairwise_reference(self, gaps):
         model, reference = M.SGapMME(gaps), ReferenceRecursion(gaps)
-        for n in range(11):
+        for n in range(13):
             for w in W.BINARY.words(n):
                 cert = model.certificate(w)
                 assert (cert.offset, cert.coeffs) == reference(w), w
@@ -341,7 +358,6 @@ class TestValueRecursion:
             model.certificate(w)
         with pytest.raises(InvalidWordError):
             M.sgap_mu(gaps, w)
-        assert w not in model._memo and w not in M.sgap_model(gaps)._memo
 
     @pytest.mark.parametrize("gaps", GAP_SETS, ids=lambda g: g.describe())
     def test_recursion_matches_oracle(self, gaps):
@@ -381,11 +397,7 @@ class TestValueRecursion:
         with pytest.raises(InvalidWordError):
             M.sgap_mu(S.SGapSet((0, 1)), w)
 
-    @pytest.mark.parametrize(
-        "gaps",
-        GAP_SETS + [S.SGapSet((0,)), S.SGapSet((3,)), S.SGapSet((), 0), S.SGapSet((0, 40))],
-        ids=lambda g: g.describe(),
-    )
+    @pytest.mark.parametrize("gaps", WIDE_GAP_SETS, ids=lambda g: g.describe())
     def test_pinned_rule_is_membership(self, gaps):
         # 1z1 is legal exactly when each run of 0s between two 1s is a gap in S
         model = M.sgap_model(gaps)
@@ -393,25 +405,51 @@ class TestValueRecursion:
         for n in range(13):
             for z in W.BINARY.words(n):
                 w = "1" + z + "1"
-                assert (model._pinned(w).coeffs != ()) == S.member(spec, w), w
+                assert (model.certificate(w).coeffs != ()) == S.member(spec, w), w
 
     def test_all_ones_gap_set(self):
         gaps = S.SGapSet((0,))
         assert M.sgap_mu(gaps, "111")[0] == 1.0
         assert M.sgap_mu(gaps, "110")[0] == 0.0
 
-    def test_long_word_from_a_cold_memo(self):
-        # one Python frame pair per peeled letter used to raise RecursionError
-        gaps = S.SGapSet((1, 3))
-        w = "0" * 2000
+    @pytest.mark.parametrize("gaps", [S.SGapSet((1, 3)), S.SGapSet((), 1)], ids=lambda g: g.describe())
+    def test_long_words_obey_the_peeling_rules(self, gaps):
+        # past the reference's reach: mu(x0) = mu(x) - mu(x1) and
+        # mu(0y1) = mu(y1) - mu(1y1) hold exactly at length 2000
+        model = M.sgap_model(gaps)
+
+        def pair(w):
+            cert = model.certificate(w)
+            return cert.offset, cert.coeffs
+
+        def difference(p, q):
+            return p[0] - q[0], _poly_add(p[1], q[1], -1)
+
+        for x in ["0" * 1999, "0" * 1000 + "1" + "0" * 998, "1" + "0" * 1998]:
+            assert pair(x + "0") == difference(pair(x), pair(x + "1")), len(x)
+        for y in ["0" * 1998, "0" * 997 + "1" + "0" * 1000]:
+            assert pair("0" + y + "1") == difference(pair(y + "1"), pair("1" + y + "1"))
+        value, cert = M.sgap_mu(gaps, "0" * 2000)
+        assert value == cert.evaluate(model.mu1, model.t)
+
+    def test_long_zero_run_is_linear(self):
+        # the memoized recursion took 2-3 s and about 210 MiB here, its memo
+        # holding a coefficient tuple for each of about 10,500 subwords
+        gaps = S.SGapSet((), 1)
         M.sgap_model.cache_clear()
-        value, cold = M.sgap_mu(gaps, w)
-        # a memo filled length by length never waits on more than one level
-        warm = M.SGapMME(gaps)
-        for n in range(1, len(w) + 1):
-            cert = warm.certificate(w[:n])
-        assert cert == cold
-        assert value == cold.evaluate(warm.mu1, warm.t)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            _, cert = M.sgap_mu(gaps, "0" * 3000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert elapsed < 0.5
+        assert peak < 2**20
+        # 1 - mu(1) (3000 - sum of (3000 - e) t^e for 2 <= e <= 2999)
+        assert cert.offset == 1
+        assert cert.coeffs == (-3000, 0) + tuple(range(2998, 0, -1))
 
 
 class TestTails:
