@@ -12,8 +12,11 @@ import functools
 import itertools
 import json
 import math
+import os
+import pickle
 import re
 import sys
+import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -595,46 +598,98 @@ def _gaps(doc) -> S.SGapSet:
     return spec.gaps
 
 
+def _error_record(label: str, doc, params, exc: BaseException) -> CheckRecord:
+    """The record of a check that raised ``exc``: it names the family
+    ``label``, the spec document ``doc`` and the ``params`` it ran with."""
+    return CheckRecord(
+        name=label,
+        spec="" if doc is None else json.dumps(doc, default=repr),
+        params={} if params is None else params,
+        tolerance={},
+        status="error",
+        reason=f"{type(exc).__name__}: {exc}",
+    )
+
+
+def _guarded(label: str, check, doc=None, params=None):
+    """(check()'s record, the seconds it took), with an error record for a
+    SymshiftError; None when check() returns None."""
+    t0 = time.monotonic()
+    try:
+        rec = check()
+    except SymshiftError as exc:
+        rec = _error_record(label, doc, params, exc)
+    return None if rec is None else (rec, round(time.monotonic() - t0, 6))
+
+
+def _can_fork() -> bool:
+    """A second CPU to run on, and no other thread that a fork would copy in
+    mid-step.  os.sched_getaffinity exists on Linux only, which keeps the
+    fork off macOS and Windows."""
+    return (
+        hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) >= 2
+        and threading.active_count() == 1
+    )
+
+
+def _beside(here, there):
+    """(here(), there()), with there() run in a forked child when
+    ``_can_fork`` allows and the fork succeeds, and else after here() in
+    this process.
+
+    The child pickles there()'s result, or the exception it raised, into a
+    pipe and always leaves through os._exit; this process runs here(), then
+    reads the pipe to EOF and reaps the child, also when here() raises.  An
+    exception of there() is raised again here, from the child's traceback;
+    a child that exits without a result (it died, or its result would not
+    pickle) gives a ChildProcessError naming its exit status as there()'s
+    result.
+    """
+    if not _can_fork():
+        return here(), there()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: both run here
+        os.close(read_end)
+        os.close(write_end)
+        return here(), there()
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            try:
+                payload = (there(), None)
+            except BaseException as exc:  # the parent raises it: the child never unwinds into the caller
+                import traceback
+
+                payload = (exc, "".join(traceback.format_exception(exc)))
+            with os.fdopen(write_end, "wb") as pipe:
+                pickle.dump(payload, pipe)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    try:
+        ours = here()
+    finally:
+        with os.fdopen(read_end, "rb") as pipe:
+            data = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        return ours, ChildProcessError(f"the check worker exited with status {code}")
+    theirs, trace = pickle.loads(data)
+    if trace is not None:
+        raise theirs from ChildProcessError(f"in the check worker:\n{trace}")
+    return ours, theirs
+
+
 def run_all(config: dict | None = None) -> VerificationReport:
     cfg = merge_config(config)
     tol = cfg["tolerances"]
-    records = []
-    timings = []  # seconds, one per record
-
-    def run(label, check, doc=None, params=None):
-        """Record check()'s record, an error record naming the spec document
-        ``doc`` and the ``params`` it ran with, or nothing for None."""
-        t0 = time.monotonic()
-        try:
-            rec = check()
-        except SymshiftError as exc:
-            rec = CheckRecord(
-                name=label,
-                spec="" if doc is None else json.dumps(doc, default=repr),
-                params={} if params is None else params,
-                tolerance={},
-                status="error",
-                reason=f"{type(exc).__name__}: {exc}",
-            )
-        if rec is not None:
-            timings.append(round(time.monotonic() - t0, 6))
-            records.append(rec)
-
-    # spec documents are parsed inside the guard: a bad one becomes error records
-    for doc in cfg["pair_specs"]:
-        run("main-inequality", lambda: check_main_inequality(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]), doc)
-        run("equality-corollary", lambda: check_equality_corollary(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]), doc)
-
-    for doc in cfg["sgap_specs"]:
-        run("entropy-root", lambda: check_entropy_root(
-            _gaps(doc), tol["root"], tol["entropy_cross"]), doc)
-        run("counting-limit", lambda: check_limit(
-            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]),
-            doc)
-        run("value-theorem", lambda: check_value_theorem(
-            _gaps(doc), cfg["maxlen_value"], tol["value"]), doc)
 
     def synch(doc, u):
         gaps = _gaps(doc)
@@ -644,17 +699,6 @@ def run_all(config: dict | None = None) -> VerificationReport:
             return check_synch_formula(gaps, u, cfg["synch_maxgap"], tol["synch"])
         return None
 
-    for doc in cfg["sgap_specs"][:2]:
-        for u in cfg["synch_words"]:
-            run("synchronized-formula", lambda: synch(doc, u), doc, {"u": u})
-
-    for doc in cfg["hereditary_specs"]:
-        run("hereditary-entropy", lambda: check_hereditary_entropy(
-            S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc)
-
-    run("replacement-lemmas", lambda: check_replacement_lemmas(
-        W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]))
-
     def gtheorem():
         one = G.Pattern2D((((0, 0), "1"),))
         zero = G.Pattern2D((((0, 0), "0"),))
@@ -663,7 +707,47 @@ def run_all(config: dict | None = None) -> VerificationReport:
         tolerance = {"inequality": gt["tolerance"]}
         return CheckRecord(**dict(gt, tolerance=tolerance, series={"strip": strip}))
 
-    run("gtheorem-strips", gtheorem)
+    # (family, check, spec document, params) in report order, each check bound
+    # to its spec document now; spec documents are parsed inside the guard,
+    # so a bad one becomes error records
+    jobs = []
+    for doc in cfg["pair_specs"]:
+        jobs.append(("main-inequality", lambda doc=doc: check_main_inequality(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]), doc, None))
+        jobs.append(("equality-corollary", lambda doc=doc: check_equality_corollary(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]), doc, None))
+    for doc in cfg["sgap_specs"]:
+        jobs.append(("entropy-root", lambda doc=doc: check_entropy_root(
+            _gaps(doc), tol["root"], tol["entropy_cross"]), doc, None))
+        jobs.append(("counting-limit", lambda doc=doc: check_limit(
+            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]),
+            doc, None))
+        jobs.append(("value-theorem", lambda doc=doc: check_value_theorem(
+            _gaps(doc), cfg["maxlen_value"], tol["value"]), doc, None))
+    for doc in cfg["sgap_specs"][:2]:
+        for u in cfg["synch_words"]:
+            jobs.append(("synchronized-formula", functools.partial(synch, doc, u), doc, {"u": u}))
+    for doc in cfg["hereditary_specs"]:
+        jobs.append(("hereditary-entropy", lambda doc=doc: check_hereditary_entropy(
+            S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc, None))
+    # the families that read no presentation cache come last, and a worker
+    # runs them beside the rest, which share build_automaton, sgap_model,
+    # gap_chain and _landing_classes
+    worker = [
+        ("replacement-lemmas", functools.partial(
+            check_replacement_lemmas, W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]),
+            None, None),
+        ("gtheorem-strips", gtheorem, None, None),
+    ]
+    start = time.monotonic()
+    ours, theirs = _beside(
+        lambda: [_guarded(*job) for job in jobs], lambda: [_guarded(*job) for job in worker]
+    )
+    if isinstance(theirs, ChildProcessError):  # each of the worker's checks is an error record
+        seconds = round(time.monotonic() - start, 6)
+        theirs = [(_error_record(label, doc, params, theirs), seconds) for label, _, doc, params in worker]
+    done = [result for result in ours + theirs if result is not None]
+    records = [rec for rec, _ in done]
 
     # names repeat (error records carry the bare family name), so the times
     # are a list in the order of the report's name-sorted checks
@@ -672,7 +756,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
         "config": cfg,
         "timestamps": {
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_s": [timings[i] for i in order],
+            "elapsed_s": [done[i][1] for i in order],
         },
     }
     return VerificationReport(records=records, meta=meta)
@@ -680,8 +764,6 @@ def run_all(config: dict | None = None) -> VerificationReport:
 
 def write_csv(report: VerificationReport, directory) -> list:
     """One CSV per (check, series); returns the paths written."""
-    import os
-
     os.makedirs(directory, exist_ok=True)
     written = []
     for rec in sorted(report.records, key=lambda r: r.name):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symshift import extender as E
+from symshift import grid2d as G
 from symshift import lemma_sweep as LS
 from symshift import mme as M
 from symshift import subshifts as S
@@ -1412,3 +1413,108 @@ class TestSuite:
         assert errors[0].reason.startswith("ResourceLimitError")
         assert errors[0].params == {}
         assert len(broken.records) == len(report.records)
+
+
+def _canonical(report) -> str:
+    doc = report.to_dict()
+    del doc["meta"]["timestamps"]
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.fixture
+def reaped():
+    """After the test, this process has no child left, reaped or running."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    """run_all with its worker forked, whatever the CPU count."""
+    monkeypatch.setattr(V, "_can_fork", lambda: True)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: run_all runs every check here")
+class TestWorker:
+    """The cache-free families (replacement-lemmas, gtheorem-strips) run in a
+    forked worker beside the rest of the suite."""
+
+    @pytest.mark.parametrize(
+        "config, errors",
+        [
+            (None, set()),
+            (SMALL_CONFIG, set()),
+            (dict(SMALL_CONFIG, pair_specs=[{"type": "sft", "alphabet": ["0", "1"]}]),
+             {"main-inequality", "equality-corollary"}),
+        ],
+        ids=["default", "small", "bad-pair-spec"],
+    )
+    def test_forked_and_serial_reports_are_identical(self, monkeypatch, tmp_path, reaped, config, errors):
+        reports = {}
+        for forked in (True, False):
+            monkeypatch.setattr(V, "_can_fork", lambda forked=forked: forked)
+            report = V.run_all(config)
+            paths = V.write_csv(report, tmp_path / str(forked))
+            csvs = {os.path.basename(p): Path(p).read_bytes() for p in paths}
+            assert len(report.meta["timestamps"]["elapsed_s"]) == len(report.records)
+            assert {r.name for r in report.records if r.status == "error"} == errors
+            reports[forked] = (_canonical(report), csvs)
+        assert reports[True] == reports[False]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="one CPU: run_all runs every check here",
+    )
+    def test_forks_exactly_once(self, monkeypatch, reaped):
+        forks = []
+        fork = os.fork
+
+        def spy():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        V.run_all(SMALL_CONFIG)
+        assert forks == [os.getpid()]
+
+    def test_failed_fork_runs_every_check_here(self, monkeypatch, forking, report, reaped):
+        def fork():
+            raise BlockingIOError("no process to be had")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert _canonical(V.run_all(SMALL_CONFIG)) == _canonical(report)
+
+    def test_dead_worker_gives_error_records(self, monkeypatch, forking, report, reaped):
+        parent = os.getpid()
+
+        def die(*args):
+            assert os.getpid() != parent, "the worker's check ran in this process"
+            os._exit(3)
+
+        monkeypatch.setattr(V, "check_replacement_lemmas", die)
+        rerun = V.run_all(SMALL_CONFIG)
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == ["replacement-lemmas", "gtheorem-strips"]
+        assert {r.reason for r in errors} == {"ChildProcessError: the check worker exited with status 3"}
+        assert len(rerun.records) == len(rerun.meta["timestamps"]["elapsed_s"]) == len(report.records)
+        expected = {r.name: r.status for r in report.records}
+        assert all(r.status == expected[r.name] for r in rerun.records if r not in errors)
+
+    def test_untyped_worker_error_propagates(self, monkeypatch, forking, reaped):
+        def planted(*args):
+            raise LookupError("planted in the worker")
+
+        monkeypatch.setattr(G, "check_gtheorem", planted)
+        with pytest.raises(LookupError, match="planted in the worker") as raised:
+            V.run_all(SMALL_CONFIG)
+        # the worker's traceback comes along
+        assert "in planted" in str(raised.value.__cause__)
+
+    def test_untyped_parent_error_still_reaps_the_worker(self, monkeypatch, forking, reaped):
+        def planted(*args):
+            raise LookupError("planted in the parent")
+
+        monkeypatch.setattr(V, "check_hereditary_entropy", planted)
+        with pytest.raises(LookupError, match="planted in the parent"):
+            V.run_all(SMALL_CONFIG)
