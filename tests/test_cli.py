@@ -1,4 +1,7 @@
 import json
+import math
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -204,6 +207,92 @@ class TestVerifyRun:
         assert result.exit_code == 2
         assert isinstance(result.exception, SystemExit)
         assert f"Invalid value for '{flag}'" in result.output
+
+
+PINNED_REPORT = Path(__file__).parent / "data" / "default_report.json"
+
+
+def _pinned_differences(got, want, where="report"):
+    """The places where ``got`` differs from the pinned ``want``: keys, list
+    lengths, types, strings, ints and bools must be equal, and floats agree
+    within ``TestPinnedReport.REL_TOL`` / ``ABS_TOL``."""
+    if isinstance(want, float) and isinstance(got, float):
+        close = math.isclose(got, want, rel_tol=TestPinnedReport.REL_TOL,
+                             abs_tol=TestPinnedReport.ABS_TOL)
+        return [] if close else [f"{where}: {got!r} != {want!r}"]
+    if type(got) is not type(want):
+        return [f"{where}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            return [f"{where}: keys {sorted(got)} != {sorted(want)}"]
+        return [d for k in want for d in _pinned_differences(got[k], want[k], f"{where}.{k}")]
+    if isinstance(want, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [d for i, (g, w) in enumerate(zip(got, want))
+                for d in _pinned_differences(g, w, f"{where}[{i}]")]
+    return [] if got == want else [f"{where}: {got!r} != {want!r}"]
+
+
+class TestPinnedReport:
+    """The default ``verify run`` report and its CSVs, against the report
+    committed in tests/data/default_report.json (written by the console
+    script, minus ``meta.timestamps``).  A change that moves a value
+    regenerates the file and names the moved fields in CHANGES.md.
+
+    Names, statuses, reasons, params, witnesses, series keys, ints and
+    strings must be equal.  The 503 floats are cylinder measures, scaled
+    counts and residuals, each a few float operations on O(1) numbers: a
+    numpy or BLAS build that sums in another order moves them by a few ulps.
+    So they agree to a relative 1e-12, which still catches any change of
+    method, and an absolute 1e-14 (about 45 ulps of 1.0), which catches a
+    residual that widens from its noise floor (at most 2.7e-15 here) towards
+    the tightest check tolerance, 1e-12.  On one box the report was
+    byte-identical with OPENBLAS_NUM_THREADS 1 and 2, forked and under
+    ``taskset -c 0``; the CI job on the numpy 1.24 floor has not been
+    measured, so the tolerance there is an estimate.
+    """
+
+    REL_TOL = 1e-12
+    ABS_TOL = 1e-14
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("pinned")
+        out, csv_dir = tmp / "report.json", tmp / "csv"
+        result = CliRunner().invoke(
+            cli.main, ["verify", "run", "--out", str(out), "--csv", str(csv_dir)]
+        )
+        assert result.exit_code == 0, result.output
+        return json.loads(out.read_text()), csv_dir
+
+    @pytest.fixture(scope="class")
+    def pinned(self):
+        return json.loads(PINNED_REPORT.read_text(encoding="utf-8"))
+
+    def test_report_matches(self, written, pinned):
+        report, _ = written
+        assert set(report["meta"].pop("timestamps")) == {"finished", "elapsed_s"}
+        assert _pinned_differences(report, pinned) == []
+
+    def test_csvs_match(self, written, pinned):
+        _, csv_dir = written
+        expected = {}
+        for check in pinned["checks"]:
+            for key, series in check["series"].items():
+                slug = re.sub(r"[^A-Za-z0-9._-]+", "_", f"{check['name']}.{key}")
+                expected[slug + ".csv"] = series
+        assert len(expected) == 11
+        assert sorted(p.name for p in csv_dir.iterdir()) == sorted(expected)
+        for name, series in expected.items():
+            header, *lines = (csv_dir / name).read_text(encoding="utf-8").splitlines()
+            assert header == ",".join(series["columns"]), name
+            cells = [line.split(",") for line in lines]
+            # each cell read back as the type of its pinned value
+            got = [[type(want)(cell) for cell, want in zip(row, pinned_row)]
+                   for row, pinned_row in zip(cells, series["rows"])]
+            assert [len(row) for row in cells] == [len(row) for row in series["rows"]], name
+            assert _pinned_differences(got, series["rows"], name) == []
 
 
 class TestGrid2d:
