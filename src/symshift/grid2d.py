@@ -30,10 +30,9 @@ from .errors import (
 # numpy array: at most 16 * 2^16 cells, which admits a binary strip up to
 # W = 16 and a ternary one up to W = 10.  The n legal columns then cost
 # several n x n arrays (the boolean ``bad``, the float adjacency, the Parry
-# matrix), 8 n^2 bytes each for the floats: at most 2^23 column pairs, about
-# 64 MiB per float matrix, which admits hard square at W = 16 (2,207 columns).
+# matrix), 8 n^2 bytes each for the floats: at most ``words._MATRIX_ENTRIES``
+# column pairs, which admits hard square at W = 16 (2,207 columns).
 _MAX_STRIP_CELLS = 16 << 16
-_MAX_STRIP_PAIRS = 1 << 23
 
 
 @dataclass(frozen=True)
@@ -253,8 +252,8 @@ def strip_mme(spec: Grid2dSpec, width: int, torus: bool = True) -> StripMME:
     if not len(C):
         raise ReduciblePresentationError("no legal columns at this width")
     n = len(C)
-    if n * n > _MAX_STRIP_PAIRS:
-        raise ResourceLimitError(f"{n} legal columns exceed {_MAX_STRIP_PAIRS} column pairs")
+    if n * n > W._MATRIX_ENTRIES:
+        raise ResourceLimitError(f"{n} legal columns exceed {W._MATRIX_ENTRIES} column pairs")
     bad = np.zeros((n, n), dtype=bool)
     for p in pairs:
         offsets = _offsets(p, width, torus)

@@ -132,7 +132,7 @@ def mu_parry(model: ParryModel, w) -> float:
 def gap_chain(gaps: S.SGapSet) -> ParryModel:
     """Parry model of the chain on 'zeros seen since the last 1', capped for
     cofinite sets."""
-    top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
+    top = S._sgap_top(gaps)
     edges = []
     for i in range(top + 1):
         if i < top or not gaps.finite:

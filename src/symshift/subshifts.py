@@ -267,14 +267,28 @@ class Automaton:
             table = kept
 
 
+def _sgap_top(gaps: SGapSet) -> int:
+    """max(S), or M for S = extra u [M, inf): the gap that the S-gap shift's
+    presentations count zeros up to.  The SFT presentation and the gap chain
+    each have top + 1 states and a dense (top + 1) x (top + 1) matrix,
+    and the forbidden words hold about top^2 / 2 symbols, so a top over the
+    matrix budget is refused here, before any of them is built."""
+    top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
+    if (top + 1) ** 2 > W._MATRIX_ENTRIES:
+        raise ResourceLimitError(
+            f"gap {top} needs a {top + 1}-state presentation, over {W._MATRIX_ENTRIES} matrix entries"
+        )
+    return top
+
+
 def _sgap_forbidden(gaps: SGapSet):
     """Finite forbidden-word list presenting the S-gap shift as an SFT."""
+    top = _sgap_top(gaps)
     if gaps.finite:
-        m = max(gaps.extra)
-        forb = ["1" + "0" * n + "1" for n in range(m + 1) if n not in gaps]
-        forb.append("0" * (m + 1))
+        forb = ["1" + "0" * n + "1" for n in range(top + 1) if n not in gaps]
+        forb.append("0" * (top + 1))
     else:
-        forb = ["1" + "0" * n + "1" for n in range(gaps.cofinite_from) if n not in gaps]
+        forb = ["1" + "0" * n + "1" for n in range(top) if n not in gaps]
     return tuple(forb)
 
 
@@ -453,6 +467,19 @@ def _walk(graph: tuple, node: int, u) -> Optional[int]:
     return node
 
 
+def _check_steps(spec, n: int, field: str) -> None:
+    """Refuse n steps of a counting DP (``_counts``, ``_scaled_counts``) on
+    the word graph of ``spec`` when n times its edges exceed the sweep
+    budget, before the first step; the error names ``field``, the option or
+    config field that asked for n."""
+    edges = sum(map(len, build_automaton(spec).word_graph))
+    if n * edges > W._SWEEP_BUDGET:
+        raise ResourceLimitError(
+            f"{field} {n} needs {n} steps over {edges} word-graph edges, "
+            f"over the budget of {W._SWEEP_BUDGET}"
+        )
+
+
 def _counts(spec):
     """Yield |L_0|, |L_1|, ...: path counts on the word graph (big integers)."""
     graph = build_automaton(spec).word_graph
@@ -482,6 +509,7 @@ def count_words(spec, n: int) -> int:
     resumed from the last length asked of the presentation; a shorter one restarts."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
+    _check_steps(spec, n, "n")
     cursor = build_automaton(spec)._count_cursor
     if n < cursor[0]:
         walk = _counts(spec)

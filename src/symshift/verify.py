@@ -86,31 +86,28 @@ def _bound(record: CheckRecord, key: str, residual: float, tol: float, witness) 
 class _ClassTable(NamedTuple):
     """The words of L_1..L_maxlen of one spec, grouped into landing classes.
 
-    Class c owns the length buckets first[c] .. first[c] + buckets[c] - 1, in
-    increasing word length; bucket b holds the count[b] words of length
-    length[b] in the class, with extreme measures lo[b] <= hi[b] attained by
-    the words lo_word[b] and hi_word[b] (formatted).  below[i, j] is
+    Each of count, lo, hi, lo_word and hi_word is a (classes x maxlen) grid:
+    cell (c, n - 1) holds the count of the words of length n in class c,
+    their extreme measures lo <= hi and the words that attain them.  An
+    empty cell holds count 0, measures 0.0 and no word.  below[i, j] is
     E(v) subset-or-equal E(w) for v in class i and w in class j.
     """
 
     h: float
     states: int
-    first: np.ndarray
-    buckets: np.ndarray
-    length: np.ndarray
     count: np.ndarray
     lo: np.ndarray
     hi: np.ndarray
-    lo_word: tuple
-    hi_word: tuple
+    lo_word: np.ndarray
+    hi_word: np.ndarray
     below: np.ndarray
 
 
-def _extremes(bucket):
-    """(min, max) of a bucket's (mu, word) entries.  min and max skip a NaN
+def _extremes(cell):
+    """(min, max) of a cell's (mu, word) entries.  min and max skip a NaN
     that is not first, so the first NaN entry is taken as both."""
-    nan = [e for e in bucket if math.isnan(e[0])]
-    return (nan[0], nan[0]) if nan else (min(bucket), max(bucket))
+    nan = [e for e in cell if math.isnan(e[0])]
+    return (nan[0], nan[0]) if nan else (min(cell), max(cell))
 
 
 @functools.lru_cache(maxsize=1)
@@ -130,37 +127,24 @@ def _landing_classes(spec, maxlen: int) -> _ClassTable | None:
     aut = S.build_automaton(spec)
     class_of = {}  # landing row (bytes) -> class index, in order of first word
     reps = []  # class -> its landing row
-    classes = []  # class -> length -> [(mu, word), ...]
+    cells = {}  # (class, length - 1) -> [(mu, word), ...]
     for n, words, rows in S._landing_levels(spec, maxlen):
         for u, row in zip(words, rows):
             c = class_of.setdefault(row.tobytes(), len(reps))
             if c == len(reps):
                 reps.append(row)
-                classes.append({})
-            classes[c].setdefault(n, []).append((M.mu_parry(model, u), u))
-    buckets = [(n, len(b), *_extremes(b)) for by_len in classes for n, b in by_len.items()]
-    sizes = np.array([len(by_len) for by_len in classes], dtype=np.intp)
+            cells.setdefault((c, n - 1), []).append((M.mu_parry(model, u), u))
+    shape = (len(reps), maxlen)
+    count, lo, hi = np.zeros(shape, np.int64), np.zeros(shape), np.zeros(shape)
+    lo_word, hi_word = np.full(shape, None, object), np.full(shape, None, object)
+    for (c, k), cell in cells.items():
+        count[c, k] = len(cell)
+        (lo[c, k], lo_word[c, k]), (hi[c, k], hi_word[c, k]) = _extremes(cell)
     reps = np.array(reps, dtype=np.intp).reshape(len(reps), len(aut.states))
-
-    def frozen(values, dtype):
-        # read-only, as every later check shares the table
-        array = np.array(values, dtype=dtype)
-        array.flags.writeable = False
-        return array
-
-    return _ClassTable(
-        h=h,
-        states=len(aut.states),
-        first=frozen(np.cumsum(sizes) - sizes, np.intp),
-        buckets=frozen(sizes, np.intp),
-        length=frozen([b[0] for b in buckets], np.intp),
-        count=frozen([b[1] for b in buckets], np.int64),
-        lo=frozen([b[2][0] for b in buckets], float),
-        hi=frozen([b[3][0] for b in buckets], float),
-        lo_word=tuple(W.format_word(b[2][1]) for b in buckets),
-        hi_word=tuple(W.format_word(b[3][1]) for b in buckets),
-        below=frozen(E._contains(aut._containment_table, reps, reps), bool),
-    )
+    below = E._contains(aut._containment_table, reps, reps)
+    for array in (count, lo, hi, lo_word, hi_word, below):
+        array.flags.writeable = False  # every later check shares the table
+    return _ClassTable(h, len(aut.states), count, lo, hi, lo_word, hi_word, below)
 
 
 def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_sided: bool) -> CheckRecord:
@@ -169,12 +153,11 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
     and equality both ways.
 
     The words come grouped into landing classes by ``_landing_classes``, and
-    every selected class pair x length-bucket pair is judged in one array
-    pass.  Rounding is monotone, so the worst pair of two length buckets is
-    found from their extreme mu values.  The pairs run in the order of a
-    loop over the class pairs (row-major) and, within one, over the bucket
-    pairs of the two classes (as ``itertools.product``); the witnesses
-    follow it.
+    every selected class pair is judged on its (|v|, |w|) grid of cells in
+    one broadcast; cell pairs with an empty side are masked out.  Rounding
+    is monotone, so the worst pair of two cells is found from their extreme
+    mu values.  The witnesses follow the class pairs (row-major), then |v|,
+    then |w|.
     """
     label = "gap" if two_sided else "excess"
     record = CheckRecord(
@@ -189,36 +172,30 @@ def _extender_sweep(spec, maxlen: int, name: str, key: str, tol: float, two_side
         record.reason = "positive-entropy hypothesis fails"
         return record
     I, J = np.nonzero(table.below & table.below.T if two_sided else table.below)
-    # class pair p spans size[p] bucket pairs; bucket pair k of it is
-    # (k // buckets of J, k % buckets of J) from the two classes' first buckets
-    cols = table.buckets[J]
-    size = table.buckets[I] * cols
-    k = np.arange(size.sum()) - np.repeat(np.cumsum(size) - size, size)
-    cols = np.repeat(cols, size)
-    bv = np.repeat(table.first[I], size) + k // cols
-    bw = np.repeat(table.first[J], size) + k % cols
     # math.exp(h d) for d = -maxlen..maxlen: np.exp can differ from it in the last bit
     exps = np.array([math.exp(table.h * d) for d in range(-maxlen, maxlen + 1)])
-    scale = exps[table.length[bw] - table.length[bv] + maxlen]
-    residual = table.hi[bv] - table.lo[bw] * scale
-    swap = np.zeros(len(residual), dtype=bool)
+    n = np.arange(maxlen)
+    scale = exps[n - n[:, None] + maxlen]  # scale[a, b] = e^{h(b - a)}
+    residual = table.hi[I, :, None] - table.lo[J, None, :] * scale
+    swap = np.zeros(residual.shape, dtype=bool)
     if two_sided:
-        back = table.hi[bw] * scale - table.lo[bv]
+        back = table.hi[J, None, :] * scale - table.lo[I, :, None]
         # negated, so that a NaN is taken and stays the worst
         swap = ~(back <= residual)
         residual = np.where(swap, back, residual)
-    for i in np.flatnonzero(~(residual <= tol)).tolist():
-        b, c = bv[i], bw[i]
-        if swap[i]:
-            v, w = table.lo_word[b], table.hi_word[c]
+    live = (table.count[I, :, None] > 0) & (table.count[J, None, :] > 0)
+    for p, a, b in np.argwhere(live & ~(residual <= tol)).tolist():
+        if swap[p, a, b]:
+            v, w = table.lo_word[I[p], a], table.hi_word[J[p], b]
         else:
-            v, w = table.hi_word[b], table.lo_word[c]
-        _fail(record, {"v": v, "w": w, label: float(residual[i])})
-    record.params["pairs"] = int(np.dot(table.count[bv], table.count[bw]))
-    record.params["classes"] = len(table.first)
+            v, w = table.hi_word[I[p], a], table.lo_word[J[p], b]
+        _fail(record, {"v": W.format_word(v), "w": W.format_word(w), label: float(residual[p, a, b])})
+    words = table.count.sum(axis=1)
+    record.params["pairs"] = int(np.dot(words[I], words[J]))
+    record.params["classes"] = len(table.count)
     record.params["states"] = table.states
     # max propagates a NaN, so a NaN residual is the worst
-    record.residuals[f"max {label}"] = float(np.max(residual, initial=0.0))
+    record.residuals[f"max {label}"] = float(np.max(residual, initial=0.0, where=live))
     return record
 
 
@@ -290,6 +267,8 @@ def check_limit(
         record.reason = "positive-entropy hypothesis fails"
         return record
     spec = S.SGapShift(gaps)
+    S._check_steps(spec, N, "limit_n")
+    S._check_steps(spec, exact_n, "limit_exact_n")
     # one pass of each DP: a[n] = |L_n| / lambda^n from the scaled one
     a = list(itertools.islice(S._scaled_counts(spec, lam), max(N, exact_n) + 1))
     a_prev, a_N = a[N - 1], a[N]

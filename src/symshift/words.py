@@ -27,6 +27,11 @@ from .errors import (
 # steps of the synchronized-formula table, the assignments of a 2D halo.
 _SWEEP_BUDGET = 1 << 22
 
+# Most entries of one dense n x n matrix, in every module: the column pairs of
+# a strip, the states squared of an S-gap presentation.  At 8 bytes a float,
+# about 64 MiB per matrix.
+_MATRIX_ENTRIES = 1 << 23
+
 
 @dataclass(frozen=True)
 class Alphabet:

@@ -122,6 +122,14 @@ class TestBasicCommands:
         assert payload(result)["error"]["type"] == "ResourceLimitError"
 
 
+    def test_count_over_budget_is_a_json_error(self, runner, golden_spec):
+        # 10^7 steps of the big-integer DP would run for hours
+        result = runner.invoke(cli.main, ["count", "--spec", golden_spec, "-n", "10000000"])
+        assert result.exit_code == 1
+        error = payload(result)["error"]
+        assert error["type"] == "ResourceLimitError" and error["message"].startswith("n 10000000")
+
+
 class TestVerifyRun:
     CONFIG = {
         "maxlen_pairs": 3,
@@ -210,15 +218,16 @@ class TestVerifyRun:
 
 
 PINNED_REPORT = Path(__file__).parent / "data" / "default_report.json"
+# float tolerances of the pinned report; TestPinnedReport says why
+PINNED_REL_TOL, PINNED_ABS_TOL = 1e-12, 1e-14
 
 
 def _pinned_differences(got, want, where="report"):
     """The places where ``got`` differs from the pinned ``want``: keys, list
     lengths, types, strings, ints and bools must be equal, and floats agree
-    within ``TestPinnedReport.REL_TOL`` / ``ABS_TOL``."""
+    within ``PINNED_REL_TOL`` / ``PINNED_ABS_TOL``."""
     if isinstance(want, float) and isinstance(got, float):
-        close = math.isclose(got, want, rel_tol=TestPinnedReport.REL_TOL,
-                             abs_tol=TestPinnedReport.ABS_TOL)
+        close = math.isclose(got, want, rel_tol=PINNED_REL_TOL, abs_tol=PINNED_ABS_TOL)
         return [] if close else [f"{where}: {got!r} != {want!r}"]
     if type(got) is not type(want):
         return [f"{where}: {type(got).__name__} {got!r} != {type(want).__name__} {want!r}"]
@@ -241,20 +250,18 @@ class TestPinnedReport:
     regenerates the file and names the moved fields in CHANGES.md.
 
     Names, statuses, reasons, params, witnesses, series keys, ints and
-    strings must be equal.  The 503 floats are cylinder measures, scaled
-    counts and residuals, each a few float operations on O(1) numbers: a
-    numpy or BLAS build that sums in another order moves them by a few ulps.
-    So they agree to a relative 1e-12, which still catches any change of
-    method, and an absolute 1e-14 (about 45 ulps of 1.0), which catches a
-    residual that widens from its noise floor (at most 2.7e-15 here) towards
-    the tightest check tolerance, 1e-12.  On one box the report was
-    byte-identical with OPENBLAS_NUM_THREADS 1 and 2, forked and under
-    ``taskset -c 0``; the CI job on the numpy 1.24 floor has not been
-    measured, so the tolerance there is an estimate.
+    strings must be equal.  The 503 floats of the checks are cylinder
+    measures, scaled counts and residuals, each a chain of float operations
+    on numbers of order 1: a numpy or BLAS build that sums in another order
+    moves them by a few ulps.  So they agree to a relative 1e-12
+    (``PINNED_REL_TOL``), which still catches any change of method, and an
+    absolute 1e-14 (``PINNED_ABS_TOL``, about 45 ulps of 1.0), which
+    catches a residual that widens from its noise floor (at most 2.7e-15
+    here) towards the tightest check tolerance, 1e-12.  On a 2-CPU Linux
+    box the report was byte-identical with OPENBLAS_NUM_THREADS 1 and 2,
+    forked and under ``taskset -c 0``; the CI job on the numpy 1.24 floor
+    has not been measured, so the tolerance there is an estimate.
     """
-
-    REL_TOL = 1e-12
-    ABS_TOL = 1e-14
 
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):

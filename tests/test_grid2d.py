@@ -210,7 +210,7 @@ class TestStripMME:
         # checked on the numbers, without building the strip: 2,207 columns
         # on the width-16 hard-square torus
         assert 2**16 * 16 <= G._MAX_STRIP_CELLS < 2**17 * 17
-        assert 2207**2 <= G._MAX_STRIP_PAIRS
+        assert 2207**2 <= W._MATRIX_ENTRIES
 
     def test_candidate_cap_counts_the_alphabet(self, monkeypatch):
         # the cap of binary width 4 admits ternary width 2 but not width 3
@@ -224,7 +224,7 @@ class TestStripMME:
 
     def test_pair_cap_counts_legal_columns(self, monkeypatch):
         # no single-column rule keeps all 2^W columns; hard square keeps 7 of 16
-        monkeypatch.setattr(G, "_MAX_STRIP_PAIRS", 49)
+        monkeypatch.setattr(W, "_MATRIX_ENTRIES", 49)
         horizontal = G.Grid2dSpec(W.BINARY, (pattern_from_grid(["11"]),))
         assert len(G.strip_mme(HS, 4).columns) == 7
         with pytest.raises(ResourceLimitError):

@@ -53,6 +53,33 @@ class TestSGapSet:
         assert S.SGapSet((), 1).describe() == "[1,inf)"
 
 
+class TestLargeGapSets:
+    """An S-gap presentation has top + 1 states, top = max(S) or the cofinite
+    threshold, and a dense (top + 1)^2 matrix: at top = 10^6 that is 8 TB."""
+
+    @pytest.mark.parametrize("gaps", [S.SGapSet((0, 10**6)), S.SGapSet((0,), 10**6)], ids=str)
+    def test_refused_before_anything_is_built(self, gaps):
+        spec = S.SGapShift(gaps)
+        start = time.perf_counter()
+        for query in (lambda: S.entropy(spec), lambda: S.member(spec, "1"), lambda: M.gap_chain(gaps)):
+            with pytest.raises(ResourceLimitError, match="gap 1000000 needs a 1000001-state"):
+                query()
+        assert time.perf_counter() - start < 1.0
+
+    def test_cap_is_the_shared_matrix_cap(self, monkeypatch):
+        assert S._sgap_top(S.SGapSet((0, 2895))) == 2895  # 2896^2 <= 2^23 < 2897^2
+        with pytest.raises(ResourceLimitError):
+            S._sgap_top(S.SGapSet((0, 2896)))
+        # gap sets that no other test presents, so that no cached presentation answers
+        monkeypatch.setattr(W, "_MATRIX_ENTRIES", 41**2)
+        assert S._sgap_top(S.SGapSet((7, 40))) == S._sgap_top(S.SGapSet((7,), 40)) == 40
+        for gaps in (S.SGapSet((7, 41)), S.SGapSet((7,), 41)):
+            with pytest.raises(ResourceLimitError):
+                S.build_automaton(S.SGapShift(gaps))
+            with pytest.raises(ResourceLimitError):
+                M.gap_chain(gaps)
+
+
 class TestSpecSerialization:
     @pytest.mark.parametrize(
         "doc, expected",
@@ -175,6 +202,24 @@ class TestLanguage:
     def test_negative_length(self):
         with pytest.raises(InvalidWordError):
             S.count_words(GOLDEN, -1)
+
+    def test_count_budget_refuses_before_any_step(self, monkeypatch):
+        # the bound is n x word-graph edges <= budget: 5 edges for the golden mean
+        monkeypatch.setattr(W, "_SWEEP_BUDGET", 10)
+        assert S.count_words(GOLDEN, 2) == 3
+        with pytest.raises(ResourceLimitError, match="^n 3 needs 3 steps over 5 word-graph edges"):
+            S.count_words(GOLDEN, 3)
+        monkeypatch.undo()
+
+        # the big-integer DP is quadratic in n: 10^7 steps would run for hours
+        def unreachable(spec):
+            raise AssertionError("the DP started")
+
+        monkeypatch.setattr(S, "_counts", unreachable)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="^n 10000000 "):
+            S.count_words(S.SftShift(W.Alphabet(("p", "q")), ("qq",)), 10**7)
+        assert time.perf_counter() - start < 1.0
 
     @given(st.integers(min_value=1, max_value=10))
     def test_scaled_matches_exact(self, n):

@@ -302,12 +302,20 @@ class TestSynchTable:
         assert legal[:4] == [True, False, True, False] and not any(legal[3:])
 
 
+# S-gap shifts whose landing classes miss most word lengths, so that most
+# cells of their class x length grids are empty
+SPARSE_SPECS = [
+    S.SGapShift(S.SGapSet((0, 40))),
+    S.SGapShift(S.SGapSet((2,), 5)),
+]
+
 SWEEP_SPECS = [
     GOLDEN,
     SGAP_01,
     SFT_7,
     S.SftShift(W.Alphabet(("a", "b", "c")), ("aa", "bc")),
     S.SftShift(W.Alphabet(("x0", "x1")), (("x1", "x1"),)),
+    *SPARSE_SPECS,
 ]
 
 
@@ -421,16 +429,31 @@ class TestLandingClassTable:
         assert rec.status == ("fail" if failing and maxlen else "pass")
         assert _exact(asdict(rec)) == _exact(asdict(ref))
 
-    @pytest.mark.parametrize("spec", [GOLDEN, SFT_7], ids=S.describe)
-    def test_matches_pairwise_loop_on_a_nan_measure(self, monkeypatch, cold_caches, spec):
+    @pytest.mark.parametrize("spec", SPARSE_SPECS, ids=S.describe)
+    @pytest.mark.parametrize("maxlen", [6, 12])
+    @pytest.mark.parametrize("failing", [False, True], ids=["normal", "negative-tolerance"])
+    @pytest.mark.parametrize("check, name, key, tol, two_sided", EXTENDER_CHECKS)
+    def test_sparse_grids_match_pairwise_loop(
+        self, spec, maxlen, failing, check, name, key, tol, two_sided
+    ):
+        # most cells are empty, and a pair of cells with an empty side is no pair
+        assert (V._landing_classes(spec, maxlen).count == 0).mean() > 0.6
+        self.test_matches_pairwise_loop(spec, maxlen, failing, check, name, key, tol, two_sided)
+
+    @pytest.mark.parametrize(
+        "spec, bad, maxlen",
+        [pytest.param(spec, "0100", 5, id=S.describe(spec)) for spec in (GOLDEN, SFT_7)]
+        + [pytest.param(spec, "0010", 8, id=S.describe(spec)) for spec in SPARSE_SPECS],
+    )
+    def test_matches_pairwise_loop_on_a_nan_measure(self, monkeypatch, cold_caches, spec, bad, maxlen):
         mu_parry = M.mu_parry
         monkeypatch.setattr(
-            M, "mu_parry", lambda model, w: math.nan if w == "0100" else mu_parry(model, w)
+            M, "mu_parry", lambda model, w: math.nan if w == bad else mu_parry(model, w)
         )
         for param in EXTENDER_CHECKS:
             check, name, key, tol, two_sided = param.values
-            ref = _reference_extender_sweep(spec, 5, name, key, tol, two_sided)
-            rec = check(spec, 5, tol)
+            ref = _reference_extender_sweep(spec, maxlen, name, key, tol, two_sided)
+            rec = check(spec, maxlen, tol)
             assert rec.status == "fail"
             assert _exact(asdict(rec)) == _exact(asdict(ref))
 
@@ -1310,6 +1333,34 @@ class TestSuite:
         assert [r.name for r in errors] == ["counting-limit"]
         assert errors[0].reason.startswith("NumericalError")
         assert "limit_exact_n" in errors[0].reason
+
+    @pytest.mark.parametrize("field", ["limit_n", "limit_exact_n"])
+    def test_counting_dp_over_budget_is_an_error_record(self, report, monkeypatch, field):
+        # 10^9 steps of the scaled DP used to be kept as 10^9 floats, about 32 GB
+        def unreachable(*args):
+            raise AssertionError("a counting DP started")
+
+        # check_limit runs the scaled DP first; the other checks count words too
+        monkeypatch.setattr(S, "_scaled_counts", unreachable)
+        rerun = V.run_all(dict(SMALL_CONFIG, **{field: 10**9}))
+        errors = [r for r in rerun.records if r.status == "error"]
+        # S = {1} is skipped first: gcd(S + 1) = 2
+        assert [r.name for r in errors] == ["counting-limit"]
+        assert errors[0].reason.startswith(f"ResourceLimitError: {field} 1000000000 needs")
+        assert len(rerun.records) == len(report.records)
+
+    def test_large_gap_set_is_an_error_record(self, report):
+        # (10^6 + 1)^2 floats per presentation matrix: refused, not allocated
+        doc = {"type": "sgap", "finite": [0, 10**6]}
+        t0 = time.monotonic()
+        rerun = V.run_all(dict(SMALL_CONFIG, sgap_specs=[doc]))
+        assert time.monotonic() - t0 < 2.0
+        errors = [r for r in rerun.records if r.status == "error"]
+        assert [r.name for r in errors] == [
+            "entropy-root", "counting-limit", "value-theorem", "synchronized-formula"
+        ]
+        assert all(r.reason.startswith("ResourceLimitError: gap 1000000") for r in errors)
+        assert all(json.loads(r.spec) == doc for r in errors)
 
     def test_zero_limit_n_names_the_field(self, report):
         # a_{N-1} at N = 0 used to give "length must be nonnegative"
