@@ -630,17 +630,8 @@ def perron_value(A: np.ndarray):
 
 
 def entropy(spec) -> float:
-    """Topological entropy log(lambda); S-gap specs cross-check the root equation."""
-    h_graph = math.log(perron_eigenvalue(spec))
-    if isinstance(spec, SGapShift):
-        lam_root = sgap_lambda(spec.gaps)
-        h_root = math.log(lam_root)
-        if abs(h_root - h_graph) > 1e-9:
-            raise NumericalError(
-                f"entropy cross-check failed: root {h_root!r} vs graph {h_graph!r}"
-            )
-        return h_root
-    return h_graph
+    """Topological entropy log(lambda), lambda the presentation's Perron value."""
+    return math.log(perron_eigenvalue(spec))
 
 
 def perron_eigenvalue(spec) -> float:
@@ -649,45 +640,27 @@ def perron_eigenvalue(spec) -> float:
 
 
 def sgap_lambda(gaps: SGapSet) -> float:
-    """Unique root > 1 of sum over S of x^(-n-1) = 1 (lambda = 1 degenerate case)."""
+    """Unique root lambda of F(x) = sum over S of x^(-n-1) = 1 (1 for a single gap).
 
-    def f(x: float) -> float:
-        acc = 0.0
-        for n in gaps.extra:
-            acc += x ** (-n - 1)
-        if gaps.cofinite_from is not None:
-            M = gaps.cofinite_from
-            acc += x**-M / (x - 1) if x > 1 else math.inf
-        return acc
-
+    F decreases, F(1) > 1 and F(2) <= 1, so bisection on [1, 2] runs until
+    lo and hi are neighbouring floats and returns the one nearer F = 1.
+    """
     if gaps.finite and len(gaps.extra) == 1:
         return 1.0  # single gap length: one periodic orbit, zero entropy
-    lo, hi = 1.0 + 1e-12, 3.0
-    while f(hi) > 1.0:
-        hi *= 2
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+
+    def f(x: float) -> float:
+        terms = [x ** (-n - 1) for n in gaps.extra]
+        if gaps.cofinite_from is not None:
+            terms.append(x ** -gaps.cofinite_from / (x - 1) if x > 1 else math.inf)
+        return math.fsum(terms)
+
+    lo, hi = 1.0, 2.0
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
         if f(mid) > 1.0:
             lo = mid
         else:
             hi = mid
-        if hi - lo < 1e-13:
-            break
-    lam = 0.5 * (lo + hi)
-    # Newton polish
-    for _ in range(50):
-        fx = f(lam) - 1.0
-        if abs(fx) <= 1e-14:
-            break
-        eps = 1e-7
-        dfx = (f(lam + eps) - f(lam - eps)) / (2 * eps)
-        if dfx == 0:
-            break
-        step = fx / dfx
-        lam -= step
-        if abs(step) < 1e-16:
-            break
-    return lam
+    return min(lo, hi, key=lambda x: abs(f(x) - 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -283,7 +283,6 @@ def test_random_sfts_agree_with_block_graph(spec):
 def test_sgap_pair_has_one_state_per_gap_count(g):
     spec = S.SGapShift(S.SGapSet((0, g)))
     assert len(S.build_automaton(spec).states) == g + 1
-    # entropy() raises unless the graph agrees with the root of the gap equation
     assert S.entropy(spec) == pytest.approx(math.log(S.sgap_lambda(spec.gaps)), abs=1e-9)
 
 

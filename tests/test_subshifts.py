@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,6 +243,36 @@ class TestEntropy:
 
     def test_singleton_gap_zero_entropy(self):
         assert S.sgap_lambda(S.SGapSet((4,))) == 1.0
+
+    @staticmethod
+    def _seeded_gap_sets(count=300, seed=32):
+        """Finite and cofinite gap sets with top <= 60, none a single gap."""
+        rng = random.Random(seed)
+        sets = []
+        while len(sets) < count:
+            top = rng.randint(1, 60)
+            extra = tuple(sorted(rng.sample(range(top), rng.randint(0, min(top, 6)))))
+            if len(sets) % 2:
+                sets.append(S.SGapSet(extra, top))
+            elif extra:
+                sets.append(S.SGapSet(extra + (top,)))
+        return sets
+
+    def test_root_is_bracketed_by_its_neighbouring_floats(self):
+        # exact arithmetic: F(lambda - ulp) > 1 > F(lambda + ulp), so no float
+        # lies strictly between lambda and the true root
+        def F(x):
+            x = Fraction(x)
+            total = sum(x ** (-n - 1) for n in gaps.extra)
+            if gaps.cofinite_from is not None:
+                total += x ** -gaps.cofinite_from / (x - 1)
+            return total
+
+        named = [S.SGapSet((0, 40)), S.SGapSet((0, 2, 30)), S.SGapSet((0, 1), 9)]
+        for gaps in self._seeded_gap_sets() + named:
+            lam = S.sgap_lambda(gaps)
+            below, above = math.nextafter(lam, 0.0), math.nextafter(lam, 3.0)
+            assert F(below) > 1 > F(above), gaps
 
     def test_periodic_graph_converges(self):
         spec = S.SGapShift(S.SGapSet((1, 3)))

@@ -329,7 +329,7 @@ PINNED_SWEEPS = [
     pytest.param(SFT_7, 7, False, 3569, 28, 5, "0x1p-53", id="111,1001-inequality"),
     pytest.param(SFT_7, 7, True, 809, 28, 5, "0x1p-53", id="111,1001-equality"),
     pytest.param(
-        S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1.44p-48",
+        S.SGapShift(S.SGapSet((0, 40))), 12, False, 2378, 90, 41, "0x1p-54",
         id="S040-inequality",
     ),
 ]
