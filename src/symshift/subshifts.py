@@ -267,16 +267,25 @@ class Automaton:
             table = kept
 
 
+# Most (top + 1)^3 of an S-gap presentation (``_sgap_top``).
+_SGAP_SOLVE_STEPS = 10**9
+
+
 def _sgap_top(gaps: SGapSet) -> int:
     """max(S), or M for S = extra u [M, inf): the gap that the S-gap shift's
     presentations count zeros up to.  The SFT presentation and the gap chain
     each have top + 1 states and a dense (top + 1) x (top + 1) matrix,
     and the forbidden words hold about top^2 / 2 symbols, so a top over the
-    matrix budget is refused here, before any of them is built."""
+    matrix budget is refused here, before any of them is built.  So is a top
+    whose dense solves, of order (top + 1)^3 steps, pass
+    ``_SGAP_SOLVE_STEPS`` = 10^9: ``run_all`` on S = {0,999}, the largest
+    gap accepted, took about 8.5 s on a 2-CPU x86 box with one BLAS thread
+    (6 s at 900, 19 s at 1200, 156 s at 2895)."""
     top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
-    if (top + 1) ** 2 > W._MATRIX_ENTRIES:
+    if (top + 1) ** 2 > W._MATRIX_ENTRIES or (top + 1) ** 3 > _SGAP_SOLVE_STEPS:
         raise ResourceLimitError(
-            f"gap {top} needs a {top + 1}-state presentation, over {W._MATRIX_ENTRIES} matrix entries"
+            f"gap {top} needs a {top + 1}-state presentation, over {W._MATRIX_ENTRIES} "
+            f"matrix entries or {_SGAP_SOLVE_STEPS} solve steps"
         )
     return top
 
@@ -467,16 +476,39 @@ def _walk(graph: tuple, node: int, u) -> Optional[int]:
     return node
 
 
+# Most n^2 x word-graph edges of one exact counting DP (``_check_steps``).
+_COUNT_BUDGET = 5 * 10**10
+
+
 def _check_steps(spec, n: int, field: str) -> None:
-    """Refuse n steps of a counting DP (``_counts``, ``_scaled_counts``) on
-    the word graph of ``spec`` when n times its edges exceed the sweep
-    budget, before the first step; the error names ``field``, the option or
-    config field that asked for n."""
+    """Refuse n steps of a counting DP on the word graph of ``spec`` before
+    the first step; the error names ``field``, the option or config field
+    that asked for n.
+
+    Both DPs take n x edges steps, refused over ``words._SWEEP_BUDGET``.
+    The exact DP (``_counts``) is also refused when n^2 x edges passes
+    ``_COUNT_BUDGET`` = 5 x 10^10 (``_check_exact_steps``): it adds
+    integers of about n h / log 2 bits, so n steps cost order n^2 x edges.
+    The golden mean's largest accepted n, 100,000, takes about 0.8 s on a
+    2-CPU x86 box, and the largest n the n x edges rule alone accepts,
+    838,860, took 49 s.  The scaled DP (``_scaled_counts``) adds floats and
+    keeps the n x edges rule alone."""
     edges = sum(map(len, build_automaton(spec).word_graph))
     if n * edges > W._SWEEP_BUDGET:
         raise ResourceLimitError(
             f"{field} {n} needs {n} steps over {edges} word-graph edges, "
             f"over the budget of {W._SWEEP_BUDGET}"
+        )
+
+
+def _check_exact_steps(spec, n: int, field: str) -> None:
+    """``_check_steps`` for the exact DP, with its n^2 x edges rule."""
+    _check_steps(spec, n, field)
+    edges = sum(map(len, build_automaton(spec).word_graph))
+    if n * n * edges > _COUNT_BUDGET:
+        raise ResourceLimitError(
+            f"{field} {n} needs {n}^2 x {edges} word-graph edges of big-integer sums, "
+            f"over the budget of {_COUNT_BUDGET}"
         )
 
 
@@ -509,7 +541,7 @@ def count_words(spec, n: int) -> int:
     resumed from the last length asked of the presentation; a shorter one restarts."""
     if n < 0:
         raise InvalidWordError("length must be nonnegative")
-    _check_steps(spec, n, "n")
+    _check_exact_steps(spec, n, "n")
     cursor = build_automaton(spec)._count_cursor
     if n < cursor[0]:
         walk = _counts(spec)

@@ -268,7 +268,7 @@ def check_limit(
         return record
     spec = S.SGapShift(gaps)
     S._check_steps(spec, N, "limit_n")
-    S._check_steps(spec, exact_n, "limit_exact_n")
+    S._check_exact_steps(spec, exact_n, "limit_exact_n")
     # one pass of each DP: a[n] = |L_n| / lambda^n from the scaled one
     a = list(itertools.islice(S._scaled_counts(spec, lam), max(N, exact_n) + 1))
     a_prev, a_N = a[N - 1], a[N]

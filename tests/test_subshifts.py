@@ -67,10 +67,15 @@ class TestLargeGapSets:
                 query()
         assert time.perf_counter() - start < 1.0
 
+    def test_cap_bounds_the_dense_solves(self):
+        # 1000^3 <= 10^9 < 1001^3; run_all on S = {0,2895}, the largest gap
+        # that the matrix cap alone accepts, took 156 s
+        assert S._sgap_top(S.SGapSet((0, 999))) == S._sgap_top(S.SGapSet((0,), 999)) == 999
+        for gaps in (S.SGapSet((0, 1000)), S.SGapSet((0,), 1000), S.SGapSet((0, 2895))):
+            with pytest.raises(ResourceLimitError, match="1000000000 solve steps"):
+                S._sgap_top(gaps)
+
     def test_cap_is_the_shared_matrix_cap(self, monkeypatch):
-        assert S._sgap_top(S.SGapSet((0, 2895))) == 2895  # 2896^2 <= 2^23 < 2897^2
-        with pytest.raises(ResourceLimitError):
-            S._sgap_top(S.SGapSet((0, 2896)))
         # gap sets that no other test presents, so that no cached presentation answers
         monkeypatch.setattr(W, "_MATRIX_ENTRIES", 41**2)
         assert S._sgap_top(S.SGapSet((7, 40))) == S._sgap_top(S.SGapSet((7,), 40)) == 40
@@ -205,11 +210,17 @@ class TestLanguage:
             S.count_words(GOLDEN, -1)
 
     def test_count_budget_refuses_before_any_step(self, monkeypatch):
-        # the bound is n x word-graph edges <= budget: 5 edges for the golden mean
+        # both DPs are bounded by n x word-graph edges: 5 edges for the golden mean
         monkeypatch.setattr(W, "_SWEEP_BUDGET", 10)
         assert S.count_words(GOLDEN, 2) == 3
         with pytest.raises(ResourceLimitError, match="^n 3 needs 3 steps over 5 word-graph edges"):
             S.count_words(GOLDEN, 3)
+        monkeypatch.undo()
+        # the exact DP's big-integer sums are bounded by n^2 x edges too
+        monkeypatch.setattr(S, "_COUNT_BUDGET", 45)
+        assert S.count_words(GOLDEN, 3) == 5
+        with pytest.raises(ResourceLimitError, match=r"^n 4 needs 4\^2 x 5 word-graph edges"):
+            S.count_words(GOLDEN, 4)
         monkeypatch.undo()
 
         # the big-integer DP is quadratic in n: 10^7 steps would run for hours
@@ -221,6 +232,24 @@ class TestLanguage:
         with pytest.raises(ResourceLimitError, match="^n 10000000 "):
             S.count_words(S.SftShift(W.Alphabet(("p", "q")), ("qq",)), 10**7)
         assert time.perf_counter() - start < 1.0
+
+    def test_quadratic_count_is_refused_at_once(self, monkeypatch):
+        # n = 838,860 passes n x edges on the golden mean (5 edges) and took
+        # 49 s; n^2 x edges refuses it, and accepts n = 100,000 at most
+        def unreachable(spec):
+            raise AssertionError("the DP started")
+
+        monkeypatch.setattr(S, "_counts", unreachable)
+        spec = S.SftShift(W.Alphabet(("r", "s")), ("ss",))  # a presentation no other test counts on
+        cursor = list(S.build_automaton(spec)._count_cursor)
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=r"^n 838860 needs 838860\^2 x 5 "):
+            S.count_words(spec, 838_860)
+        assert time.perf_counter() - start < 0.1
+        assert S.build_automaton(spec)._count_cursor == cursor
+        S._check_exact_steps(GOLDEN, 100_000, "n")
+        with pytest.raises(ResourceLimitError):
+            S._check_exact_steps(GOLDEN, 100_001, "n")
 
     @given(st.integers(min_value=1, max_value=10))
     def test_scaled_matches_exact(self, n):
