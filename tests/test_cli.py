@@ -12,6 +12,7 @@ from symshift import mme as M
 from symshift import subshifts as S
 from symshift import verify as V
 from symshift.errors import SymshiftError
+from test_verify import SMALL_CONFIG
 
 
 @pytest.fixture()
@@ -217,7 +218,7 @@ class TestVerifyRun:
         assert f"Invalid value for '{flag}'" in result.output
 
 
-PINNED_REPORT = Path(__file__).parent / "data" / "default_report.json"
+PINNED_DATA = Path(__file__).parent / "data"
 # float tolerances of the pinned report; TestPinnedReport says why
 PINNED_REL_TOL, PINNED_ABS_TOL = 1e-12, 1e-14
 
@@ -256,26 +257,30 @@ class TestPinnedReport:
     moves them by a few ulps.  So they agree to a relative 1e-12
     (``PINNED_REL_TOL``), which still catches any change of method, and an
     absolute 1e-14 (``PINNED_ABS_TOL``, about 45 ulps of 1.0), which
-    catches a residual that widens from its noise floor (at most 2.7e-15
+    catches a residual that widens from its noise floor (at most 4.3e-15
     here) towards the tightest check tolerance, 1e-12.  On a 2-CPU Linux
     box the report was byte-identical with OPENBLAS_NUM_THREADS 1 and 2,
     forked and under ``taskset -c 0``; the CI job on the numpy 1.24 floor
     has not been measured, so the tolerance there is an estimate.
     """
 
+    report, config, csvs = "default_report.json", None, 11
+
     @pytest.fixture(scope="class")
     def written(self, tmp_path_factory):
         tmp = tmp_path_factory.mktemp("pinned")
         out, csv_dir = tmp / "report.json", tmp / "csv"
-        result = CliRunner().invoke(
-            cli.main, ["verify", "run", "--out", str(out), "--csv", str(csv_dir)]
-        )
+        args = ["verify", "run", "--out", str(out), "--csv", str(csv_dir)]
+        if self.config is not None:
+            (tmp / "config.json").write_text(json.dumps(self.config))
+            args += ["--config", str(tmp / "config.json")]
+        result = CliRunner().invoke(cli.main, args)
         assert result.exit_code == 0, result.output
         return json.loads(out.read_text()), csv_dir
 
     @pytest.fixture(scope="class")
     def pinned(self):
-        return json.loads(PINNED_REPORT.read_text(encoding="utf-8"))
+        return json.loads((PINNED_DATA / self.report).read_text(encoding="utf-8"))
 
     def test_report_matches(self, written, pinned):
         report, _ = written
@@ -289,7 +294,7 @@ class TestPinnedReport:
             for key, series in check["series"].items():
                 slug = re.sub(r"[^A-Za-z0-9._-]+", "_", f"{check['name']}.{key}")
                 expected[slug + ".csv"] = series
-        assert len(expected) == 11
+        assert len(expected) == self.csvs
         assert sorted(p.name for p in csv_dir.iterdir()) == sorted(expected)
         for name, series in expected.items():
             header, *lines = (csv_dir / name).read_text(encoding="utf-8").splitlines()
@@ -300,6 +305,13 @@ class TestPinnedReport:
                    for row, pinned_row in zip(cells, series["rows"])]
             assert [len(row) for row in cells] == [len(row) for row in series["rows"]], name
             assert _pinned_differences(got, series["rows"], name) == []
+
+
+class TestPinnedSmallReport(TestPinnedReport):
+    """The same pin on ``SMALL_CONFIG``'s report, tests/data/small_report.json,
+    written by the console script with ``--config``."""
+
+    report, config, csvs = "small_report.json", SMALL_CONFIG, 4
 
 
 class TestGrid2d:

@@ -104,6 +104,43 @@ class TestIndividualChecks:
             assert rec.residuals["root equation"] <= 1e-12
             assert (rec.residuals["log-lambda vs graph entropy"] > 1e-10) == bool(eps)
 
+    @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (3e-11, "fail"), (-3e-11, "fail")])
+    def test_counting_limit_sees_a_scaled_lambda(self, monkeypatch, eps, status):
+        """Negative control: the scaled DP run at lambda (1 + eps).
+
+        a_n then drifts from |L_n| / lambda^n by about n eps, so at
+        limit_exact_n = 40 the check catches |eps| down to 2.50e-11 on each
+        mixing default gap set (bisection), which is the tolerance
+        ``limit_relative`` = 1e-9 over 40: its power is set by the tolerance.
+        """
+        scaled_counts = S._scaled_counts
+
+        def scaled(spec, lam):
+            return scaled_counts(spec, lam * (1.0 + eps))
+
+        monkeypatch.setattr(S, "_scaled_counts", scaled)
+        for gaps in [S.SGapSet((0, 1)), S.SGapSet((0, 2, 3)), S.SGapSet((), 1), S.SGapSet((2,), 5)]:
+            rec = V.check_limit(gaps, 200, 40, 1e-3, 1e-9)
+            assert rec.status == status
+            assert (rec.residuals["exact vs scaled (relative)"] > 1e-9) == bool(eps)
+
+    @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (1e-9, "fail"), (-1e-9, "fail")])
+    def test_value_theorem_sees_a_scaled_t(self, monkeypatch, eps, status):
+        """Negative control: the certificates evaluated at t (1 + eps).
+
+        At maxlen 8 the check catches |eps| down to 1.55e-10 on S = {0,1},
+        2.04e-10 on {1,3}, 1.87e-10 on {0,2,3}, 2.84e-10 on [1,inf) and
+        7.45e-10 on {2}u[5,inf) (bisection), against the tolerance ``value``
+        = 1e-9: its power is set by the tolerance, not by the root.
+        """
+        for doc in V.DEFAULT_CONFIG["sgap_specs"]:
+            model = M.SGapMME(V._gaps(doc))
+            model.t *= 1.0 + eps
+            monkeypatch.setattr(M, "sgap_model", lambda gaps: model)
+            rec = V.check_value_theorem(model.gaps, 8, 1e-9)
+            assert rec.status == status
+            assert (rec.residuals["max |recursion - oracle|"] > 1e-9) == bool(eps)
+
     @pytest.mark.parametrize("p, status", [(0.3, "fail"), (0.382, "fail"), ((3 - math.sqrt(5)) / 2, "pass")])
     def test_extender_checks_see_a_planted_measure(self, monkeypatch, cold_caches, p, status):
         # negative control: the golden mean under the Markov measure with
