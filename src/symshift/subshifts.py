@@ -490,8 +490,8 @@ def _check_steps(spec, n: int, field: str) -> None:
     ``_COUNT_BUDGET`` = 5 x 10^10 (``_check_exact_steps``): it adds
     integers of about n h / log 2 bits, so n steps cost order n^2 x edges.
     The golden mean's largest accepted n, 100,000, takes about 0.8 s on a
-    2-CPU x86 box, and the largest n the n x edges rule alone accepts,
-    838,860, took 49 s.  The scaled DP (``_scaled_counts``) adds floats and
+    2-CPU x86 box; the n x edges rule alone would accept 838,860, which
+    takes 49 s.  The scaled DP (``_scaled_counts``) adds floats and
     keeps the n x edges rule alone."""
     edges = sum(map(len, build_automaton(spec).word_graph))
     if n * edges > W._SWEEP_BUDGET:

@@ -141,6 +141,25 @@ class TestIndividualChecks:
             assert rec.status == status
             assert (rec.residuals["max |recursion - oracle|"] > 1e-9) == bool(eps)
 
+    @pytest.mark.parametrize("doc", V.DEFAULT_CONFIG["sgap_specs"] + [{"type": "sgap", "finite": [0, 2, 30]}],
+                             ids=json.dumps)
+    def test_entropy_root_floor(self, doc):
+        # the root is the gap equation's to an ulp, and entropy reads the
+        # presentation: each side's error, not a tolerance, sets these floors
+        rec = V.check_entropy_root(V._gaps(doc), 1e-12, 1e-10)
+        assert rec.residuals["root equation"] <= 4.4e-16
+        assert rec.residuals["log-lambda vs graph entropy"] <= 1e-15
+
+    def test_sgap_sweep_floors(self):
+        # the extender checks pair the Parry measure with the entropy of the
+        # same presentation, and the certificates' t is the root to an ulp,
+        # so each residual sits at a few ulps
+        sgap = S.SGapShift(S.SGapSet((0, 2, 30)))
+        assert V.check_main_inequality(S.SGapShift(S.SGapSet((0, 40))), 12, 1e-12).residuals["max excess"] <= 1e-16
+        assert V.check_equality_corollary(sgap, 14, 1e-9).residuals["max gap"] <= 1e-15
+        value = V.check_value_theorem(sgap.gaps, 12, 1e-9).residuals
+        assert value["max |recursion - oracle|"] <= 2e-15
+
     @pytest.mark.parametrize("p, status", [(0.3, "fail"), (0.382, "fail"), ((3 - math.sqrt(5)) / 2, "pass")])
     def test_extender_checks_see_a_planted_measure(self, monkeypatch, cold_caches, p, status):
         # negative control: the golden mean under the Markov measure with
