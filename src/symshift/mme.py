@@ -13,6 +13,7 @@ no code with the gap chain, and the two must agree; the test suite enforces it.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -124,6 +125,37 @@ def mu_parry(model: ParryModel, w) -> float:
     return float(sum(weights.values()))
 
 
+def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
+    """For L = 1..maxlen, ``mu_parry(model, w)`` of the |symbols|^L words w
+    of length L in canonical order, one array per level, bit for bit.
+
+    Each word of the trie is stepped once from its prefix: the prefix's live
+    (state, mass) entries read one letter more, entries that meet in a state
+    merge, as in ``mu_parry``, and a dead word keeps 0.0.  The walk is depth
+    first, so besides the levels only the weights along one path are held.
+    """
+    k = len(symbols)
+    hops = {}  # state -> [(index of the symbol, target, probability)]
+    for j, a in enumerate(symbols):
+        for q, (r, prob) in model.steps.get(a, {}).items():
+            hops.setdefault(q, []).append((j, r, prob))
+    levels = [array("d", [0.0]) * k**n for n in range(1, maxlen + 1)]
+    stack = [(0, 0, dict(enumerate(model.stationary.tolist())))]  # (length, index, weights)
+    while stack:
+        n, i, weights = stack.pop()
+        steps = [{} for _ in range(k)]
+        for q, p in weights.items():
+            for j, r, prob in hops.get(q, ()):
+                step = steps[j]
+                step[r] = step.get(r, 0.0) + p * prob
+        for j, step in enumerate(steps):
+            if step:
+                levels[n][i * k + j] = sum(step.values())
+                if n + 1 < maxlen:
+                    stack.append((n + 1, i * k + j, step))
+    return levels
+
+
 # ---------------------------------------------------------------------------
 # Gap-counter Parry model (independent oracle for the S-gap MME)
 
@@ -204,13 +236,15 @@ class SGapMME:
     and mu(0^n) is 1 minus mu(0^j 1) for j < n.  (3) Pins, by mu(1 z 1) =
     mu(1) t^(|z|+1) if every gap of 1 z 1 is in S, else 0: 1 0^i c is legal
     when c is and i is in S, so step 2 gives mu(1) t^(|c|-1) A_a, and step
-    1 multiplies it by A_b.  ``certificate`` validates the word once and
-    keeps nothing between words.
+    1 multiplies it by A_b.  A certificate depends on the word only through
+    its key, (n) for 0^n or (a, b, |c|) for a legal 0^a c 0^b, so each is
+    built once per key and kept; an illegal word has the certificate 0.
     """
 
     gaps: S.SGapSet
     t: float = field(init=False)
     mu1: float = field(init=False)
+    _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.t = 1.0 / S.sgap_lambda(self.gaps)
@@ -218,21 +252,39 @@ class SGapMME:
 
     def certificate(self, w: str) -> MeasureCertificate:
         _check_over(w, BINARY)
+        return self._lookup(w)
+
+    def _lookup(self, w: str) -> MeasureCertificate:
+        """``certificate`` of a word already known to be binary."""
         first, last = w.find("1"), w.rfind("1")
         if first < 0:
-            # the term x t^e of A_{n-1} is one of each A_j with e <= j < n = |w|
-            terms = self._factor(len(w) - 1)
+            key = (len(w),)
+        elif all(len(run) in self.gaps for run in w[first:last].split("1")[1:]):
+            key = (first, len(w) - 1 - last, last - first + 1)
+        else:
+            key = ()
+        cert = self._table.get(key)
+        if cert is None:
+            cert = self._table[key] = self._build(key)
+        return cert
+
+    def _build(self, key: tuple) -> MeasureCertificate:
+        if not key:
+            return MeasureCertificate(0, ())
+        if len(key) == 1:
+            # the term x t^e of A_{n-1} is one of each A_j with e <= j < n
+            (n,) = key
+            terms = self._factor(n - 1)
             offset, coeffs = 1, [0] * (terms[-1][0] + 1)
             for e, x in terms:
-                coeffs[e] = -x * (len(w) - e)
-        elif all(len(run) in self.gaps for run in w[first:last].split("1")[1:]):
-            left, right = self._factor(first), self._factor(len(w) - 1 - last)
-            offset, coeffs = 0, [0] * (last - first + left[-1][0] + right[-1][0] + 1)
+                coeffs[e] = -x * (n - e)
+        else:
+            a, b, c = key
+            left, right = self._factor(a), self._factor(b)
+            offset, coeffs = 0, [0] * (c + left[-1][0] + right[-1][0])
             for i, x in left:
                 for j, y in right:
-                    coeffs[last - first + i + j] += x * y
-        else:
-            return MeasureCertificate(0, ())
+                    coeffs[c - 1 + i + j] += x * y
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))

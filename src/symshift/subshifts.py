@@ -476,7 +476,7 @@ def _walk(graph: tuple, node: int, u) -> Optional[int]:
     return node
 
 
-# Most n^2 x word-graph edges of one exact counting DP (``_check_steps``).
+# Most n^2 x word-graph edges x log2|A| of one exact counting DP (``_check_steps``).
 _COUNT_BUDGET = 5 * 10**10
 
 
@@ -486,13 +486,15 @@ def _check_steps(spec, n: int, field: str) -> None:
     that asked for n.
 
     Both DPs take n x edges steps, refused over ``words._SWEEP_BUDGET``.
-    The exact DP (``_counts``) is also refused when n^2 x edges passes
-    ``_COUNT_BUDGET`` = 5 x 10^10 (``_check_exact_steps``): it adds
-    integers of about n h / log 2 bits, so n steps cost order n^2 x edges.
-    The golden mean's largest accepted n, 100,000, takes about 0.8 s on a
-    2-CPU x86 box; the n x edges rule alone would accept 838,860, which
-    takes 49 s.  The scaled DP (``_scaled_counts``) adds floats and
-    keeps the n x edges rule alone."""
+    The exact DP (``_counts``) is also refused when n^2 x edges x log2|A|
+    passes ``_COUNT_BUDGET`` = 5 x 10^10 (``_check_exact_steps``): it adds
+    integers that gain at most log2|A| bits a step, so n steps cost order
+    n^2 x edges x log2|A|, with no Perron solve to bound it.  In three runs
+    on a 2-CPU x86 box the largest accepted n took 0.7-1.0 s on the golden
+    mean (n = 100,000), 1.1-1.4 s on the binary full shift (158,113) and
+    0.8-0.9 s on the 16-letter full shift (27,950); the n x edges rule
+    alone would accept 838,860 on the golden mean, which takes 49 s.  The scaled DP
+    (``_scaled_counts``) adds floats and keeps the n x edges rule alone."""
     edges = sum(map(len, build_automaton(spec).word_graph))
     if n * edges > W._SWEEP_BUDGET:
         raise ResourceLimitError(
@@ -502,12 +504,14 @@ def _check_steps(spec, n: int, field: str) -> None:
 
 
 def _check_exact_steps(spec, n: int, field: str) -> None:
-    """``_check_steps`` for the exact DP, with its n^2 x edges rule."""
+    """``_check_steps`` for the exact DP, with its n^2 x edges x log2|A| rule."""
     _check_steps(spec, n, field)
-    edges = sum(map(len, build_automaton(spec).word_graph))
-    if n * n * edges > _COUNT_BUDGET:
+    aut = build_automaton(spec)
+    edges = sum(map(len, aut.word_graph))
+    bits = math.log2(len(aut.alphabet.symbols))
+    if n * n * edges * bits > _COUNT_BUDGET:
         raise ResourceLimitError(
-            f"{field} {n} needs {n}^2 x {edges} word-graph edges of big-integer sums, "
+            f"{field} {n} needs {n}^2 x {edges} word-graph edges x {bits:g} bits of big-integer sums, "
             f"over the budget of {_COUNT_BUDGET}"
         )
 
@@ -671,6 +675,7 @@ def perron_eigenvalue(spec) -> float:
     return build_automaton(spec).perron[0]
 
 
+@lru_cache(maxsize=None)
 def sgap_lambda(gaps: SGapSet) -> float:
     """Unique root lambda of F(x) = sum over S of x^(-n-1) = 1 (1 for a single gap).
 

@@ -13,10 +13,8 @@ import itertools
 import json
 import math
 import os
-import pickle
 import re
 import sys
-import threading
 import time
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
@@ -298,27 +296,32 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
         params={"maxlen": maxlen},
         tolerance={"value": tol},
     )
-    # the two sides, the closed-form certificates of ``sgap_mu`` and the
-    # gap-chain oracle of ``sgap_mu_oracle``, each fetched once for the sweep
+    # the two sides: the closed-form certificates of ``sgap_mu``, each built
+    # once per key, and the gap-chain oracle of ``sgap_mu_oracle``, read off
+    # whole levels
     model, chain = M.sgap_model(gaps), M.gap_chain(gaps)
     mu1_gap = abs(M.sgap_mu1(gaps) - M.mu_parry(chain, "1"))
     _bound(record, "mu(1) formula vs oracle", mu1_gap, tol, {"word": "1"})
     worst = 0.0
     integral = True
-    for n in range(1, maxlen + 1):
-        for w in W.BINARY.words(n):
-            cert = model.certificate(w)
-            gap = abs(cert.evaluate(model.mu1, model.t) - M.mu_parry(chain, w))
+    values = {}  # id of a certificate -> its value; the model keeps every one alive
+    for n, oracle in enumerate(M._level_measures(chain, W.BINARY.symbols, maxlen), 1):
+        for w, mu in zip(W.BINARY.words(n), oracle):
+            cert = model._lookup(w)
+            value = values.get(id(cert))
+            if value is None:
+                value = values[id(cert)] = cert.evaluate(model.mu1, model.t)
+                if not (
+                    isinstance(cert.offset, int)
+                    and all(isinstance(c, int) for c in cert.coeffs)
+                ):
+                    integral = False
+                    _fail(record, {"word": w, "certificate": "non-integral"})
+            gap = abs(value - mu)
             if not (gap <= worst or math.isnan(worst)):  # a NaN stays the worst
                 worst = gap
                 if not gap <= tol:
                     _fail(record, {"word": w, "gap": gap})
-            if not (
-                isinstance(cert.offset, int)
-                and all(isinstance(c, int) for c in cert.coeffs)
-            ):
-                integral = False
-                _fail(record, {"word": w, "certificate": "non-integral"})
     record.residuals["max |recursion - oracle|"] = worst
     record.params["certificates integral"] = integral
     return record
@@ -601,71 +604,6 @@ def _guarded(label: str, check, doc=None, params=None):
     return None if rec is None else (rec, round(time.monotonic() - t0, 6))
 
 
-def _can_fork() -> bool:
-    """A second CPU to run on, and no other thread that a fork would copy in
-    mid-step.  os.sched_getaffinity exists on Linux only, which keeps the
-    fork off macOS and Windows."""
-    return (
-        hasattr(os, "sched_getaffinity")
-        and len(os.sched_getaffinity(0)) >= 2
-        and threading.active_count() == 1
-    )
-
-
-def _beside(here, there):
-    """(here(), there()), with there() run in a forked child when
-    ``_can_fork`` allows and the fork succeeds, and else after here() in
-    this process.
-
-    The child pickles there()'s result, or the exception it raised, into a
-    pipe and always leaves through os._exit; this process runs here(), then
-    reads the pipe to EOF and reaps the child, also when here() raises.  An
-    exception of there() is raised again here, from the child's traceback;
-    a child that exits without a result (it died, or its result would not
-    pickle) gives a ChildProcessError naming its exit status as there()'s
-    result.
-    """
-    if not _can_fork():
-        return here(), there()
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: both run here
-        os.close(read_end)
-        os.close(write_end)
-        return here(), there()
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_end)
-            try:
-                payload = (there(), None)
-            except BaseException as exc:  # the parent raises it: the child never unwinds into the caller
-                import traceback
-
-                payload = (exc, "".join(traceback.format_exception(exc)))
-            with os.fdopen(write_end, "wb") as pipe:
-                pickle.dump(payload, pipe)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_end)
-    try:
-        ours = here()
-    finally:
-        with os.fdopen(read_end, "rb") as pipe:
-            data = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        return ours, ChildProcessError(f"the check worker exited with status {code}")
-    theirs, trace = pickle.loads(data)
-    if trace is not None:
-        raise theirs from ChildProcessError(f"in the check worker:\n{trace}")
-    return ours, theirs
-
-
 def run_all(config: dict | None = None) -> VerificationReport:
     cfg = merge_config(config)
     tol = cfg["tolerances"]
@@ -709,23 +647,12 @@ def run_all(config: dict | None = None) -> VerificationReport:
     for doc in cfg["hereditary_specs"]:
         jobs.append(("hereditary-entropy", lambda doc=doc: check_hereditary_entropy(
             S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc, None))
-    # the families that read no presentation cache come last, and a worker
-    # runs them beside the rest, which share build_automaton, sgap_model,
-    # gap_chain and _landing_classes
-    worker = [
-        ("replacement-lemmas", functools.partial(
-            check_replacement_lemmas, W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]),
-            None, None),
-        ("gtheorem-strips", gtheorem, None, None),
-    ]
-    start = time.monotonic()
-    ours, theirs = _beside(
-        lambda: [_guarded(*job) for job in jobs], lambda: [_guarded(*job) for job in worker]
-    )
-    if isinstance(theirs, ChildProcessError):  # each of the worker's checks is an error record
-        seconds = round(time.monotonic() - start, 6)
-        theirs = [(_error_record(label, doc, params, theirs), seconds) for label, _, doc, params in worker]
-    done = [result for result in ours + theirs if result is not None]
+    # the families that read no presentation cache come last
+    jobs.append(("replacement-lemmas", functools.partial(
+        check_replacement_lemmas, W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]),
+        None, None))
+    jobs.append(("gtheorem-strips", gtheorem, None, None))
+    done = [result for result in itertools.starmap(_guarded, jobs) if result is not None]
     records = [rec for rec, _ in done]
 
     # names repeat (error records carry the bare family name), so the times

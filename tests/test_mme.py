@@ -283,6 +283,32 @@ class TestGapChainOracle:
                 assert M.sgap_mu_oracle(gaps, w) == 2.0**-n
 
 
+# the default gap chains, wide ones up to the largest accepted gap, and a
+# presentation whose words die at different lengths from different states
+LEVEL_MODELS = {
+    **{g.describe(): (lambda g=g: M.gap_chain(g))
+       for g in GAP_SETS + [S.SGapSet((0, 2, 30)), S.SGapSet((0, 40)), S.SGapSet((0, 999))]},
+    "SFT {111,1001}": lambda: M.parry(S.SftShift(W.BINARY, ("111", "1001"))),
+}
+
+
+class TestLevelMeasures:
+    @pytest.mark.parametrize("name", list(LEVEL_MODELS))
+    def test_levels_are_mu_parry_bit_for_bit(self, name):
+        model = LEVEL_MODELS[name]()
+        levels = list(M._level_measures(model, W.BINARY.symbols, 10))
+        assert len(levels) == 10
+        for n, level in enumerate(levels, 1):
+            assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in W.BINARY.words(n)]
+
+    def test_other_alphabets(self):
+        # three symbols, multi-character ones, with words as tuples
+        alphabet = W.Alphabet(("x0", "x1", "x2"))
+        model = M.parry(S.SftShift(alphabet, (("x1", "x1"), ("x2", "x0", "x2"))))
+        for n, level in enumerate(M._level_measures(model, alphabet.symbols, 5), 1):
+            assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in alphabet.words(n)]
+
+
 def _poly_add(p: tuple, q: tuple, sign: int = 1) -> tuple:
     n = max(len(p), len(q))
     out = [0] * n

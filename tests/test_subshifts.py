@@ -216,10 +216,10 @@ class TestLanguage:
         with pytest.raises(ResourceLimitError, match="^n 3 needs 3 steps over 5 word-graph edges"):
             S.count_words(GOLDEN, 3)
         monkeypatch.undo()
-        # the exact DP's big-integer sums are bounded by n^2 x edges too
+        # the exact DP's big-integer sums are bounded by n^2 x edges x log2|A| too
         monkeypatch.setattr(S, "_COUNT_BUDGET", 45)
         assert S.count_words(GOLDEN, 3) == 5
-        with pytest.raises(ResourceLimitError, match=r"^n 4 needs 4\^2 x 5 word-graph edges"):
+        with pytest.raises(ResourceLimitError, match=r"^n 4 needs 4\^2 x 5 word-graph edges x 1 bits "):
             S.count_words(GOLDEN, 4)
         monkeypatch.undo()
 
@@ -235,7 +235,7 @@ class TestLanguage:
 
     def test_quadratic_count_is_refused_at_once(self, monkeypatch):
         # n = 838,860 passes n x edges on the golden mean (5 edges) and took
-        # 49 s; n^2 x edges refuses it, and accepts n = 100,000 at most
+        # 49 s; n^2 x edges x log2|A| refuses it, and accepts n = 100,000 at most
         def unreachable(spec):
             raise AssertionError("the DP started")
 
@@ -243,13 +243,21 @@ class TestLanguage:
         spec = S.SftShift(W.Alphabet(("r", "s")), ("ss",))  # a presentation no other test counts on
         cursor = list(S.build_automaton(spec)._count_cursor)
         start = time.perf_counter()
-        with pytest.raises(ResourceLimitError, match=r"^n 838860 needs 838860\^2 x 5 "):
+        with pytest.raises(ResourceLimitError, match=r"^n 838860 needs 838860\^2 x 5 word-graph edges x 1 bits "):
             S.count_words(spec, 838_860)
         assert time.perf_counter() - start < 0.1
         assert S.build_automaton(spec)._count_cursor == cursor
         S._check_exact_steps(GOLDEN, 100_000, "n")
         with pytest.raises(ResourceLimitError):
             S._check_exact_steps(GOLDEN, 100_001, "n")
+
+    def test_count_budget_counts_bits(self):
+        # a count gains at most log2|A| bits a step: 4 on 16 letters, where
+        # n^2 x edges alone accepted n = 55,901, which took 5.4 s
+        spec = S.FullShift(W.Alphabet(tuple("0123456789abcdef")))
+        S._check_exact_steps(spec, 27_950, "n")
+        with pytest.raises(ResourceLimitError, match=r"^n 27951 needs 27951\^2 x 16 word-graph edges x 4 bits "):
+            S._check_exact_steps(spec, 27_951, "n")
 
     @given(st.integers(min_value=1, max_value=10))
     def test_scaled_matches_exact(self, n):

@@ -141,6 +141,28 @@ class TestIndividualChecks:
             assert rec.status == status
             assert (rec.residuals["max |recursion - oracle|"] > 1e-9) == bool(eps)
 
+    @pytest.mark.parametrize("eps, status", [(0.0, "pass"), (2e-6, "fail"), (-2e-6, "fail")])
+    def test_synch_formula_sees_a_scaled_t(self, monkeypatch, eps, status):
+        """Negative control: the ring sums run at t (1 + eps), the target
+        mu(u) at the true t.
+
+        At synch_maxgap 40 the check catches |eps| down to 1.81e-6 (u = 0),
+        1.07e-6 (01) and 5.00e-7 (1) on S = {0,1}, and 4.75e-7, 5.00e-7 and
+        5.00e-7 on {1,3} (bisection), against the tolerance ``synch`` = 1e-6:
+        its power is set by the tolerance.
+        """
+        for gaps in [S.SGapSet((0, 1)), S.SGapSet((1, 3))]:
+            for u in ["0", "01", "1"]:
+                target = M.sgap_mu(gaps, u)
+                model = M.SGapMME(gaps)
+                model.t *= 1.0 + eps
+                monkeypatch.setattr(M, "sgap_model", lambda g: model)
+                monkeypatch.setattr(M, "sgap_mu", lambda g, w: target)
+                rec = V.check_synch_formula(gaps, u, 40, 1e-6)
+                monkeypatch.undo()
+                assert rec.status == status, u
+                assert (rec.residuals["|T(maxgap) - mu(u)|"] > 1e-6) == bool(eps)
+
     @pytest.mark.parametrize("doc", V.DEFAULT_CONFIG["sgap_specs"] + [{"type": "sgap", "finite": [0, 2, 30]}],
                              ids=json.dumps)
     def test_entropy_root_floor(self, doc):
@@ -208,6 +230,12 @@ class TestIndividualChecks:
 
     def test_value_theorem(self):
         rec = V.check_value_theorem(S.SGapSet((1, 3)), 5, 1e-9)
+        assert rec.status == "pass"
+        assert rec.params["certificates integral"]
+
+    def test_value_theorem_reaches_a_wide_gap(self):
+        # S = {0,999}: a 1000-state gap chain, read off whole levels
+        rec = V.check_value_theorem(S.SGapSet((0, 999)), 14, 1e-9)
         assert rec.status == "pass"
         assert rec.params["certificates integral"]
 
@@ -584,11 +612,13 @@ class TestNaNFailsClosed:
         assert math.isnan(rec.residuals[key])
 
     def test_value_theorem(self, monkeypatch):
-        # the gap-chain oracle (read through mu_parry) gives NaN on every word
-        # but 1: mu(1) stays finite, so only the sweep over the words can fail
-        mu_parry = M.mu_parry
+        # the gap-chain oracle's level kernel gives NaN on every word; mu(1)
+        # is read through mu_parry and stays finite, so only the sweep over
+        # the words can fail
+        level_measures = M._level_measures
         monkeypatch.setattr(
-            M, "mu_parry", lambda model, w: mu_parry(model, w) if w == "1" else math.nan
+            M, "_level_measures",
+            lambda *args: ([math.nan] * len(level) for level in level_measures(*args)),
         )
         rec = V.check_value_theorem(S.SGapSet((1, 3)), 3, 1e-9)
         assert rec.status == "fail"
@@ -1144,6 +1174,11 @@ def report():
 
 
 class TestSuite:
+    def test_run_all_solves_each_gap_root_once(self):
+        S.sgap_lambda.cache_clear()
+        V.run_all()
+        assert S.sgap_lambda.cache_info().misses == len(V.DEFAULT_CONFIG["sgap_specs"]) == 5
+
     def test_all_pass_or_skip(self, report):
         assert report.passed
         assert {r.status for r in report.records} <= {"pass", "skipped"}
@@ -1520,108 +1555,3 @@ class TestSuite:
         assert errors[0].reason.startswith("ResourceLimitError")
         assert errors[0].params == {}
         assert len(broken.records) == len(report.records)
-
-
-def _canonical(report) -> str:
-    doc = report.to_dict()
-    del doc["meta"]["timestamps"]
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-@pytest.fixture
-def reaped():
-    """After the test, this process has no child left, reaped or running."""
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forking(monkeypatch):
-    """run_all with its worker forked, whatever the CPU count."""
-    monkeypatch.setattr(V, "_can_fork", lambda: True)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork: run_all runs every check here")
-class TestWorker:
-    """The cache-free families (replacement-lemmas, gtheorem-strips) run in a
-    forked worker beside the rest of the suite."""
-
-    @pytest.mark.parametrize(
-        "config, errors",
-        [
-            (None, set()),
-            (SMALL_CONFIG, set()),
-            (dict(SMALL_CONFIG, pair_specs=[{"type": "sft", "alphabet": ["0", "1"]}]),
-             {"main-inequality", "equality-corollary"}),
-        ],
-        ids=["default", "small", "bad-pair-spec"],
-    )
-    def test_forked_and_serial_reports_are_identical(self, monkeypatch, tmp_path, reaped, config, errors):
-        reports = {}
-        for forked in (True, False):
-            monkeypatch.setattr(V, "_can_fork", lambda forked=forked: forked)
-            report = V.run_all(config)
-            paths = V.write_csv(report, tmp_path / str(forked))
-            csvs = {os.path.basename(p): Path(p).read_bytes() for p in paths}
-            assert len(report.meta["timestamps"]["elapsed_s"]) == len(report.records)
-            assert {r.name for r in report.records if r.status == "error"} == errors
-            reports[forked] = (_canonical(report), csvs)
-        assert reports[True] == reports[False]
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="one CPU: run_all runs every check here",
-    )
-    def test_forks_exactly_once(self, monkeypatch, reaped):
-        forks = []
-        fork = os.fork
-
-        def spy():
-            forks.append(os.getpid())
-            return fork()
-
-        monkeypatch.setattr(os, "fork", spy)
-        V.run_all(SMALL_CONFIG)
-        assert forks == [os.getpid()]
-
-    def test_failed_fork_runs_every_check_here(self, monkeypatch, forking, report, reaped):
-        def fork():
-            raise BlockingIOError("no process to be had")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert _canonical(V.run_all(SMALL_CONFIG)) == _canonical(report)
-
-    def test_dead_worker_gives_error_records(self, monkeypatch, forking, report, reaped):
-        parent = os.getpid()
-
-        def die(*args):
-            assert os.getpid() != parent, "the worker's check ran in this process"
-            os._exit(3)
-
-        monkeypatch.setattr(V, "check_replacement_lemmas", die)
-        rerun = V.run_all(SMALL_CONFIG)
-        errors = [r for r in rerun.records if r.status == "error"]
-        assert [r.name for r in errors] == ["replacement-lemmas", "gtheorem-strips"]
-        assert {r.reason for r in errors} == {"ChildProcessError: the check worker exited with status 3"}
-        assert len(rerun.records) == len(rerun.meta["timestamps"]["elapsed_s"]) == len(report.records)
-        expected = {r.name: r.status for r in report.records}
-        assert all(r.status == expected[r.name] for r in rerun.records if r not in errors)
-
-    def test_untyped_worker_error_propagates(self, monkeypatch, forking, reaped):
-        def planted(*args):
-            raise LookupError("planted in the worker")
-
-        monkeypatch.setattr(G, "check_gtheorem", planted)
-        with pytest.raises(LookupError, match="planted in the worker") as raised:
-            V.run_all(SMALL_CONFIG)
-        # the worker's traceback comes along
-        assert "in planted" in str(raised.value.__cause__)
-
-    def test_untyped_parent_error_still_reaps_the_worker(self, monkeypatch, forking, reaped):
-        def planted(*args):
-            raise LookupError("planted in the parent")
-
-        monkeypatch.setattr(V, "check_hereditary_entropy", planted)
-        with pytest.raises(LookupError, match="planted in the parent"):
-            V.run_all(SMALL_CONFIG)
