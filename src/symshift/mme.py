@@ -140,7 +140,8 @@ def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
         for q, (r, prob) in model.steps.get(a, {}).items():
             hops.setdefault(q, []).append((j, r, prob))
     levels = [array("d", [0.0]) * k**n for n in range(1, maxlen + 1)]
-    stack = [(0, 0, dict(enumerate(model.stationary.tolist())))]  # (length, index, weights)
+    # (length, index, weights) of the words whose children are still to step
+    stack = [(0, 0, dict(enumerate(model.stationary.tolist())))] if maxlen > 0 else []
     while stack:
         n, i, weights = stack.pop()
         steps = [{} for _ in range(k)]

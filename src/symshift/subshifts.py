@@ -493,8 +493,9 @@ def _check_steps(spec, n: int, field: str) -> None:
     on a 2-CPU x86 box the largest accepted n took 0.7-1.0 s on the golden
     mean (n = 100,000), 1.1-1.4 s on the binary full shift (158,113) and
     0.8-0.9 s on the 16-letter full shift (27,950); the n x edges rule
-    alone would accept 838,860 on the golden mean, which takes 49 s.  The scaled DP
-    (``_scaled_counts``) adds floats and keeps the n x edges rule alone."""
+    alone would accept 838,860 on the golden mean, which takes 49 s.  The
+    scaled DP (``_scaled_counts``) adds floats and keeps the n x edges rule
+    alone."""
     edges = sum(map(len, build_automaton(spec).word_graph))
     if n * edges > W._SWEEP_BUDGET:
         raise ResourceLimitError(

@@ -580,22 +580,27 @@ def _gaps(doc) -> S.SGapSet:
     return spec.gaps
 
 
+def _error_record(label: str, doc, params, exc: BaseException) -> CheckRecord:
+    """The record of a check that raised ``exc``: it names the family
+    ``label``, the spec document ``doc`` and the ``params`` it ran with."""
+    return CheckRecord(
+        name=label,
+        spec="" if doc is None else json.dumps(doc, default=repr),
+        params={} if params is None else params,
+        tolerance={},
+        status="error",
+        reason=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def _guarded(label: str, check, doc=None, params=None):
-    """(check()'s record, the seconds it took), or for a SymshiftError an
-    error record naming the family ``label``, the spec document ``doc`` and
-    the ``params`` it ran with; None when check() returns None."""
+    """(check()'s record, the seconds it took), with an error record for a
+    SymshiftError; None when check() returns None."""
     t0 = time.monotonic()
     try:
         rec = check()
     except SymshiftError as exc:
-        rec = CheckRecord(
-            name=label,
-            spec="" if doc is None else json.dumps(doc, default=repr),
-            params={} if params is None else params,
-            tolerance={},
-            status="error",
-            reason=f"{type(exc).__name__}: {exc}",
-        )
+        rec = _error_record(label, doc, params, exc)
     return None if rec is None else (rec, round(time.monotonic() - t0, 6))
 
 

@@ -259,9 +259,9 @@ class TestPinnedReport:
     absolute 1e-14 (``PINNED_ABS_TOL``, about 45 ulps of 1.0), which
     catches a residual that widens from its noise floor (at most 4.3e-15
     here) towards the tightest check tolerance, 1e-12.  On a 2-CPU Linux
-    box the report was byte-identical with OPENBLAS_NUM_THREADS 1 and 2,
-    forked and under ``taskset -c 0``; the CI job on the numpy 1.24 floor
-    has not been measured, so the tolerance there is an estimate.
+    box the report was byte-identical with OPENBLAS_NUM_THREADS 1 and 2;
+    the CI job on the numpy 1.24 floor has not been measured, so the
+    tolerance there is an estimate.
     """
 
     report, config, csvs = "default_report.json", None, 11

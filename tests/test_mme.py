@@ -301,6 +301,10 @@ class TestLevelMeasures:
         for n, level in enumerate(levels, 1):
             assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in W.BINARY.words(n)]
 
+    @pytest.mark.parametrize("maxlen", [0, -1])
+    def test_no_levels(self, maxlen):
+        assert M._level_measures(M.gap_chain(S.SGapSet((0, 1))), W.BINARY.symbols, maxlen) == []
+
     def test_other_alphabets(self):
         # three symbols, multi-character ones, with words as tuples
         alphabet = W.Alphabet(("x0", "x1", "x2"))

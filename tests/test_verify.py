@@ -232,6 +232,9 @@ class TestIndividualChecks:
         rec = V.check_value_theorem(S.SGapSet((1, 3)), 5, 1e-9)
         assert rec.status == "pass"
         assert rec.params["certificates integral"]
+        # maxlen 0 sweeps no word; only mu(1) is compared
+        empty = V.check_value_theorem(S.SGapSet((1, 3)), 0, 1e-9)
+        assert empty.status == "pass" and empty.residuals["max |recursion - oracle|"] == 0.0
 
     def test_value_theorem_reaches_a_wide_gap(self):
         # S = {0,999}: a 1000-state gap chain, read off whole levels
