@@ -239,13 +239,16 @@ class SGapMME:
     when c is and i is in S, so step 2 gives mu(1) t^(|c|-1) A_a, and step
     1 multiplies it by A_b.  A certificate depends on the word only through
     its key, (n) for 0^n or (a, b, |c|) for a legal 0^a c 0^b, so each is
-    built once per key and kept; an illegal word has the certificate 0.
+    built once per key and kept, as are the legality of each c and each
+    A_j; an illegal word has the certificate 0.
     """
 
     gaps: S.SGapSet
     t: float = field(init=False)
     mu1: float = field(init=False)
     _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _cores: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         self.t = 1.0 / S.sgap_lambda(self.gaps)
@@ -260,7 +263,7 @@ class SGapMME:
         first, last = w.find("1"), w.rfind("1")
         if first < 0:
             key = (len(w),)
-        elif all(len(run) in self.gaps for run in w[first:last].split("1")[1:]):
+        elif self._legal(w[first : last + 1]):
             key = (first, len(w) - 1 - last, last - first + 1)
         else:
             key = ()
@@ -290,9 +293,19 @@ class SGapMME:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))
 
+    def _legal(self, core: str) -> bool:
+        """Whether every gap of ``core``, which starts and ends with 1, is in S."""
+        legal = self._cores.get(core)
+        if legal is None:
+            legal = self._cores[core] = all(len(run) in self.gaps for run in core.split("1")[1:-1])
+        return legal
+
     def _factor(self, j: int) -> list[tuple[int, int]]:
         """A_j as its terms (exponent, coefficient), exponents ascending."""
-        return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
+        terms = self._factors.get(j)
+        if terms is None:
+            terms = self._factors[j] = [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
+        return terms
 
 
 @lru_cache(maxsize=None)

@@ -296,7 +296,7 @@ class TestLevelMeasures:
     @pytest.mark.parametrize("name", list(LEVEL_MODELS))
     def test_levels_are_mu_parry_bit_for_bit(self, name):
         model = LEVEL_MODELS[name]()
-        levels = list(M._level_measures(model, W.BINARY.symbols, 10))
+        levels = M._level_measures(model, W.BINARY.symbols, 10)
         assert len(levels) == 10
         for n, level in enumerate(levels, 1):
             assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in W.BINARY.words(n)]
