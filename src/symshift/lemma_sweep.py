@@ -13,6 +13,32 @@ pairs run together, in passes that split by pair where a level would pass
 _SWEEP_NODES nodes (``_sweep_levels``).  Pairs whose packed keys (pair, |S|,
 image, u) would need more than 62 bits run apart (``_passes``), on Python
 ints in object arrays, by the same expressions.
+
+A node of level L + 1 is a copy (uc, S) of a node (u, S) of level L, or a
+birth: its last site t = L + 1 - |v| is in S.  No site of S reaches the
+letter c, so a copy's image is Ic, I its parent's, and a copy inherits its
+parent's verdicts:
+
+- injectivity: Ic = I'c exactly when I = I', so copies of one word uc
+  collide exactly when their parents do in u;
+- the preimage bound: the copies of image Ic are the copies of letter c of
+  the nodes of image I, as many; w occurs in Ic wherever it occurs in I, so
+  C(hits, m) does not shrink, and an image that passed stays passed until a
+  birth joins it.  A birth's image ends with w, so it joins only copies
+  whose image ends with w;
+- failed sites: site s has the same place a = s + (the sites of S left of
+  s)(|w| - |v|) in Ic as in I, and Ic is one letter longer, so a window
+  that fits in I holds the same letters in Ic; one that ran past the end of
+  I failed there.  With |w| >= |v| every window fits: s + |v| <= L, and S
+  has at most |S| sites up to s, so a + |window| <= L + |S|(|w| - |v|).  So
+  a copy keeps its parent's failed sites, and with |w| < |v| only those are
+  read again;
+- broken steps: where S[:step] breaks in u it breaks in uc.
+
+So ``_next_level`` reads the new site t and the births, and
+``_level_witnesses`` groups only the births, the copies whose image ends
+with w, and the copies of images that failed their bound or collided a
+level before (``_Level.recheck``).
 """
 
 from __future__ import annotations
@@ -35,7 +61,8 @@ class _PairTable(NamedTuple):
     v, w, kv = |A|^|v| and kw = |A|^|w| have the dtype of the image codes,
     as has pw, the powers |A|^e up to the longest image; uv and ukv are v
     and kv for the int32 word codes, and last is v's last letter.
-    bound[p, L] bounds the nodes of pair p in level L (``_level_bounds``).
+    bound[p, L] bounds the nodes of pair p in level L (``_level_bounds``),
+    and comb[n, r] is C(n, r), capped far above any count.
     """
 
     k: int
@@ -51,6 +78,7 @@ class _PairTable(NamedTuple):
     ukv: np.ndarray
     pw: np.ndarray
     bound: np.ndarray
+    comb: np.ndarray
 
 
 class _Level(NamedTuple):
@@ -59,8 +87,10 @@ class _Level(NamedTuple):
     Node i is the (u, S) of pair pair[i] with |S| = m[i], u of code word[i]
     and length L, S the sites of the bits of sub[i], the image of code
     img[i] and length L + m[i] (|w| - |v|), and the failed sites of the
-    bits of failed[i].  Broken entry j is the (u, S[:step]) of code bword[j]
-    and bits bsub[j] of pair bpair[j].
+    bits of failed[i]; recheck[i] flags a node whose image group
+    ``_level_witnesses`` must group again.  Broken entry j is the
+    (u, S[:step]) of code bword[j] and bits bsub[j] of pair bpair[j].  The
+    nodes from born on are the births, the ones before are copies.
     """
 
     L: int
@@ -70,9 +100,11 @@ class _Level(NamedTuple):
     sub: np.ndarray
     img: np.ndarray
     failed: np.ndarray
+    recheck: np.ndarray
     bpair: np.ndarray
     bword: np.ndarray
     bsub: np.ndarray
+    born: int
 
 
 def _longest_image(v, w, u_maxlen: int) -> int:
@@ -158,6 +190,7 @@ def _pair_table(pairs, u_maxlen: int, alphabet: W.Alphabet) -> _PairTable:
         ukv=np.array(kv, np.int32),
         pw=np.array([k**e for e in range(longest + 1)], dtype=dtype),
         bound=np.array([bounds[v] for v, _ in pairs], np.int64),
+        comb=np.array([[min(math.comb(n, r), 1 << 62) for r in range(u_maxlen + 1)] for n in range(longest + 1)]),
     )
 
 
@@ -170,25 +203,29 @@ def _popcount(x: np.ndarray) -> np.ndarray:
     return (x * 0x01010101 >> 24 & 0xFF).astype(np.int32)
 
 
+def _ranges(counts: np.ndarray) -> tuple:
+    """(row, j) for each j < counts[row], row by row."""
+    row = np.repeat(np.arange(len(counts)), counts)
+    return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
 def _failed_sites(table: _PairTable, level: _Level, nodes, lo, hi) -> np.ndarray:
     """The failed sites, as bits, of the ``nodes`` of ``level`` among their
-    sites s, lo <= s < hi.
+    sites s, lo <= s < hi <= L - |v|, each node read at its own s only.
 
     Site s of a node lies at s + (the sites of S left of s)(|w| - |v|) in its
     image: it fails if that window does not hold w (s in S, persistence) or
     v (s not in S, survival), or runs out of the image.
     """
     L, pair, m, word, sub, img = level[:6]
-    if not len(nodes):
-        return np.zeros(0, np.int32)
-    p, word = pair[nodes], word[nodes]
-    rows, cols = [np.zeros(0, np.intp)], [np.zeros(0, np.int32)]  # the (node, site) pairs
-    for s in range(int(np.min(lo)), int(np.max(hi))):
-        window = word // table.k ** np.maximum(L - s - table.nv[p], 0) % table.ukv[p]
-        rows.append(np.flatnonzero((lo <= s) & (s < hi) & (window == table.uv[p])))
-        cols.append(np.full(len(rows[-1]), s, np.int32))
-    row, s = np.concatenate(rows), np.concatenate(cols)
-    i, p = nodes[row], p[row]
+    row, s = _ranges(np.maximum(hi - lo, 0))  # the (node, s) pairs
+    s += lo[row]
+    p = pair[nodes[row]]
+    site = word[nodes[row]] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p]
+    row, s, p = row[site], s[site], p[site]
+    if not len(row):
+        return np.zeros(len(nodes), np.int32)
+    i = nodes[row]
     own = (sub[i] >> s & 1).astype(bool)
     at = s + _popcount(sub[i] & (1 << s) - 1) * table.shift[p]
     room = L + m[i] * table.shift[p] - at - np.where(own, table.nw[p], table.nv[p])
@@ -213,70 +250,77 @@ def _spread(k: int, old: np.ndarray, extra: np.ndarray, letters: bool = False) -
 def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray) -> _Level:
     """Level L + 1 of the lemma sweep of ``pairs`` from their level L.
 
-    Level L + 1 is level L extended by each letter c, letter-major: word
-    code i becomes i|A| + c and the image code x becomes x|A| + c.  With
-    |w| >= |v| an old site's window lies in the old image, so its verdict
-    stands; with |w| < |v| every old site is checked again.  The other work
-    falls on the words that v ends, at t = L + 1 - |v|: t survives in the
-    image of S exactly when that image ends with v.  If it does not, t fails
-    for S and S + {t} is broken; if it does, S + {t} joins with that v
-    spliced to w, image x // |A|^|v| |A|^|w| + code(w).  Then {t} joins in
-    every word that v ends.  Only the sites whose windows can reach t are
-    checked again on a new node: those that overlap t, or every site when
-    |w| < |v|.  New nodes follow the extended ones, new broken entries the
-    old ones, largest S first; the level is written once, into arrays of its
-    size.
+    Level L + 1 starts with the copies of level L, one per letter c,
+    letter-major: word code i becomes i|A| + c and the image code x becomes
+    x|A| + c, with the parent's verdicts (module notes); with |w| < |v| a
+    copy's failed sites are read again.  The other work falls on the words
+    that v ends, at t = L + 1 - |v|: t survives in the image of S exactly
+    when that image ends with v.  If it does not, t fails for S and S + {t}
+    is broken; if it does, the birth S + {t} joins with that v spliced to w,
+    image x // |A|^|v| |A|^|w| + code(w).  Then the birth {t} joins in every
+    word that v ends.  Only the sites whose windows can reach t are checked
+    on a birth: those that overlap t, or every site when |w| < |v|.  Births
+    follow the copies, new broken entries the old ones, largest S first; the
+    level is written once, into arrays of its size.
     """
     k, dtype = table.k, table.pw.dtype
     nv, shift, last = table.nv, table.shift, table.last
-    L, pair, m, word, sub, img, failed, bpair, bword, bsub = level
+    L, pair, m, word, sub, img, failed, recheck, bpair, bword, bsub, _ = level
     L += 1
     # the nodes that v's last letter extends to a word that v ends, at
-    # t = L - |v|, and whether their images end with v too
-    at = np.flatnonzero((L >= nv[pair]) & ((word * k + last[pair]) % table.ukv[pair] == table.uv[pair]))
+    # t = L - |v|: u ends with v less that letter; and whether their images
+    # end with it too, so that image x|A| + last ends with v
+    head = np.where(L >= nv, table.uv // k, -1)
+    at = np.flatnonzero(word % (table.ukv // k)[pair] == head[pair])
     p = pair[at]
-    x = img[at] * k + last[p]
-    ends = (L + m[at] * shift[p] >= nv[p]) & (x % table.kv[p] == table.v[p])
+    kv1 = (table.kv // k)[p]  # |A|^(|v| - 1)
+    ends = (L + m[at] * shift[p] >= nv[p]) & (img[at] % kv1 == (table.v // k)[p])
     # S + {t}, with that v spliced to w, then {t} in each of the |A|^t
     # words that v ends: word j |A|^|v| + code(v)
     grow, gp = at[ends], p[ends]
     count = np.where(L >= nv[pairs], k ** np.maximum(L - nv[pairs], 0), 0)
-    lone = np.repeat(pairs, count)
-    j = (np.arange(len(lone)) - np.repeat(np.cumsum(count) - count, count)).astype(np.int32)
+    lone, j = _ranges(count)
+    lone, j = pairs[lone], j.astype(np.int32)
     new = np.concatenate([gp, lone])
-    t, zeros = L - nv[new], np.zeros(len(lone), np.int32)
+    t, zeros = (L - nv)[new], np.zeros(len(lone), np.int32)
     extra = (
         new,
         np.concatenate([m[grow] + 1, np.ones(len(lone), np.int8)]),
         np.concatenate([word[grow] * k + last[gp], j * table.ukv[lone] + table.uv[lone]]),
         np.concatenate([sub[grow], zeros]) | 1 << t,
-        np.concatenate([x[ends] // table.kv[gp], j.astype(dtype)]) * table.kw[new] + table.w[new],
+        np.concatenate([img[grow] // kv1[ends], j.astype(dtype)]) * table.kw[new] + table.w[new],
     )
-    # only the sites whose windows can reach t are checked again: those that
-    # overlap t, or every site when |w| < |v|
-    lo = np.where(shift[new] >= 0, np.maximum(t - nv[new] + 1, 0), 0)
+    # only the sites whose windows can reach t are checked on a birth: those
+    # that overlap t, or every site when |w| < |v|
+    lo = np.where(shift >= 0, np.maximum(L - 2 * nv + 1, 0), 0)[new]
     kept = np.concatenate([failed[grow], zeros]) & (1 << lo) - 1
-    # the nodes where t fails: S + {t} is broken
-    lost, lp = at[~ends], p[~ends]
-    if len(lost) > 1:
-        order = np.argsort(-m[lost], kind="stable")
-        lost, lp = lost[order], lp[order]
-    bit = 1 << L - nv[lp]
-    bpair = _spread(k, bpair, lp)
-    bword = _spread(k, bword, word[lost] * k + last[lp], letters=True)
-    bsub = _spread(k, bsub, sub[lost] | bit)
-    spot = last[lp] * len(word) + lost  # their copies in the new level
     old = k * len(word)
     level = _Level(L, *(
         _spread(k, column, added, letters)
         for column, added, letters in zip(level[1:6], extra, (False, False, True, False, True))
-    ), _spread(k, failed, kept), bpair, bword, bsub)
+    ), _spread(k, failed, kept), _spread(k, recheck, np.zeros(len(new), bool)), bpair, bword, bsub, old)
     del extra  # freed before the site checks
     level.failed[old:] |= _failed_sites(table, level, np.arange(old, len(level.word)), lo, t)
-    if (shift < 0).any():
-        again = np.flatnonzero(shift[level.pair[:old]] < 0)
-        level.failed[again] = _failed_sites(table, level, again, 0, L - nv[level.pair[again]])
-    level.failed[spot] |= bit
+    # with |w| < |v|, a copy's window that ran out of its parent's image
+    # failed there and may fit in the copy's
+    again = np.flatnonzero((failed != 0) & (shift[pair] < 0)) if failed.any() else ()
+    if len(again):
+        again = (again + len(word) * np.arange(k)[:, None]).ravel()
+        level.failed[again] = _failed_sites(table, level, again, np.zeros_like(again), L - nv[level.pair[again]])
+    # the nodes where t fails: S + {t} is broken, and t fails in their copies
+    # of v's last letter
+    lost, lp = at[~ends], p[~ends]
+    if len(lost) or len(bpair):
+        if len(lost) > 1:
+            order = np.argsort(-m[lost], kind="stable")
+            lost, lp = lost[order], lp[order]
+        bit = 1 << L - nv[lp]
+        level.failed[last[lp] * len(word) + lost] |= bit
+        level = level._replace(
+            bpair=_spread(k, bpair, lp),
+            bword=_spread(k, bword, word[lost] * k + last[lp], letters=True),
+            bsub=_spread(k, bsub, sub[lost] | bit),
+        )
     return level
 
 
@@ -285,7 +329,8 @@ def _select(level: _Level, pairs, n_pairs: int) -> _Level:
     member = np.zeros(n_pairs, bool)
     member[pairs] = True
     keep, broken = member[level.pair], member[level.bpair]
-    return _Level(level.L, *(x[keep] for x in level[1:7]), *(x[broken] for x in level[7:]))
+    return _Level(level.L, *(x[keep] for x in level[1:8]), *(x[broken] for x in level[8:11]),
+                  int(np.count_nonzero(keep[: level.born])))
 
 
 def _sweep_levels(table: _PairTable, u_maxlen: int):
@@ -294,26 +339,28 @@ def _sweep_levels(table: _PairTable, u_maxlen: int):
 
     The pairs start in one pass.  Where a pass's next level would hold more
     than _SWEEP_NODES nodes by ``table.bound``, it splits into passes of
-    consecutive pairs whose top levels hold at most that many, or of one
+    consecutive pairs whose next levels hold at most that many, or of one
     pair, each going on from the level reached.
     """
     n = len(table.nv)
     none = np.zeros(0, np.int32)
-    start = _Level(0, none, np.zeros(0, np.int8), none, none, np.zeros(0, table.pw.dtype), none, none, none, none)
-    passes = [(np.arange(n, dtype=np.int32), start)]
+    start = _Level(0, np.zeros(0, np.intp), np.zeros(0, np.int8), none, none, np.zeros(0, table.pw.dtype), none,
+                   np.zeros(0, bool), np.zeros(0, np.intp), none, none, 0)
+    passes = [(np.arange(n), start)]
     while passes:
         group, level = passes.pop()
         while level.L < u_maxlen:
-            if len(group) > 1 and table.bound[group, level.L + 1].sum() > _SWEEP_NODES:
+            sizes = table.bound[group, level.L + 1]
+            if len(group) > 1 and sizes.sum() > _SWEEP_NODES:
                 parts, total = [], 0
-                for p in group.tolist():
-                    if parts and total + table.bound[p, -1] <= _SWEEP_NODES:
+                for p, size in zip(group.tolist(), sizes.tolist()):
+                    if parts and total + size <= _SWEEP_NODES:
                         parts[-1].append(p)
-                        total += table.bound[p, -1]
+                        total += size
                     else:
                         parts.append([p])
-                        total = table.bound[p, -1]
-                passes += [(np.array(part, np.int32), _select(level, part, n)) for part in reversed(parts)]
+                        total = size
+                passes += [(np.array(part), _select(level, part, n)) for part in reversed(parts)]
                 break
             level = _next_level(table, level, group)
             yield level
@@ -327,18 +374,24 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
     ``_next_level`` keeps a pair's nodes of one size and word in colex order
     on S, and its broken entries of one word by last site, then largest S
     first; each kind follows that order, and names an equal image by its
-    first node.
+    first node.  Only the nodes whose images a birth or a flag makes new are
+    grouped (module notes); then ``level.recheck`` flags the nodes of each
+    image that fails its bound or has a collision, for the next level's
+    copies.
     """
-    k, L = table.k, level.L
-    pair, m, word, sub, img, failed = level[1:7]
+    k, L, old = table.k, level.L, level.born
+    pair, m, word, sub, img, failed, recheck = level[1:8]
 
     def sites(bits: int) -> list:
         return [s for s in range(bits.bit_length()) if bits >> s & 1]
 
-    # one sort of the packed keys (pair, m, image, u) brings equal images of
-    # one size together, and each run of equal keys is a collision of one u,
-    # named by its first node
-    node = np.flatnonzero(inj[pair])
+    # the births, the copies that a birth can join and the flagged copies:
+    # one sort of their packed keys (pair, m, image, u) brings equal images
+    # of one size together, and each run of equal keys is a collision of one
+    # u, named by its first node
+    keep, p = inj[pair], pair[:old]
+    keep[:old] &= recheck[:old] | (img[:old] % table.kw[p] == table.w[p])
+    node = np.flatnonzero(keep)
     key = pair[node].astype(table.pw.dtype)
     for radix, low in ((u_maxlen + 1, m), (table.pw[-1], img), (k**L, word)):
         key *= radix
@@ -350,7 +403,38 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
     if len(start) < len(key):
         first = np.repeat(np.minimum.reduceat(node, start), np.diff(start, append=len(key)))
         twin = np.flatnonzero(node != first)
-        twin, first = node[twin], first[twin]
+    # preimage: the images of one size, their counts and first nodes, where a
+    # birth or a flag makes them new; an image met once passes when
+    # |w| >= |v| and its node has no failed site, as that node holds w at the
+    # m places of its sites.  No flag is set when no node is grouped
+    key //= k**L
+    edge = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
+    start, count = edge[:-1], np.diff(edge)
+    bad = np.zeros(0, np.int64)
+    if len(key):
+        lead = np.minimum.reduceat(node, start)
+        suspect = (np.maximum.reduceat(node, start) >= old) | recheck[lead]
+        suspect &= (count > 1) | (table.shift[pair[lead]] < 0) | (failed[lead] != 0)
+        recheck[:] = False
+        suspect = np.flatnonzero(suspect)
+        count, lead = count[suspect], lead[suspect]
+        p = pair[lead]
+        size = L + m[lead] * table.shift[p]
+        # the overlapping occurrences of w, read from the image's last letters on
+        room, x, kw, w = size - table.nw[p], img[lead], table.kw[p], table.w[p]
+        hits = np.zeros(len(lead), np.int64)
+        for o in range(int(room.max(initial=-1)) + 1):
+            hits += (x % kw == w) & (room >= o)
+            x = x // k
+        bound = table.comb[hits, m[lead]]
+        bad = np.flatnonzero(count > bound)
+        if len(bad) or len(twin):
+            group = np.repeat(np.arange(len(start)), np.diff(edge))
+            flag = np.zeros(len(start), bool)
+            flag[suspect[bad]] = True
+            flag[group[twin]] = True
+            recheck[node[flag[group]]] = True
+    twin, first = node[twin], first[twin]
     # rows (pair, word, kind, m, node, other): broken entries, failed sites
     # (other = the site), injectivity (other = the first node)
     rows = []
@@ -372,33 +456,10 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
             yield p, {"lemma": lemma, "u": u, "S": sites(int(sub[i])), "m": other}
         else:
             yield p, {"lemma": "injectivity", "u": u, "S": sites(int(sub[i])), "S'": sites(int(sub[other]))}
-    if not len(key):
-        return
-    # preimage: the images of one size, their counts and first nodes; an
-    # image met once passes when |w| >= |v| and its node has no failed site,
-    # as that node holds w at the m places of its sites
-    key //= k**L
-    edge = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
-    start, count = edge[:-1], np.diff(edge)
-    first = np.minimum.reduceat(node, start)
-    suspect = (count > 1) | (table.shift[pair[first]] < 0) | (failed[first] != 0)
-    count, first = count[suspect], first[suspect]
-    p = pair[first]
-    size = L + m[first] * table.shift[p]
-    # the overlapping occurrences of w, read from the image's last letters on
-    room, x, kw, w = size - table.nw[p], img[first], table.kw[p], table.w[p]
-    hits = np.zeros(len(first), np.int64)
-    for o in range(int(room.max(initial=-1)) + 1):
-        hits += (x % kw == w) & (room >= o)
-        x = x // k
-    # C(hits, m), capped far above any count
-    comb = [[min(math.comb(n, r), 1 << 62) for r in range(u_maxlen + 1)] for n in range(hits.max(initial=0) + 1)]
-    bound = np.array(comb, np.int64).reshape(-1, u_maxlen + 1)[hits, m[first]]
-    bad = np.flatnonzero(count > bound)
-    for i in bad[np.lexsort((first[bad], m[first[bad]], p[bad]))].tolist():
-        n = first[i]
-        yield int(p[i]), {"lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
-                          "count": int(count[i]), "bound": int(bound[i])}
+    for i in bad[np.lexsort((lead[bad], m[lead[bad]], pair[lead[bad]]))].tolist() if len(bad) else ():
+        n = lead[i]
+        yield int(pair[n]), {"lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
+                             "count": int(count[i]), "bound": int(bound[i])}
 
 
 def sweep(pairs, u_maxlen: int, alphabet: W.Alphabet) -> tuple[list, int]:

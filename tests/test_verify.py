@@ -10,6 +10,7 @@ import time
 import types
 from dataclasses import asdict
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -306,6 +307,31 @@ class TestIndividualChecks:
         rec = V.check_replacement_lemmas(W.BINARY, 2, 6)
         assert rec.status == "pass"
         assert rec.residuals["decider vs oracle disagreements"] == 0
+
+    @pytest.mark.parametrize(
+        "v_maxlen, u_maxlen, oracle_pairs, respecting, nodes",
+        [(2, 8, 30, 16, 84000), (3, 7, 182, 76, 63896)],
+        ids=["default-config", "replacement-sweep"],
+    )
+    def test_replacement_lemmas_record(self, monkeypatch, v_maxlen, u_maxlen, oracle_pairs, respecting, nodes):
+        # the records of the default config and of the replacement-sweep
+        # benchmark: every ordered pair of distinct words up to v_maxlen
+        # letters goes to the oracle once, and the sweep visits every node
+        asked = []
+        oracle = W.transition_oracle
+
+        def counted(bounds, alphabet):
+            asked.append(len(bounds))
+            return oracle(bounds, alphabet)
+
+        monkeypatch.setattr(W, "transition_oracle", counted)
+        rec = V.check_replacement_lemmas(W.BINARY, v_maxlen, u_maxlen)
+        assert rec.status == "pass" and not rec.witnesses
+        assert asked == [oracle_pairs]
+        assert rec.residuals == {"decider vs oracle disagreements": 0, "lemma violations": 0}
+        assert rec.params == {
+            "v_maxlen": v_maxlen, "u_maxlen": u_maxlen, "respecting pairs": respecting, "sweep nodes": nodes
+        }
 
     def test_replacement_lemmas_leave_numpy_ma_unimported(self):
         # numpy.ma costs about 15 ms to import (np.unique loads it on first
@@ -1115,7 +1141,9 @@ RANDOM_ALPHABETS = [W.BINARY, W.Alphabet(("a", "b", "c")), W.Alphabet(("x0", "x1
 @given(st.data())
 def test_random_pairs_match_reference(data):
     # the checks of TestSweepMatchesReference on one random pair, both
-    # injectivity modes, its violation total taken from the reference
+    # injectivity modes, its violation total taken from the reference; then
+    # both modes and the reversed pair in one sweep under a drawn pass cap,
+    # which splits the pass and carries each level's flags across the split
     alphabet = data.draw(st.sampled_from(RANDOM_ALPHABETS))
     word = st.lists(st.sampled_from(alphabet.symbols), min_size=1, max_size=4).map(
         "".join if alphabet.single_char else tuple
@@ -1125,6 +1153,14 @@ def test_random_pairs_match_reference(data):
     total = sum(_sweep(_reference_sweep, v, w, u_maxlen, alphabet, inj)[0] for inj in (True, False))
     check = TestSweepMatchesReference().test_same_violations_as_reference
     check(alphabet, [(v, w)], u_maxlen, total)
+    pairs = [(v, w, True), (w, v, True), (v, w, False)]
+    alone = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+    count = sum(V._subset_sweep(alone, [pair], u_maxlen, alphabet) for pair in pairs)
+    together = V.CheckRecord(name="sweep", spec="", params={}, tolerance={})
+    with mock.patch.object(LS, "_SWEEP_NODES", data.draw(st.sampled_from([1, 50, LS._SWEEP_NODES]))):
+        assert V._subset_sweep(together, pairs, u_maxlen, alphabet) == count
+    assert together.witnesses == alone.witnesses
+    assert together.params == alone.params
 
 
 class TestLemmasFire:
