@@ -4,7 +4,9 @@ Every Parry measure here is built one way, from a labelled graph: the minimal
 presentation of a spec (``parry``, on the right Perron pair ``Automaton.perron``
 holds) and the S-gap counter (``gap_chain``) each give their ``(q, symbol, r)``
 edges to one constructor, and ``mu_parry`` reads cylinders off the result; the
-strips of ``grid2d`` share ``parry_chain``.  For S-gap shifts a second,
+strips of ``grid2d`` share ``parry_chain``.  The counter is
+``subshifts._gap_counter``, the graph ``build_automaton`` also minimizes into
+an S-gap shift's presentation.  For S-gap shifts a second,
 independent route exists: the closed form of the recursion driven by the
 synchronization identity mu(1 z 1) = mu(1) t^(|z|+1), an integer certificate
 (k, f) with mu(w) = k + mu(1) f(t).  It reads only membership in S and shares
@@ -164,15 +166,9 @@ def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
 @lru_cache(maxsize=None)
 def gap_chain(gaps: S.SGapSet) -> ParryModel:
     """Parry model of the chain on 'zeros seen since the last 1', capped for
-    cofinite sets."""
-    top = S._sgap_top(gaps)
-    edges = []
-    for i in range(top + 1):
-        if i < top or not gaps.finite:
-            edges.append((i, "0", min(i + 1, top)))
-        if i in gaps or (not gaps.finite and i == top):
-            edges.append((i, "1", 0))
-    return _labelled_parry(top + 1, edges)
+    cofinite sets: the counter graph that also presents the shift."""
+    graph = S._gap_counter(gaps)
+    return _labelled_parry(len(graph), [(q, a, r) for q, out in graph.items() for a, r in out.items()])
 
 
 def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:

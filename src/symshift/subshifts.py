@@ -273,14 +273,14 @@ _SGAP_SOLVE_STEPS = 10**9
 
 def _sgap_top(gaps: SGapSet) -> int:
     """max(S), or M for S = extra u [M, inf): the gap that the S-gap shift's
-    presentations count zeros up to.  The SFT presentation and the gap chain
-    each have top + 1 states and a dense (top + 1) x (top + 1) matrix,
-    and the forbidden words hold about top^2 / 2 symbols, so a top over the
-    matrix budget is refused here, before any of them is built.  So is a top
-    whose dense solves, of order (top + 1)^3 steps, pass
-    ``_SGAP_SOLVE_STEPS`` = 10^9: ``run_all`` on S = {0,999}, the largest
-    gap accepted, took about 8.5 s on a 2-CPU x86 box with one BLAS thread
-    (6 s at 900, 19 s at 1200, 156 s at 2895)."""
+    counter (``_gap_counter``) counts zeros up to.  The presentation and the
+    gap chain are both built from that counter's top + 1 states, each with
+    a dense (top + 1) x (top + 1) matrix, so a top over the matrix budget
+    is refused here, before the counter is built.  So is a top whose dense
+    solves, of order (top + 1)^3 steps, pass ``_SGAP_SOLVE_STEPS`` = 10^9:
+    ``run_all`` on S = {0,999}, the largest gap accepted, took about 8.5 s
+    on a 2-CPU x86 box with one BLAS thread (6 s at 900, 19 s at 1200,
+    156 s at 2895)."""
     top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
     if (top + 1) ** 2 > W._MATRIX_ENTRIES or (top + 1) ** 3 > _SGAP_SOLVE_STEPS:
         raise ResourceLimitError(
@@ -290,25 +290,20 @@ def _sgap_top(gaps: SGapSet) -> int:
     return top
 
 
-def _sgap_forbidden(gaps: SGapSet):
-    """Finite forbidden-word list presenting the S-gap shift as an SFT."""
+def _gap_counter(gaps: SGapSet) -> dict:
+    """The S-gap shift's counter graph, state -> {symbol: state}: state i is
+    the number of 0s since the last 1, capped at top for a cofinite S.  A 0
+    counts one more, a 1 after i zeros is legal when i is in S and resets
+    the count."""
     top = _sgap_top(gaps)
-    if gaps.finite:
-        forb = ["1" + "0" * n + "1" for n in range(top + 1) if n not in gaps]
-        forb.append("0" * (top + 1))
-    else:
-        forb = ["1" + "0" * n + "1" for n in range(top) if n not in gaps]
-    return tuple(forb)
-
-
-def _as_sft(spec) -> SftShift:
-    if isinstance(spec, SftShift):
-        return spec
-    if isinstance(spec, FullShift):
-        return SftShift(spec.alphabet, ())
-    if isinstance(spec, SGapShift):
-        return SftShift(W.BINARY, _sgap_forbidden(spec.gaps))
-    raise SpecFormatError(f"no automaton presentation for {type(spec).__name__}")
+    graph = {}
+    for i in range(top + 1):
+        out = graph[i] = {}
+        if i < top or not gaps.finite:
+            out["0"] = min(i + 1, top)
+        if i in gaps:
+            out["1"] = 0
+    return graph
 
 
 def _aho_corasick(alphabet: W.Alphabet, forbidden) -> dict:
@@ -339,13 +334,25 @@ def _aho_corasick(alphabet: W.Alphabet, forbidden) -> dict:
 def build_automaton(spec) -> Automaton:
     """Minimal left-context automaton for a Full/SFT/S-gap spec.
 
-    The Aho–Corasick automaton of the forbidden words is trimmed to its
-    essential part; Moore partition refinement then merges the states with
-    equal follower sets.
+    A labelled graph presents the spec: the Aho–Corasick automaton of the
+    forbidden words, or an S-gap shift's counter (``_gap_counter``).  It is
+    trimmed to its essential part; Moore partition refinement then merges
+    the states with equal follower sets.
     """
-    sft = _as_sft(spec)
-    alphabet = sft.alphabet
-    edges = _aho_corasick(alphabet, sft.forbidden)
+    if isinstance(spec, SGapShift):
+        gaps = spec.gaps
+        alphabet, edges = W.BINARY, _gap_counter(gaps)
+        # the longest forbidden word minus one: 0^(top+1) for a finite S, else
+        # the longest 1 0^n 1 with n < top not in S
+        top = len(edges) - 1
+        omitted = [n for n in range(top) if n not in gaps]
+        memory = max(top, 1) if gaps.finite else max(omitted, default=0) + 1
+    elif isinstance(spec, (FullShift, SftShift)):
+        forbidden = spec.forbidden if isinstance(spec, SftShift) else ()
+        alphabet, edges = spec.alphabet, _aho_corasick(spec.alphabet, forbidden)
+        memory = max([len(f) for f in forbidden] + [2]) - 1
+    else:
+        raise SpecFormatError(f"no automaton presentation for {type(spec).__name__}")
 
     # essential part: remove, one at a time, the states without a successor
     # or without a predecessor (a worklist: a dead chain costs its length)
@@ -411,7 +418,7 @@ def build_automaton(spec) -> Automaton:
     num = {c: i for i, c in enumerate(label)}
     return Automaton(
         alphabet=alphabet,
-        memory=max([len(f) for f in sft.forbidden] + [2]) - 1,
+        memory=memory,
         states=tuple(label.values()),
         transitions=tuple(
             (num[c], a, num[delta[c][a]]) for c in label for a in alphabet.symbols if a in delta[c]
@@ -581,6 +588,8 @@ def _word_levels(spec, maxlen: int):
 
 def enumerate_words(spec, n: int) -> list:
     """All of L_n in alphabet order, the order of ``Alphabet.words``."""
+    if n < 0:
+        raise InvalidWordError("length must be nonnegative")
     words = [build_automaton(spec).alphabet.empty]
     for words, _, _ in _word_levels(spec, n):
         pass

@@ -593,23 +593,27 @@ def _error_record(label: str, doc, params, exc: BaseException) -> CheckRecord:
     )
 
 
-def _guarded(label: str, check, doc=None, params=None):
-    """(check()'s record, the seconds it took), with an error record for a
-    SymshiftError; None when check() returns None."""
-    t0 = time.monotonic()
-    try:
-        rec = check()
-    except SymshiftError as exc:
-        rec = _error_record(label, doc, params, exc)
-    return None if rec is None else (rec, round(time.monotonic() - t0, 6))
-
-
 def run_all(config: dict | None = None) -> VerificationReport:
     cfg = merge_config(config)
     tol = cfg["tolerances"]
+    records, elapsed = [], []
 
-    def synch(doc, u):
-        gaps = _gaps(doc)
+    def run(label: str, check, doc=None, params=None):
+        """Run ``check`` now and keep its record, or an error record for a
+        SymshiftError, with the seconds it took; a check that returns None
+        keeps nothing.  Spec documents are parsed inside ``check``, so a bad
+        one becomes error records, and as ``check`` runs where it is listed
+        it reads the loop's current document."""
+        t0 = time.monotonic()
+        try:
+            rec = check()
+        except SymshiftError as exc:
+            rec = _error_record(label, doc, params, exc)
+        if rec is not None:
+            records.append(rec)
+            elapsed.append(round(time.monotonic() - t0, 6))
+
+    def synch(gaps, u):
         # a foreign symbol is an error; a binary word outside the language is no check
         W._check_over(u, W.BINARY)
         if S.member(S.SGapShift(gaps), u):
@@ -624,36 +628,25 @@ def run_all(config: dict | None = None) -> VerificationReport:
         tolerance = {"inequality": gt["tolerance"]}
         return CheckRecord(**dict(gt, tolerance=tolerance, series={"strip": strip}))
 
-    # (family, check, spec document, params) in report order, each check bound
-    # to its spec document now; spec documents are parsed inside the guard,
-    # so a bad one becomes error records
-    jobs = []
     for doc in cfg["pair_specs"]:
-        jobs.append(("main-inequality", lambda doc=doc: check_main_inequality(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]), doc, None))
-        jobs.append(("equality-corollary", lambda doc=doc: check_equality_corollary(
-            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]), doc, None))
+        run("main-inequality", lambda: check_main_inequality(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["inequality"]), doc)
+        run("equality-corollary", lambda: check_equality_corollary(
+            S.spec_from_dict(doc), cfg["maxlen_pairs"], tol["equality"]), doc)
     for doc in cfg["sgap_specs"]:
-        jobs.append(("entropy-root", lambda doc=doc: check_entropy_root(
-            _gaps(doc), tol["root"], tol["entropy_cross"]), doc, None))
-        jobs.append(("counting-limit", lambda doc=doc: check_limit(
-            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]),
-            doc, None))
-        jobs.append(("value-theorem", lambda doc=doc: check_value_theorem(
-            _gaps(doc), cfg["maxlen_value"], tol["value"]), doc, None))
+        run("entropy-root", lambda: check_entropy_root(_gaps(doc), tol["root"], tol["entropy_cross"]), doc)
+        run("counting-limit", lambda: check_limit(
+            _gaps(doc), cfg["limit_n"], cfg["limit_exact_n"], tol["limit"], tol["limit_relative"]), doc)
+        run("value-theorem", lambda: check_value_theorem(_gaps(doc), cfg["maxlen_value"], tol["value"]), doc)
     for doc in cfg["sgap_specs"][:2]:
         for u in cfg["synch_words"]:
-            jobs.append(("synchronized-formula", functools.partial(synch, doc, u), doc, {"u": u}))
+            run("synchronized-formula", lambda: synch(_gaps(doc), u), doc, {"u": u})
     for doc in cfg["hereditary_specs"]:
-        jobs.append(("hereditary-entropy", lambda doc=doc: check_hereditary_entropy(
-            S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc, None))
-    # the families that read no presentation cache come last
-    jobs.append(("replacement-lemmas", functools.partial(
-        check_replacement_lemmas, W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]),
-        None, None))
-    jobs.append(("gtheorem-strips", gtheorem, None, None))
-    done = [result for result in itertools.starmap(_guarded, jobs) if result is not None]
-    records = [rec for rec, _ in done]
+        run("hereditary-entropy", lambda: check_hereditary_entropy(
+            S.spec_from_dict(doc), cfg["hereditary_nmax"], tol["hereditary"]), doc)
+    run("replacement-lemmas", lambda: check_replacement_lemmas(
+        W.BINARY, cfg["replacement_v_maxlen"], cfg["replacement_u_maxlen"]))
+    run("gtheorem-strips", gtheorem)
 
     # names repeat (error records carry the bare family name), so the times
     # are a list in the order of the report's name-sorted checks
@@ -662,7 +655,7 @@ def run_all(config: dict | None = None) -> VerificationReport:
         "config": cfg,
         "timestamps": {
             "finished": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "elapsed_s": [done[i][1] for i in order],
+            "elapsed_s": [elapsed[i] for i in order],
         },
     }
     return VerificationReport(records=records, meta=meta)

@@ -123,6 +123,14 @@ class TestBasicCommands:
         assert payload(result)["error"]["type"] == "ResourceLimitError"
 
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    def test_negative_length_is_a_json_error(self, runner, golden_spec, command):
+        # enumerate used to print {"n": -1, "words": [""]} and exit 0
+        result = runner.invoke(cli.main, [command, "--spec", golden_spec, "-n", "-1"])
+        assert result.exit_code == 1
+        error = payload(result)["error"]
+        assert error == {"type": "InvalidWordError", "message": "length must be nonnegative"}
+
     def test_count_over_budget_is_a_json_error(self, runner, golden_spec):
         # 10^7 steps of the big-integer DP would run for hours
         result = runner.invoke(cli.main, ["count", "--spec", golden_spec, "-n", "10000000"])

@@ -5,11 +5,14 @@ the legal blocks of length m (the longest forbidden word minus one), and a
 word of length n >= m is read from the state of its first m letters.  So are
 the dict walk over the transitions and the Python fixed point of follower
 containment that the library's array layer replaced, and the set-based
-structural predicates built on them.
+structural predicates built on them.  An S-gap shift enters the references
+by its forbidden words, written out here, while the library presents it
+from its gap counter; the last tests hold the two presentations equal.
 """
 
 import itertools
 import math
+import random
 from functools import cached_property, lru_cache
 
 import pytest
@@ -18,9 +21,11 @@ from hypothesis import given, settings
 from symshift import extender as E
 from symshift import mme as M
 from symshift import subshifts as S
+from symshift import verify as V
 from symshift import words as W
 from symshift.errors import EmptySubshiftError
 from test_fuzz import sft_specs
+from test_subshifts import _zoo_style_specs
 
 TERNARY = W.Alphabet(("0", "1", "2"))
 MULTI = W.Alphabet(("a", "bb", "c"))
@@ -134,11 +139,29 @@ def specification_distance_holds(aut, N):
     return all(reach[p] & Q for p in range(n) for Q in family)
 
 
+def sgap_forbidden(gaps):
+    """An S-gap shift's forbidden words, written out here so that the
+    references do not take the library's route to its presentation:
+    1 0^n 1 for each n < top not in S, and 0^(top+1) when S is finite."""
+    top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
+    words = ["1" + "0" * n + "1" for n in range(top) if n not in gaps]
+    return tuple(words + ["0" * (top + 1)] * gaps.finite)
+
+
+def as_sft(spec):
+    """The spec as an SFT given by its forbidden words."""
+    if isinstance(spec, S.SGapShift):
+        return S.SftShift(W.BINARY, sgap_forbidden(spec.gaps))
+    if isinstance(spec, S.FullShift):
+        return S.SftShift(spec.alphabet, ())
+    return spec
+
+
 class BlockGraph:
     """Trimmed m-block presentation of an SFT language (test reference)."""
 
     def __init__(self, spec):
-        sft = S._as_sft(spec)
+        sft = as_sft(spec)
         alphabet = sft.alphabet
         m = max([len(f) for f in sft.forbidden] + [2]) - 1
 
@@ -336,3 +359,53 @@ def test_states_are_labelled_by_synchronizing_words():
     aut = S.build_automaton(S.SftShift(W.BINARY, ("111", "1001")))
     for q, label in enumerate(aut.states):
         assert set(S._landing_states(aut, label).values()) == {q}
+
+
+def _gap_sets(seed=36):
+    """Every finite and cofinite gap set with top <= 6, and six of each kind
+    drawn for each top from 7 to 14."""
+    rng = random.Random(seed)
+    sets = []
+    for top in range(15):
+        if top <= 6:
+            belows = [tuple(n for n in range(top) if mask >> n & 1) for mask in range(2**top)]
+        else:
+            belows = [tuple(sorted(rng.sample(range(top), rng.randint(0, top)))) for _ in range(6)]
+        for below in belows:
+            sets += [S.SGapSet(below + (top,)), S.SGapSet(below, top)]
+    return sets
+
+
+# the gap sets the other tests build, as the presentation or the gap chain
+SUITE_GAP_SETS = (
+    [S.spec_from_dict(doc).gaps for doc in V.DEFAULT_CONFIG["sgap_specs"]]
+    + [spec.gaps for spec in PREDICATE_SPECS if isinstance(spec, S.SGapShift)]
+    + [spec.gaps for seed in range(1, 6) for spec in _zoo_style_specs(seed) if isinstance(spec, S.SGapShift)]
+    + [
+        S.SGapSet(gaps)
+        for gaps in [(0,), (1,), (3,), (4,), (5,), (0, 2), (0, 5), (0, 7), (0, 19), (0, 40), (0, 100),
+                     (0, 200), (0, 999), (0, 2, 30), (0, 2, 50), (0, 1, 170), (7, 40)]
+    ]
+    + [S.SGapSet(extra, top) for extra, top in [((), 0), ((0, 2), 7), ((0, 1), 9), ((1, 3, 5), 7), ((7,), 40)]]
+)
+
+
+def assert_same_presentation(gaps):
+    """The presentation built from the gap counter is the one built from the
+    forbidden words, down to the numbering and the memory."""
+    got = S.build_automaton(S.SGapShift(gaps))
+    want = S.build_automaton(S.SftShift(W.BINARY, sgap_forbidden(gaps)))
+    for name in ("states", "transitions", "word_graph", "memory"):
+        assert getattr(got, name) == getattr(want, name), (gaps, name)
+
+
+def test_gap_counter_presents_what_the_forbidden_words_do():
+    sets = _gap_sets()
+    assert len(set(sets)) >= 300
+    for gaps in sets:
+        assert_same_presentation(gaps)
+
+
+@pytest.mark.parametrize("gaps", sorted(set(SUITE_GAP_SETS), key=S.SGapSet.describe), ids=S.SGapSet.describe)
+def test_gap_counter_presents_the_suite_sets_as_the_forbidden_words_do(gaps):
+    assert_same_presentation(gaps)

@@ -209,6 +209,11 @@ class TestLanguage:
         with pytest.raises(InvalidWordError):
             S.count_words(GOLDEN, -1)
 
+    def test_enumerate_negative_length(self):
+        # it used to return [""], the words of length 0
+        with pytest.raises(InvalidWordError, match="length must be nonnegative"):
+            S.enumerate_words(GOLDEN, -1)
+
     def test_count_budget_refuses_before_any_step(self, monkeypatch):
         # both DPs are bounded by n x word-graph edges: 5 edges for the golden mean
         monkeypatch.setattr(W, "_SWEEP_BUDGET", 10)
