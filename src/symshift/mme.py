@@ -15,6 +15,7 @@ no code with the gap chain, and the two must agree; the test suite enforces it.
 
 from __future__ import annotations
 
+import re
 from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
@@ -173,6 +174,7 @@ def gap_chain(gaps: S.SGapSet) -> ParryModel:
 
 def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
     """mu(w) from the gap-counter Parry model (independent of the recursion)."""
+    _check_over(w, BINARY)
     return mu_parry(gap_chain(gaps), w)
 
 
@@ -234,39 +236,41 @@ class SGapMME:
     mu(1) t^(|z|+1) if every gap of 1 z 1 is in S, else 0: 1 0^i c is legal
     when c is and i is in S, so step 2 gives mu(1) t^(|c|-1) A_a, and step
     1 multiplies it by A_b.  A certificate depends on the word only through
-    its key, (n) for 0^n or (a, b, |c|) for a legal 0^a c 0^b, so each is
-    built once per key and kept, as are the legality of each c and each
-    A_j; an illegal word has the certificate 0.
+    its key (``_key``): (n) for 0^n, (a, b, |c|) for a legal 0^a c 0^b and ()
+    for an illegal word, whose certificate is 0.  Each call builds its
+    certificate afresh from the key; the model keeps only t, mu(1) and one
+    pattern of the legal cores, built once from S, so nothing is kept
+    between words.
     """
 
     gaps: S.SGapSet
     t: float = field(init=False)
     mu1: float = field(init=False)
-    _table: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _cores: dict = field(init=False, repr=False, compare=False, default_factory=dict)
-    _factors: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _core: re.Pattern = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.t = 1.0 / S.sgap_lambda(self.gaps)
         self.mu1 = sgap_mu1(self.gaps)
+        # a legal core is 1, then runs 0^n 1 with every n in S.  re refuses a
+        # count of 2^32 - 1 or more; such gaps are left out, which is exact
+        # for every word shorter than 2^32 - 1 symbols
+        runs = [f"0{{{n}}}1" for n in self.gaps.extra if n < 2**32 - 1]
+        if self.gaps.cofinite_from is not None and self.gaps.cofinite_from < 2**32 - 1:
+            runs.append(f"0{{{self.gaps.cofinite_from},}}1")
+        self._core = re.compile(f"1(?:{'|'.join(runs)})*")
 
     def certificate(self, w: str) -> MeasureCertificate:
         _check_over(w, BINARY)
-        return self._lookup(w)
+        return self._build(self._key(w))
 
-    def _lookup(self, w: str) -> MeasureCertificate:
-        """``certificate`` of a word already known to be binary."""
+    def _key(self, w: str) -> tuple:
+        """The key of a word already known to be binary."""
         first, last = w.find("1"), w.rfind("1")
         if first < 0:
-            key = (len(w),)
-        elif self._legal(w[first : last + 1]):
-            key = (first, len(w) - 1 - last, last - first + 1)
-        else:
-            key = ()
-        cert = self._table.get(key)
-        if cert is None:
-            cert = self._table[key] = self._build(key)
-        return cert
+            return (len(w),)
+        if self._core.fullmatch(w, first, last + 1):
+            return (first, len(w) - 1 - last, last - first + 1)
+        return ()
 
     def _build(self, key: tuple) -> MeasureCertificate:
         if not key:
@@ -289,19 +293,9 @@ class SGapMME:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))
 
-    def _legal(self, core: str) -> bool:
-        """Whether every gap of ``core``, which starts and ends with 1, is in S."""
-        legal = self._cores.get(core)
-        if legal is None:
-            legal = self._cores[core] = all(len(run) in self.gaps for run in core.split("1")[1:-1])
-        return legal
-
     def _factor(self, j: int) -> list[tuple[int, int]]:
         """A_j as its terms (exponent, coefficient), exponents ascending."""
-        terms = self._factors.get(j)
-        if terms is None:
-            terms = self._factors[j] = [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
-        return terms
+        return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
 
 
 @lru_cache(maxsize=None)

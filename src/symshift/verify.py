@@ -296,21 +296,22 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
         params={"maxlen": maxlen},
         tolerance={"value": tol},
     )
-    # the two sides: the closed-form certificates of ``sgap_mu``, each built
-    # once per key, and the gap-chain oracle of ``sgap_mu_oracle``, read off
-    # whole levels
+    # the two sides: the closed-form certificates of ``sgap_mu``, each key
+    # built and evaluated once in this sweep, and the gap-chain oracle of
+    # ``sgap_mu_oracle``, read off whole levels
     model, chain = M.sgap_model(gaps), M.gap_chain(gaps)
     mu1_gap = abs(M.sgap_mu1(gaps) - M.mu_parry(chain, "1"))
     _bound(record, "mu(1) formula vs oracle", mu1_gap, tol, {"word": "1"})
     worst = 0.0
     integral = True
-    values = {}  # id of a certificate -> its value; the model keeps every one alive
+    values = {}  # certificate key -> its value
     for n, oracle in enumerate(M._level_measures(chain, W.BINARY.symbols, maxlen), 1):
         for w, mu in zip(W.BINARY.words(n), oracle):
-            cert = model._lookup(w)
-            value = values.get(id(cert))
+            key = model._key(w)
+            value = values.get(key)
             if value is None:
-                value = values[id(cert)] = cert.evaluate(model.mu1, model.t)
+                cert = model._build(key)
+                value = values[key] = cert.evaluate(model.mu1, model.t)
                 if not (
                     isinstance(cert.offset, int)
                     and all(isinstance(c, int) for c in cert.coeffs)

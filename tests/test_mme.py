@@ -1,4 +1,5 @@
 import collections
+import gc
 import itertools
 import math
 import random
@@ -366,7 +367,12 @@ class ReferenceRecursion:
 
 
 class TestValueRecursion:
-    @pytest.mark.parametrize("gaps", WIDE_GAP_SETS, ids=lambda g: g.describe())
+    # and gaps past the 2^32 - 2 zeros that a pattern of the legal cores can count
+    @pytest.mark.parametrize(
+        "gaps",
+        WIDE_GAP_SETS + [S.SGapSet((0, 2**32)), S.SGapSet((0,), 2**32), S.SGapSet((), 2**32)],
+        ids=lambda g: g.describe(),
+    )
     def test_certificates_match_pairwise_reference(self, gaps):
         model, reference = M.SGapMME(gaps), ReferenceRecursion(gaps)
         for n in range(13):
@@ -422,20 +428,25 @@ class TestValueRecursion:
         assert value == 0.0
 
     @pytest.mark.parametrize("w", [("01",), ("",), ("0", "1"), "012", "0 1"], ids=repr)
-    def test_non_binary_word_rejected(self, w):
-        # ("01",) and ("",) used to pass a substring test and return mu("0")
+    @pytest.mark.parametrize("mu", [M.sgap_mu, M.sgap_mu_oracle], ids=lambda f: f.__name__)
+    def test_non_binary_word_rejected(self, mu, w):
+        # ("01",) and ("",) used to pass a substring test and return mu("0");
+        # the oracle gave mu("01") for ("0", "1") and 0.0 for ("01",) and "012"
         with pytest.raises(InvalidWordError):
-            M.sgap_mu(S.SGapSet((0, 1)), w)
+            mu(S.SGapSet((0, 1)), w)
 
     @pytest.mark.parametrize("gaps", WIDE_GAP_SETS, ids=lambda g: g.describe())
     def test_pinned_rule_is_membership(self, gaps):
         # 1z1 is legal exactly when each run of 0s between two 1s is a gap in S
         model = M.sgap_model(gaps)
         spec = S.SGapShift(gaps)
-        for n in range(13):
-            for z in W.BINARY.words(n):
-                w = "1" + z + "1"
-                assert (model.certificate(w).coeffs != ()) == S.member(spec, w), w
+        top = max(gaps.extra + (gaps.cofinite_from or 0,))
+        short = ["1" + z + "1" for n in range(13) for z in W.BINARY.words(n)]
+        # and the runs up to two past the largest gap or the cofinite threshold
+        runs = ["0" * n for n in range(top + 3)]
+        wide = ["1" + x + "1" for x in runs] + ["1" + x + "1" + y + "1" for x in runs for y in runs]
+        for w in short + wide:
+            assert (model.certificate(w).coeffs != ()) == S.member(spec, w), w
 
     def test_all_ones_gap_set(self):
         gaps = S.SGapSet((0,))
@@ -480,6 +491,23 @@ class TestValueRecursion:
         # 1 - mu(1) (3000 - sum of (3000 - e) t^e for 2 <= e <= 2999)
         assert cert.offset == 1
         assert cert.coeffs == (-3000, 0) + tuple(range(2998, 0, -1))
+
+    def test_nothing_is_kept_between_words(self):
+        # the model used to keep every certificate, core and A_j it was asked
+        # for: these 300 words left 3.46 MiB held
+        gaps = S.SGapSet((0, 2), 7)
+        M.sgap_mu(gaps, "0110")
+        words = ["0" * a + "1" + "0" * (299 - a) for a in range(300)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            for w in words:
+                M.sgap_mu(gaps, w)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 64 * 2**10
 
 
 class TestTails:
