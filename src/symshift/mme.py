@@ -1,16 +1,15 @@
 """Measures of maximal entropy: Parry models and S-gap certificates.
 
-Every Parry measure here is built one way, from a labelled graph: the minimal
-presentation of a spec (``parry``, on the right Perron pair ``Automaton.perron``
-holds) and the S-gap counter (``gap_chain``) each give their ``(q, symbol, r)``
-edges to one constructor, and ``mu_parry`` reads cylinders off the result; the
-strips of ``grid2d`` share ``parry_chain``.  The counter is
-``subshifts._gap_counter``, the graph ``build_automaton`` also minimizes into
-an S-gap shift's presentation.  For S-gap shifts a second,
-independent route exists: the closed form of the recursion driven by the
-synchronization identity mu(1 z 1) = mu(1) t^(|z|+1), an integer certificate
-(k, f) with mu(w) = k + mu(1) f(t).  It reads only membership in S and shares
-no code with the gap chain, and the two must agree; the test suite enforces it.
+Every Parry measure of a shift is built one way: ``parry`` gives the
+``(q, symbol, r)`` edges of the spec's minimal presentation, on the right
+Perron pair ``Automaton.perron`` holds, to one constructor, once per spec, and
+``mu_parry`` reads cylinders off the result; the strips of ``grid2d`` share
+``parry_chain``.  For S-gap shifts a second, independent route exists: the
+closed form of the recursion driven by the synchronization identity
+mu(1 z 1) = mu(1) t^(|z|+1), an integer certificate (k, f) with
+mu(w) = k + mu(1) f(t).  It reads only membership in S and shares no code
+with the presentation's Parry model (``sgap_mu_oracle``), and the two must
+agree; the test suite enforces it.
 """
 
 from __future__ import annotations
@@ -61,8 +60,8 @@ def _chain_from(A: np.ndarray, lam: float, r: np.ndarray) -> tuple[float, np.nda
 
 @dataclass(frozen=True, eq=False)
 class ParryModel:
-    """Parry measure of a labelled graph, built by ``_labelled_parry``: what
-    ``mu_parry`` reads, the stationary weights and the per-edge steps."""
+    """Parry measure of a labelled graph (``_labelled_parry``), one per spec
+    (``parry``): the stationary weights and per-edge steps ``mu_parry`` reads."""
 
     stationary: np.ndarray
     steps: dict  # symbol -> {state: (target, probability of that one edge)}
@@ -74,23 +73,22 @@ class ParryModel:
         return [], [dict(enumerate(self.stationary.tolist()))]
 
 
-def _labelled_parry(n: int, edges, perron=None) -> ParryModel:
-    """Parry model of the graph on states 0..n-1 with ``(q, symbol, r)`` edges.
-
-    Parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each; a known Perron pair ``perron`` is reused.
-    """
+def _labelled_parry(n: int, edges, perron) -> ParryModel:
+    """Parry model of the graph on states 0..n-1 with ``(q, symbol, r)`` edges and right
+    Perron pair ``perron``; parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each."""
     A = np.zeros((n, n))
     for q, _, r in edges:
         A[q, r] += 1.0
-    _, stationary, P = parry_chain(A) if perron is None else _chain_from(A, *perron)
+    _, stationary, P = _chain_from(A, *perron)
     steps = {}
     for q, a, r in edges:
         steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
     return ParryModel(stationary=stationary, steps=steps)
 
 
+@lru_cache(maxsize=None)
 def parry(spec) -> ParryModel:
-    """Markov measure of maximal entropy of the spec's minimal presentation."""
+    """Markov measure of maximal entropy of the spec's minimal presentation, one per spec."""
     aut = S.build_automaton(spec)
     if not aut.irreducible:
         raise ReduciblePresentationError("graph is reducible")
@@ -102,8 +100,8 @@ def mu_parry(model: ParryModel, w) -> float:
 
     Sums, over the states w is readable from, the stationary weight times the
     edge probabilities along w's path; paths that meet in a state are merged.
-    Queries on one model resume from the prefix they share with the previous
-    query, so only the symbols after it are stepped through.
+    Queries on one model, from any caller, resume from the prefix they share
+    with the previous query, so only the symbols after it are stepped through.
     """
     steps = model.steps
     word, trail = model._cursor
@@ -160,22 +158,10 @@ def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
     return levels
 
 
-# ---------------------------------------------------------------------------
-# Gap-counter Parry model (independent oracle for the S-gap MME)
-
-
-@lru_cache(maxsize=None)
-def gap_chain(gaps: S.SGapSet) -> ParryModel:
-    """Parry model of the chain on 'zeros seen since the last 1', capped for
-    cofinite sets: the counter graph that also presents the shift."""
-    graph = S._gap_counter(gaps)
-    return _labelled_parry(len(graph), [(q, a, r) for q, out in graph.items() for a, r in out.items()])
-
-
 def sgap_mu_oracle(gaps: S.SGapSet, w) -> float:
-    """mu(w) from the gap-counter Parry model (independent of the recursion)."""
+    """mu(w) from the Parry model of the S-gap presentation (independent of the recursion)."""
     _check_over(w, BINARY)
-    return mu_parry(gap_chain(gaps), w)
+    return mu_parry(parry(S.SGapShift(gaps)), w)
 
 
 # ---------------------------------------------------------------------------
@@ -286,9 +272,14 @@ class SGapMME:
             a, b, c = key
             left, right = self._factor(a), self._factor(b)
             offset, coeffs = 0, [0] * (c + left[-1][0] + right[-1][0])
-            for i, x in left:
-                for j, y in right:
-                    coeffs[c - 1 + i + j] += x * y
+            if len(left) * len(right) > 100:
+                # past about 100 term products np.convolve's fixed cost of a few
+                # microseconds pays; |each coefficient| <= min(a, b) + 1 fits int64
+                coeffs[c - 1 :] = np.convolve(_dense(left), _dense(right)).tolist()
+            else:
+                for i, x in left:
+                    for j, y in right:
+                        coeffs[c - 1 + i + j] += x * y
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))
@@ -296,6 +287,13 @@ class SGapMME:
     def _factor(self, j: int) -> list[tuple[int, int]]:
         """A_j as its terms (exponent, coefficient), exponents ascending."""
         return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
+
+
+def _dense(terms: list[tuple[int, int]]) -> np.ndarray:
+    """The int64 coefficients, t^0 first, of a polynomial given by its terms."""
+    out = np.zeros(terms[-1][0] + 1, dtype=np.int64)
+    out[[e for e, _ in terms]] = [x for _, x in terms]
+    return out
 
 
 @lru_cache(maxsize=None)

@@ -273,14 +273,14 @@ _SGAP_SOLVE_STEPS = 10**9
 
 def _sgap_top(gaps: SGapSet) -> int:
     """max(S), or M for S = extra u [M, inf): the gap that the S-gap shift's
-    counter (``_gap_counter``) counts zeros up to.  The presentation and the
-    gap chain are both built from that counter's top + 1 states, each with
-    a dense (top + 1) x (top + 1) matrix, so a top over the matrix budget
-    is refused here, before the counter is built.  So is a top whose dense
-    solves, of order (top + 1)^3 steps, pass ``_SGAP_SOLVE_STEPS`` = 10^9:
-    ``run_all`` on S = {0,999}, the largest gap accepted, took about 8.5 s
-    on a 2-CPU x86 box with one BLAS thread (6 s at 900, 19 s at 1200,
-    156 s at 2895)."""
+    counter (``_gap_counter``) counts zeros up to.  The presentation, and so
+    the S-gap oracle's Parry model, is built from that counter's top + 1
+    states with a dense (top + 1) x (top + 1) matrix, so a top over the
+    matrix budget is refused here, before the counter is built.  So is a top
+    whose dense solves, of order (top + 1)^3 steps, pass
+    ``_SGAP_SOLVE_STEPS`` = 10^9: ``run_all`` on S = {0,999}, the largest gap
+    accepted, takes about 4.4 s on a 2-CPU x86 box, and S = {0,2895}, the
+    largest that the matrix cap alone accepts, took 156 s."""
     top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
     if (top + 1) ** 2 > W._MATRIX_ENTRIES or (top + 1) ** 3 > _SGAP_SOLVE_STEPS:
         raise ResourceLimitError(

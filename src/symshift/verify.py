@@ -297,15 +297,15 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
         tolerance={"value": tol},
     )
     # the two sides: the closed-form certificates of ``sgap_mu``, each key
-    # built and evaluated once in this sweep, and the gap-chain oracle of
-    # ``sgap_mu_oracle``, read off whole levels
-    model, chain = M.sgap_model(gaps), M.gap_chain(gaps)
-    mu1_gap = abs(M.sgap_mu1(gaps) - M.mu_parry(chain, "1"))
+    # built and evaluated once in this sweep, and the presentation's Parry
+    # model that ``sgap_mu_oracle`` reads, read off whole levels
+    model, presented = M.sgap_model(gaps), M.parry(S.SGapShift(gaps))
+    mu1_gap = abs(M.sgap_mu1(gaps) - M.mu_parry(presented, "1"))
     _bound(record, "mu(1) formula vs oracle", mu1_gap, tol, {"word": "1"})
     worst = 0.0
     integral = True
     values = {}  # certificate key -> its value
-    for n, oracle in enumerate(M._level_measures(chain, W.BINARY.symbols, maxlen), 1):
+    for n, oracle in enumerate(M._level_measures(presented, W.BINARY.symbols, maxlen), 1):
         for w, mu in zip(W.BINARY.words(n), oracle):
             key = model._key(w)
             value = values.get(key)

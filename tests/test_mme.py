@@ -83,21 +83,6 @@ class ReferenceParry:
         return float(sum(weights.values()))
 
 
-def gap_counter_edges(gaps):
-    """Edges of the chain on 'zeros since the last 1': state i reads 0 to i + 1,
-    capped at the last state for a cofinite S, and reads 1 back to 0 when the
-    gap i may close (every gap from the cap on, for a cofinite S)."""
-    if gaps.finite:
-        top = max(gaps.extra)
-        zero = [(i, "0", i + 1) for i in range(top)]
-        one = [(i, "1", 0) for i in range(top + 1) if i in gaps]
-    else:
-        top = gaps.cofinite_from
-        zero = [(i, "0", min(i + 1, top)) for i in range(top + 1)]
-        one = [(i, "1", 0) for i in range(top + 1) if i in gaps or i == top]
-    return zero + one
-
-
 def presentation_edges(spec):
     return S.build_automaton(spec).transitions
 
@@ -198,14 +183,8 @@ class TestParry:
                 M.parry,
                 presentation_edges,
             ),
-            (
-                S.SGapShift(S.SGapSet((1, 3, 5), 7)),
-                "x",
-                lambda spec: M.gap_chain(spec.gaps),
-                lambda spec: gap_counter_edges(spec.gaps),
-            ),
         ],
-        ids=["golden-mean", "sgap", "multi-char-sft", "gap-chain"],
+        ids=["golden-mean", "sgap", "multi-char-sft"],
     )
     def test_query_order_does_not_change_values(self, spec, foreign, build, edges):
         # queries resume from the prefix shared with the previous query; every
@@ -216,8 +195,8 @@ class TestParry:
             model = build(spec)
             got = [M.mu_parry(model, u).hex() for u in words]
             assert got == [reference(u).hex() for u in words], name
-        # two models of one spec keep separate cursors (the cached gap chain
-        # is one model, which then serves both sequences interleaved)
+        # parry is cached per spec, so both sequences run interleaved on the
+        # one model and its one cursor
         first, second = build(spec), build(spec)
         pairs = list(zip(orders["shortlex"], orders["prefix walk"]))
         got = [(M.mu_parry(first, u).hex(), M.mu_parry(second, v).hex()) for u, v in pairs]
@@ -241,30 +220,20 @@ class TestParry:
 
 
 class TestGapChainOracle:
-    def test_matches_block_parry_on_golden_disguise(self):
-        gaps = S.SGapSet((0, 1))
-        model = M.parry(S.SGapShift(gaps))
-        for n in range(1, 7):
-            for w in W.BINARY.words(n):
-                assert M.sgap_mu_oracle(gaps, w) == pytest.approx(
-                    M.mu_parry(model, w), abs=1e-10
-                )
-
     def test_additivity(self):
         for gaps in GAP_SETS:
             total = sum(M.sgap_mu_oracle(gaps, w) for w in W.BINARY.words(4))
             assert total == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize(
-        "gaps, states",
-        [(S.SGapSet((0, 1)), 2), (S.SGapSet((1, 3, 5), 7), 8), (S.SGapSet((0, 19)), 20)],
-        ids=lambda x: x.describe() if isinstance(x, S.SGapSet) else str(x),
+        "gaps",
+        [S.SGapSet((0, 1)), S.SGapSet((1, 3, 5), 7), S.SGapSet((0, 19))],
+        ids=lambda g: g.describe(),
     )
-    def test_matches_array_reference(self, gaps, states):
-        # the gap-counter edges are built here, not read from the model
-        model = M.gap_chain(gaps)
-        assert len(model.stationary) == states
-        reference = ReferenceParry(gap_counter_edges(gaps), model)
+    def test_matches_array_reference(self, gaps):
+        # the edges are read off the presentation, not off the model
+        spec = S.SGapShift(gaps)
+        reference = ReferenceParry(presentation_edges(spec), M.parry(spec))
         words = [u for n in range(9) for u in W.BINARY.words(n)]
         got = [M.sgap_mu_oracle(gaps, u).hex() for u in words]
         assert got == [reference(u).hex() for u in words]
@@ -284,10 +253,10 @@ class TestGapChainOracle:
                 assert M.sgap_mu_oracle(gaps, w) == 2.0**-n
 
 
-# the default gap chains, wide ones up to the largest accepted gap, and a
+# the default gap sets, wide ones up to the largest accepted gap, and a
 # presentation whose words die at different lengths from different states
 LEVEL_MODELS = {
-    **{g.describe(): (lambda g=g: M.gap_chain(g))
+    **{g.describe(): (lambda g=g: M.parry(S.SGapShift(g)))
        for g in GAP_SETS + [S.SGapSet((0, 2, 30)), S.SGapSet((0, 40)), S.SGapSet((0, 999))]},
     "SFT {111,1001}": lambda: M.parry(S.SftShift(W.BINARY, ("111", "1001"))),
 }
@@ -304,7 +273,7 @@ class TestLevelMeasures:
 
     @pytest.mark.parametrize("maxlen", [0, -1])
     def test_no_levels(self, maxlen):
-        assert M._level_measures(M.gap_chain(S.SGapSet((0, 1))), W.BINARY.symbols, maxlen) == []
+        assert M._level_measures(M.parry(S.SGapShift(S.SGapSet((0, 1)))), W.BINARY.symbols, maxlen) == []
 
     def test_other_alphabets(self):
         # three symbols, multi-character ones, with words as tuples
@@ -491,6 +460,26 @@ class TestValueRecursion:
         # 1 - mu(1) (3000 - sum of (3000 - e) t^e for 2 <= e <= 2999)
         assert cert.offset == 1
         assert cert.coeffs == (-3000, 0) + tuple(range(2998, 0, -1))
+
+    def test_long_cores_multiply_in_c(self):
+        # A_a A_b multiplied term by term took 433 ms on these 300 words
+        gaps = S.SGapSet((0, 2), 7)
+        M.sgap_mu(gaps, "0110")
+        words = ["0" * a + "1" + "0" * (299 - a) for a in range(300)]
+        start = time.perf_counter()
+        for w in words:
+            M.sgap_mu(gaps, w)
+        assert time.perf_counter() - start < 0.15
+        # on [1, inf), A_j = 1 - t^2 - ... - t^j: the t^e coefficient of
+        # A_a A_b is [e = 0] - [2 <= e <= a] - [2 <= e <= b] plus the number
+        # of i + j = e with 2 <= i <= a and 2 <= j <= b
+        a, b = 150, 149
+        cert = M.SGapMME(S.SGapSet((), 1)).certificate("0" * a + "1" + "0" * b)
+        closed = [
+            (e == 0) - (2 <= e <= a) - (2 <= e <= b) + max(0, min(a, e - 2) - max(2, e - b) + 1)
+            for e in range(a + b + 1)
+        ]
+        assert (cert.offset, cert.coeffs) == (0, tuple(closed))
 
     def test_nothing_is_kept_between_words(self):
         # the model used to keep every certificate, core and A_j it was asked

@@ -376,7 +376,7 @@ def _gap_sets(seed=36):
     return sets
 
 
-# the gap sets the other tests build, as the presentation or the gap chain
+# the gap sets the other tests build, as a presentation and its Parry model
 SUITE_GAP_SETS = (
     [S.spec_from_dict(doc).gaps for doc in V.DEFAULT_CONFIG["sgap_specs"]]
     + [spec.gaps for spec in PREDICATE_SPECS if isinstance(spec, S.SGapShift)]

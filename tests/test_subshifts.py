@@ -62,7 +62,7 @@ class TestLargeGapSets:
     def test_refused_before_anything_is_built(self, gaps):
         spec = S.SGapShift(gaps)
         start = time.perf_counter()
-        for query in (lambda: S.entropy(spec), lambda: S.member(spec, "1"), lambda: M.gap_chain(gaps)):
+        for query in (lambda: S.entropy(spec), lambda: S.member(spec, "1"), lambda: M.sgap_mu_oracle(gaps, "1")):
             with pytest.raises(ResourceLimitError, match="gap 1000000 needs a 1000001-state"):
                 query()
         assert time.perf_counter() - start < 1.0
@@ -83,7 +83,7 @@ class TestLargeGapSets:
             with pytest.raises(ResourceLimitError):
                 S.build_automaton(S.SGapShift(gaps))
             with pytest.raises(ResourceLimitError):
-                M.gap_chain(gaps)
+                M.sgap_mu_oracle(gaps, "1")
 
 
 class TestSpecSerialization:
@@ -582,14 +582,17 @@ class TestSpectralRecord:
     @pytest.fixture
     def calls(self, monkeypatch):
         """The matrices handed to ``perron_value`` and ``_strongly_connected``,
-        on cold presentations."""
-        S.build_automaton.cache_clear()
+        on cold presentations and Parry models."""
+        caches = (S.build_automaton, M.parry)
+        for cache in caches:
+            cache.cache_clear()
         calls = {"perron_value": [], "_strongly_connected": []}
         for name, log in calls.items():
             kernel = getattr(S, name)
             monkeypatch.setattr(S, name, lambda A, kernel=kernel, log=log: log.append(A) or kernel(A))
         yield calls
-        S.build_automaton.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
 
     def test_entropy_solves_A_once(self, calls):
         S.entropy(self.GAP_02)

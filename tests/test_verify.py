@@ -56,11 +56,11 @@ SMALL_CONFIG = {
 
 @pytest.fixture
 def cold_caches():
-    """Empty landing-class and presentation caches before and after the test,
-    so that a table or a spectral record (``Automaton.perron``) built under a
-    patched measure, Perron kernel or block size is neither read nor left
-    behind."""
-    caches = (V._landing_classes, S.build_automaton)
+    """Empty landing-class, presentation and Parry-model caches before and
+    after the test, so that a table, a spectral record (``Automaton.perron``)
+    or a Parry model built under a patched measure, Perron kernel or block
+    size is neither read nor left behind."""
+    caches = (V._landing_classes, S.build_automaton, M.parry)
     for cache in caches:
         cache.cache_clear()
     yield
@@ -238,7 +238,7 @@ class TestIndividualChecks:
         assert empty.status == "pass" and empty.residuals["max |recursion - oracle|"] == 0.0
 
     def test_value_theorem_reaches_a_wide_gap(self):
-        # S = {0,999}: a 1000-state gap chain, read off whole levels
+        # S = {0,999}: a 1000-state presentation, read off whole levels
         rec = V.check_value_theorem(S.SGapSet((0, 999)), 14, 1e-9)
         assert rec.status == "pass"
         assert rec.params["certificates integral"]
@@ -641,7 +641,7 @@ class TestNaNFailsClosed:
         assert math.isnan(rec.residuals[key])
 
     def test_value_theorem(self, monkeypatch):
-        # the gap-chain oracle's level kernel gives NaN on every word; mu(1)
+        # the oracle's level kernel gives NaN on every word; mu(1)
         # is read through mu_parry and stays finite, so only the sweep over
         # the words can fail
         level_measures = M._level_measures
@@ -1217,6 +1217,17 @@ class TestSuite:
         S.sgap_lambda.cache_clear()
         V.run_all()
         assert S.sgap_lambda.cache_info().misses == len(V.DEFAULT_CONFIG["sgap_specs"]) == 5
+
+    def test_run_all_builds_one_parry_model_per_spec(self, monkeypatch):
+        # one model for each of the default config's seven one-dimensional
+        # specs: nine were built while the golden mean got one per check and
+        # the S-gap oracle kept a gap-counter chain of its own
+        built = []
+        labelled_parry = M._labelled_parry
+        monkeypatch.setattr(M, "_labelled_parry", lambda *args: built.append(args) or labelled_parry(*args))
+        M.parry.cache_clear()
+        V.run_all()
+        assert len(built) == 7
 
     def test_all_pass_or_skip(self, report):
         assert report.passed
