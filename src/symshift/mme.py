@@ -1,10 +1,9 @@
 """Measures of maximal entropy: Parry models and S-gap certificates.
 
-Every Parry measure of a shift is built one way: ``parry`` gives the
-``(q, symbol, r)`` edges of the spec's minimal presentation, on the right
-Perron pair ``Automaton.perron`` holds, to one constructor, once per spec, and
-``mu_parry`` reads cylinders off the result; the strips of ``grid2d`` share
-``parry_chain``.  For S-gap shifts a second, independent route exists: the
+Every Parry measure of a shift is built one way: ``parry`` builds it, once
+per spec, from the ``(q, symbol, r)`` edges of the spec's minimal presentation
+and the right Perron pair ``Automaton.perron`` holds, and ``mu_parry`` reads
+cylinders off the result; the strips of ``grid2d`` share ``parry_chain``.  For S-gap shifts a second, independent route exists: the
 closed form of the recursion driven by the synchronization identity
 mu(1 z 1) = mu(1) t^(|z|+1), an integer certificate (k, f) with
 mu(w) = k + mu(1) f(t).  It reads only membership in S and shares no code
@@ -60,8 +59,8 @@ def _chain_from(A: np.ndarray, lam: float, r: np.ndarray) -> tuple[float, np.nda
 
 @dataclass(frozen=True, eq=False)
 class ParryModel:
-    """Parry measure of a labelled graph (``_labelled_parry``), one per spec
-    (``parry``): the stationary weights and per-edge steps ``mu_parry`` reads."""
+    """Parry measure of a spec's presentation (``parry``): the stationary
+    weights and per-edge steps ``mu_parry`` reads."""
 
     stationary: np.ndarray
     steps: dict  # symbol -> {state: (target, probability of that one edge)}
@@ -73,26 +72,27 @@ class ParryModel:
         return [], [dict(enumerate(self.stationary.tolist()))]
 
 
-def _labelled_parry(n: int, edges, perron) -> ParryModel:
-    """Parry model of the graph on states 0..n-1 with ``(q, symbol, r)`` edges and right
-    Perron pair ``perron``; parallel edges share P[q, r] evenly, P[q, r] / A[q, r] each."""
-    A = np.zeros((n, n))
-    for q, _, r in edges:
-        A[q, r] += 1.0
-    _, stationary, P = _chain_from(A, *perron)
-    steps = {}
-    for q, a, r in edges:
-        steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
-    return ParryModel(stationary=stationary, steps=steps)
-
-
 @lru_cache(maxsize=None)
 def parry(spec) -> ParryModel:
-    """Markov measure of maximal entropy of the spec's minimal presentation, one per spec."""
+    """Markov measure of maximal entropy of the spec's minimal presentation.
+
+    One model per spec, held, like ``build_automaton``'s presentation, for
+    the life of the process, together with the trail of the last word that
+    ``mu_parry`` read on it.  Parallel edges share P[q, r] evenly, P[q, r] /
+    A[q, r] each.
+    """
     aut = S.build_automaton(spec)
     if not aut.irreducible:
         raise ReduciblePresentationError("graph is reducible")
-    return _labelled_parry(len(aut.states), aut.transitions, aut.perron)
+    n = len(aut.states)
+    A = np.zeros((n, n))
+    for q, _, r in aut.transitions:
+        A[q, r] += 1.0
+    _, stationary, P = _chain_from(A, *aut.perron)
+    steps = {}
+    for q, a, r in aut.transitions:
+        steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
+    return ParryModel(stationary=stationary, steps=steps)
 
 
 def mu_parry(model: ParryModel, w) -> float:
@@ -271,15 +271,9 @@ class SGapMME:
         else:
             a, b, c = key
             left, right = self._factor(a), self._factor(b)
-            offset, coeffs = 0, [0] * (c + left[-1][0] + right[-1][0])
-            if len(left) * len(right) > 100:
-                # past about 100 term products np.convolve's fixed cost of a few
-                # microseconds pays; |each coefficient| <= min(a, b) + 1 fits int64
-                coeffs[c - 1 :] = np.convolve(_dense(left), _dense(right)).tolist()
-            else:
-                for i, x in left:
-                    for j, y in right:
-                        coeffs[c - 1 + i + j] += x * y
+            # |each coefficient| <= min(a, b) + 1 fits int64
+            offset, coeffs = 0, [0] * (c - 1)
+            coeffs += np.convolve(_dense(left), _dense(right)).tolist()
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))

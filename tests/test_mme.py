@@ -203,6 +203,26 @@ class TestParry:
         assert got == [(reference(u).hex(), reference(v).hex()) for u, v in pairs]
         assert M.mu_parry(first, foreign) == 0.0
 
+    def test_a_model_holds_only_its_last_word(self):
+        # parry keeps each spec's model for the process, and with it the trail
+        # of the last word mu_parry read: one weight dict per symbol, which a
+        # query that leaves the word at its first symbol cuts back
+        model = M.parry(GOLDEN)
+        M.mu_parry(model, "1")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            M.mu_parry(model, "01" * 5000)
+            gc.collect()
+            held_long = tracemalloc.get_traced_memory()[0]
+            M.mu_parry(model, "1")
+            gc.collect()
+            held_after = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held_long < 10000 * 2**9
+        assert held_after < 16 * 2**10
+
     def test_reducible_rejected(self):
         # two non-communicating letters once 01 and 10 are forbidden
         spec = S.SftShift(W.BINARY, ("01", "10"))

@@ -1218,16 +1218,13 @@ class TestSuite:
         V.run_all()
         assert S.sgap_lambda.cache_info().misses == len(V.DEFAULT_CONFIG["sgap_specs"]) == 5
 
-    def test_run_all_builds_one_parry_model_per_spec(self, monkeypatch):
+    def test_run_all_builds_one_parry_model_per_spec(self):
         # one model for each of the default config's seven one-dimensional
         # specs: nine were built while the golden mean got one per check and
         # the S-gap oracle kept a gap-counter chain of its own
-        built = []
-        labelled_parry = M._labelled_parry
-        monkeypatch.setattr(M, "_labelled_parry", lambda *args: built.append(args) or labelled_parry(*args))
         M.parry.cache_clear()
         V.run_all()
-        assert len(built) == 7
+        assert M.parry.cache_info().misses == 7
 
     def test_all_pass_or_skip(self, report):
         assert report.passed
