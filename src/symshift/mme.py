@@ -271,9 +271,10 @@ class SGapMME:
         else:
             a, b, c = key
             left, right = self._factor(a), self._factor(b)
-            # |each coefficient| <= min(a, b) + 1 fits int64
-            offset, coeffs = 0, [0] * (c - 1)
-            coeffs += np.convolve(_dense(left), _dense(right)).tolist()
+            offset, coeffs = 0, [0] * (c + left[-1][0] + right[-1][0])
+            for i, x in left:
+                for j, y in right:
+                    coeffs[c - 1 + i + j] += x * y
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         return MeasureCertificate(offset, tuple(coeffs))
@@ -281,13 +282,6 @@ class SGapMME:
     def _factor(self, j: int) -> list[tuple[int, int]]:
         """A_j as its terms (exponent, coefficient), exponents ascending."""
         return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
-
-
-def _dense(terms: list[tuple[int, int]]) -> np.ndarray:
-    """The int64 coefficients, t^0 first, of a polynomial given by its terms."""
-    out = np.zeros(terms[-1][0] + 1, dtype=np.int64)
-    out[[e for e, _ in terms]] = [x for _, x in terms]
-    return out
 
 
 @lru_cache(maxsize=None)
