@@ -279,7 +279,7 @@ def _sgap_top(gaps: SGapSet) -> int:
     matrix budget is refused here, before the counter is built.  So is a top
     whose dense solves, of order (top + 1)^3 steps, pass
     ``_SGAP_SOLVE_STEPS`` = 10^9: ``run_all`` on S = {0,999}, the largest gap
-    accepted, takes about 4.4 s on a 2-CPU x86 box, and S = {0,2895}, the
+    accepted, takes about 4.6 s on a 2-CPU x86 box, and S = {0,2895}, the
     largest that the matrix cap alone accepts, took 156 s."""
     top = max(gaps.extra) if gaps.finite else gaps.cofinite_from
     if (top + 1) ** 2 > W._MATRIX_ENTRIES or (top + 1) ** 3 > _SGAP_SOLVE_STEPS:
