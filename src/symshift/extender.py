@@ -1,4 +1,4 @@
-"""Exact extender-set descriptors and comparisons for automaton-presented shifts.
+"""Extender-set descriptors and exact comparisons for automaton-presented shifts.
 
 Each state of the presentation is a function of the left-infinite past, so
 the completions of a word w decompose per left-context class: a bi-infinite
@@ -28,10 +28,11 @@ INCOMPARABLE = "incomparable"
 
 @dataclass(frozen=True)
 class ExtenderDescriptor:
-    """Finite certificate of a word's extender set.
+    """A word's start classes and landing classes, not the map between them.
 
     ``left_classes`` are the labels of the states from which the word is
-    readable; ``right_classes`` the labels of the landing states.
+    readable; ``right_classes`` the labels of the landing states.  E(w)
+    depends on the map, so equal descriptors need not mean equal extender sets.
     """
 
     word: str

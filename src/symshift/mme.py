@@ -60,10 +60,11 @@ def _chain_from(A: np.ndarray, lam: float, r: np.ndarray) -> tuple[float, np.nda
 @dataclass(frozen=True, eq=False)
 class ParryModel:
     """Parry measure of a spec's presentation (``parry``): the stationary
-    weights and per-edge steps ``mu_parry`` reads."""
+    weights and the one step table that ``mu_parry`` and ``_level_measures`` read."""
 
     stationary: np.ndarray
-    steps: dict  # symbol -> {state: (target, probability of that one edge)}
+    column: dict  # symbol -> its entry in each row of ``table`` (``Automaton.column``)
+    table: list  # state -> per symbol, (target, probability of that one edge) or None
 
     @cached_property
     def _cursor(self) -> tuple[list, list]:
@@ -84,15 +85,12 @@ def parry(spec) -> ParryModel:
     aut = S.build_automaton(spec)
     if not aut.irreducible:
         raise ReduciblePresentationError("graph is reducible")
-    n = len(aut.states)
-    A = np.zeros((n, n))
-    for q, _, r in aut.transitions:
-        A[q, r] += 1.0
+    A = aut.adjacency()
     _, stationary, P = _chain_from(A, *aut.perron)
-    steps = {}
+    table = [[None] * len(aut.column) for _ in aut.states]
     for q, a, r in aut.transitions:
-        steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
-    return ParryModel(stationary=stationary, steps=steps)
+        table[q][aut.column[a]] = (r, float(P[q, r] / A[q, r]))
+    return ParryModel(stationary=stationary, column=aut.column, table=table)
 
 
 def mu_parry(model: ParryModel, w) -> float:
@@ -103,7 +101,7 @@ def mu_parry(model: ParryModel, w) -> float:
     Queries on one model, from any caller, resume from the prefix they share
     with the previous query, so only the symbols after it are stepped through.
     """
-    steps = model.steps
+    column, table = model.column, model.table
     word, trail = model._cursor
     k = 0
     for a, b in zip(word, w):
@@ -113,33 +111,30 @@ def mu_parry(model: ParryModel, w) -> float:
     del word[k:], trail[k + 1 :]
     weights = trail[k]
     for a in w[k:]:
-        edges = steps.get(a, {})
+        j = column.get(a)
         step = {}
-        for q, p in weights.items():
-            hop = edges.get(q)
-            if hop is not None:
-                r, prob = hop
-                step[r] = step.get(r, 0.0) + p * prob
+        if j is not None:
+            for q, p in weights.items():
+                hop = table[q][j]
+                if hop is not None:
+                    r, prob = hop
+                    step[r] = step.get(r, 0.0) + p * prob
         weights = step
         word.append(a)
         trail.append(weights)
     return float(sum(weights.values()))
 
 
-def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
-    """For L = 1..maxlen, ``mu_parry(model, w)`` of the |symbols|^L words w
-    of length L in canonical order, one array per level, bit for bit.
+def _level_measures(model: ParryModel, maxlen: int) -> list[array]:
+    """For L = 1..maxlen, ``mu_parry(model, w)`` of the k^L words w of length
+    L over the model's k symbols in canonical order, one array per level, bit for bit.
 
     Each word of the trie is stepped once from its prefix: the prefix's live
     (state, mass) entries read one letter more, entries that meet in a state
     merge, as in ``mu_parry``, and a dead word keeps 0.0.  The walk is depth
     first, so besides the levels only the weights along one path are held.
     """
-    k = len(symbols)
-    hops = {}  # state -> [(index of the symbol, target, probability)]
-    for j, a in enumerate(symbols):
-        for q, (r, prob) in model.steps.get(a, {}).items():
-            hops.setdefault(q, []).append((j, r, prob))
+    table, k = model.table, len(model.column)
     levels = [array("d", [0.0]) * k**n for n in range(1, maxlen + 1)]
     # (length, index, weights) of the words whose children are still to step
     stack = [(0, 0, dict(enumerate(model.stationary.tolist())))] if maxlen > 0 else []
@@ -147,9 +142,11 @@ def _level_measures(model: ParryModel, symbols, maxlen: int) -> list[array]:
         n, i, weights = stack.pop()
         steps = [{} for _ in range(k)]
         for q, p in weights.items():
-            for j, r, prob in hops.get(q, ()):
-                step = steps[j]
-                step[r] = step.get(r, 0.0) + p * prob
+            for j, hop in enumerate(table[q]):
+                if hop is not None:
+                    r, prob = hop
+                    step = steps[j]
+                    step[r] = step.get(r, 0.0) + p * prob
         for j, step in enumerate(steps):
             if step:
                 levels[n][i * k + j] = sum(step.values())
@@ -281,7 +278,10 @@ class SGapMME:
 
     def _factor(self, j: int) -> list[tuple[int, int]]:
         """A_j as its terms (exponent, coefficient), exponents ascending."""
-        return [(0, 1)] + [(n + 1, -1) for n in range(j) if n in self.gaps]
+        # S's members below j: those of extra, then [M, j) for S = extra u [M, inf)
+        M = self.gaps.cofinite_from
+        below = [n for n in self.gaps.extra if n < j] + [*range(j if M is None else M, j)]
+        return [(0, 1)] + [(n + 1, -1) for n in below]
 
 
 @lru_cache(maxsize=None)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -57,14 +57,8 @@ class SGapSet:
         return self.cofinite_from is not None and n >= self.cofinite_from
 
     def gcd_shifted(self) -> int:
-        """gcd of {n+1 : n in S}; 1 is the mixing case."""
-        if self.cofinite_from is not None:
-            # consecutive integers are present
-            return 1
-        g = 0
-        for n in self.extra:
-            g = math.gcd(g, n + 1)
-        return g
+        """gcd of {n+1 : n in S}; 1 is the mixing case, as for any cofinite S."""
+        return 1 if self.cofinite_from is not None else math.gcd(*(n + 1 for n in self.extra))
 
     def describe(self) -> str:
         inner = ",".join(str(n) for n in self.extra)

@@ -305,7 +305,7 @@ def check_value_theorem(gaps: S.SGapSet, maxlen: int, tol: float) -> CheckRecord
     worst = 0.0
     integral = True
     values = {}  # certificate key -> its value
-    for n, oracle in enumerate(M._level_measures(presented, W.BINARY.symbols, maxlen), 1):
+    for n, oracle in enumerate(M._level_measures(presented, maxlen), 1):
         for w, mu in zip(W.BINARY.words(n), oracle):
             key = model._key(w)
             value = values.get(key)

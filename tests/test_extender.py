@@ -67,6 +67,15 @@ class TestDescriptors:
         with pytest.raises(InvalidWordError):
             E.extender_descriptor(GOLDEN, "11")
 
+    def test_equal_descriptors_unequal_extender_sets(self):
+        # the descriptor drops the start -> landing map that E(w) depends on:
+        # from the start ac, a lands on b and ca lands on cca
+        spec = S.SftShift(W.Alphabet(("a", "b", "c")), ("ccab",))
+        da, dca = E.extender_descriptor(spec, "a"), E.extender_descriptor(spec, "ca")
+        assert da.left_classes == dca.left_classes == ("b", "ac", "cc", "cca")
+        assert da.right_classes == dca.right_classes == ("b", "cca")
+        assert E.extender_compare(spec, "a", "ca") == E.PROPER_SUPERSET
+
     def test_to_dict_keys(self):
         # the CLI's extender cmp emits the descriptor through asdict
         d = asdict(E.extender_descriptor(GOLDEN, "01"))

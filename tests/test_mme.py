@@ -157,12 +157,12 @@ class TestParry:
                     build(spec)
             return
         _, stationary, P = M.parry_chain(A)
-        steps = {}
+        table = [[None] * len(aut.alphabet.symbols) for _ in aut.states]
         for q, a, r in aut.transitions:
-            steps.setdefault(a, {})[q] = (r, float(P[q, r] / A[q, r]))
+            table[q][aut.alphabet.symbols.index(a)] = (r, float(P[q, r] / A[q, r]))
         model = M.parry(spec)
         assert model.stationary.tobytes() == stationary.tobytes()
-        assert model.steps == steps
+        assert model.table == table
         assert np.max(np.abs(stationary @ P - stationary)) < 1e-12
 
     def test_transition_matches_entrywise_formula(self):
@@ -286,20 +286,20 @@ class TestLevelMeasures:
     @pytest.mark.parametrize("name", list(LEVEL_MODELS))
     def test_levels_are_mu_parry_bit_for_bit(self, name):
         model = LEVEL_MODELS[name]()
-        levels = M._level_measures(model, W.BINARY.symbols, 10)
+        levels = M._level_measures(model, 10)
         assert len(levels) == 10
         for n, level in enumerate(levels, 1):
             assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in W.BINARY.words(n)]
 
     @pytest.mark.parametrize("maxlen", [0, -1])
     def test_no_levels(self, maxlen):
-        assert M._level_measures(M.parry(S.SGapShift(S.SGapSet((0, 1)))), W.BINARY.symbols, maxlen) == []
+        assert M._level_measures(M.parry(S.SGapShift(S.SGapSet((0, 1)))), maxlen) == []
 
     def test_other_alphabets(self):
         # three symbols, multi-character ones, with words as tuples
         alphabet = W.Alphabet(("x0", "x1", "x2"))
         model = M.parry(S.SftShift(alphabet, (("x1", "x1"), ("x2", "x0", "x2"))))
-        for n, level in enumerate(M._level_measures(model, alphabet.symbols, 5), 1):
+        for n, level in enumerate(M._level_measures(model, 5), 1):
             assert [x.hex() for x in level] == [M.mu_parry(model, w).hex() for w in alphabet.words(n)]
 
 
@@ -462,10 +462,19 @@ class TestValueRecursion:
         value, cert = M.sgap_mu(gaps, "0" * 2000)
         assert value == cert.evaluate(model.mu1, model.t)
 
-    def test_long_zero_run_is_linear(self):
+    @pytest.mark.parametrize(
+        "gaps, coeffs",
+        [
+            # 1 - mu(1) (3000 - sum of (3000 - e) t^e for 2 <= e <= 2999)
+            (S.SGapSet((), 1), (-3000, 0) + tuple(range(2998, 0, -1))),
+            # A_j lists only the members of S below j, not every n < j
+            (S.SGapSet((1, 3)), (-3000, 0, 2998, 0, 2996)),
+        ],
+        ids=["[1,inf)", "{1,3}"],
+    )
+    def test_long_zero_run_is_linear(self, gaps, coeffs):
         # the memoized recursion took 2-3 s and about 210 MiB here, its memo
         # holding a coefficient tuple for each of about 10,500 subwords
-        gaps = S.SGapSet((), 1)
         M.sgap_model.cache_clear()
         tracemalloc.start()
         try:
@@ -477,9 +486,8 @@ class TestValueRecursion:
             tracemalloc.stop()
         assert elapsed < 0.5
         assert peak < 2**20
-        # 1 - mu(1) (3000 - sum of (3000 - e) t^e for 2 <= e <= 2999)
         assert cert.offset == 1
-        assert cert.coeffs == (-3000, 0) + tuple(range(2998, 0, -1))
+        assert cert.coeffs == coeffs
 
     def test_long_core_matches_closed_form(self):
         # on [1, inf), A_j = 1 - t^2 - ... - t^j: the t^e coefficient of

@@ -6,9 +6,11 @@ or by the benchmark harness.  A function that only a unit test calls is
 surface to document, test and carry through every refactor for nothing.
 A module-level private name (``def _x``, ``class _X``, ``_X =``; dunders
 aside) must be mentioned off its definition line in ``src/``, a demo or the
-harness, so that a helper a refactor leaves behind does not stay.
+harness, so that a helper a refactor leaves behind does not stay.  Every
+name a module of the library imports must be read in that module.
 """
 
+import ast
 import pathlib
 import re
 
@@ -72,3 +74,24 @@ def test_private_name_has_a_reader(qualified):
     mention = re.compile(rf"\b{re.escape(name)}\b")
     readers = [line for line in PRIVATE_READER_LINES if mention.search(line) and not _defines(line, name)]
     assert readers, f"{qualified} is defined but nothing outside tests/ mentions it"
+
+
+def _unused_imports(path: pathlib.Path) -> list[str]:
+    """Names ``path`` imports that no ``Name`` node reads; an attribute
+    chain ``np.linalg.eig`` is read through its root ``Name``, ``np``."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - read - {"annotations"})
+
+
+def test_no_unused_imports():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py" and (names := _unused_imports(path))
+    }
+    assert not unused, f"imported but never read: {unused}"

@@ -189,7 +189,8 @@ class TestIndividualChecks:
         # P(0 -> 1) = p, which is its Parry measure only at p = 1/phi^2
         model = M.ParryModel(
             stationary=np.array([1.0, p]) / (1.0 + p),
-            steps={"0": {0: (0, 1.0 - p), 1: (0, 1.0)}, "1": {0: (1, p)}},
+            column={"0": 0, "1": 1},
+            table=[[(0, 1 - p), (1, p)], [(0, 1.0), None]],
         )
         monkeypatch.setattr(M, "parry", lambda spec: model)
         for check, tol in [(V.check_main_inequality, 1e-12), (V.check_equality_corollary, 1e-9)]:
