@@ -38,7 +38,22 @@ parent's verdicts:
 So ``_next_level`` reads the new site t and the births, and
 ``_level_witnesses`` groups only the births, the copies whose image ends
 with w, and the copies of images that failed their bound or collided a
-level before (``_Level.recheck``).
+level before (``_Level.recheck``).  Grouping every node of a level and
+bounding each of its images finds the same violations: copies collide only
+where their parents did, and were flagged, and an image of copies alone
+passes where its parents' image passed and is flagged where it failed.  So
+the checks of consecutive levels that hold few nodes run in one call
+(``sweep``), and each level after the first, built before its parents'
+flags were set, groups all its nodes.  The last level is checked but never
+extended, so it holds only the copies that its checks read.
+
+At these sizes a numpy call costs more than the work on its rows, so what
+a level reads of each pair comes from per-pass tables (``_PairTable``):
+the rows of each level in ``steps``, and the occurrences of w in a window
+of images in ``cells``, which counts several offsets of an image at a
+time.  Each column of a level is its own array: a level of _SWEEP_NODES
+nodes in one block of several int32 rows would pass the 128 KiB from which
+malloc maps memory afresh, and pay page faults for every level.
 """
 
 from __future__ import annotations
@@ -59,10 +74,20 @@ class _PairTable(NamedTuple):
     """The (v, w) pairs of one pass of the lemma sweep, an entry per pair.
 
     v, w, kv = |A|^|v| and kw = |A|^|w| have the dtype of the image codes,
-    as has pw, the powers |A|^e up to the longest image; uv and ukv are v
-    and kv for the int32 word codes, and last is v's last letter.
-    bound[p, L] bounds the nodes of pair p in level L (``_level_bounds``),
-    and comb[n, r] is C(n, r), capped far above any count.
+    as has pw, the powers |A|^e up to the longest image; v1, kv1, w1 and kw1
+    are v and w less their last letters and kv // |A| and kw // |A|, and
+    wlast is w's last letter.  uv, ukv, uv1 and ukv1 are v, kv, v1 and kv1
+    for the int32 word codes, and last is v's last letter.  steps[:, L]
+    holds what level L reads of each pair (``_next_level``): lone = |A|^t,
+    the words that v ends at t = L - |v|; bit = 1 << t; low, the failed
+    sites that a birth keeps; lo and span, the sites lo..lo + span - 1 that
+    a birth checks; and mcap, the largest |S| whose images at level L hold
+    at least |v| letters.  bound[p, L] bounds the nodes of pair p in level L
+    (``_level_bounds``), and comb[n, r] is C(n, r), capped far above any
+    count.  cells[wbase[p] + r wmod + y] counts the occurrences of pair p's
+    w at the r lowest of ``window`` offsets of the word of code y < wmod =
+    |A|^(max |w| + window - 1) (``_w_hits``); it is None when no table of
+    one offset fits in _SWEEP_NODES entries.
     """
 
     k: int
@@ -74,11 +99,23 @@ class _PairTable(NamedTuple):
     w: np.ndarray
     kv: np.ndarray
     kw: np.ndarray
+    v1: np.ndarray
+    kv1: np.ndarray
+    w1: np.ndarray
+    kw1: np.ndarray
+    wlast: np.ndarray
     uv: np.ndarray
     ukv: np.ndarray
+    uv1: np.ndarray
+    ukv1: np.ndarray
     pw: np.ndarray
+    steps: np.ndarray
     bound: np.ndarray
     comb: np.ndarray
+    window: int
+    wmod: int
+    wbase: np.ndarray
+    cells: np.ndarray | None
 
 
 class _Level(NamedTuple):
@@ -90,7 +127,8 @@ class _Level(NamedTuple):
     bits of failed[i]; recheck[i] flags a node whose image group
     ``_level_witnesses`` must group again.  Broken entry j is the
     (u, S[:step]) of code bword[j] and bits bsub[j] of pair bpair[j].  The
-    nodes from born on are the births, the ones before are copies.
+    nodes from born on are the births, the ones before are copies; the
+    last level of a sweep leaves ``skipped`` copies out (``_next_level``).
     """
 
     L: int
@@ -105,6 +143,7 @@ class _Level(NamedTuple):
     bword: np.ndarray
     bsub: np.ndarray
     born: int
+    skipped: int = 0
 
 
 def _longest_image(v, w, u_maxlen: int) -> int:
@@ -167,30 +206,73 @@ def _pair_table(pairs, u_maxlen: int, alphabet: W.Alphabet) -> _PairTable:
     k = len(alphabet.symbols)
     longest = max(_longest_image(v, w, u_maxlen) for v, w in pairs)
     dtype = np.int64 if _int64_keys(len(pairs), longest, k, u_maxlen) else object
-    nv = np.array([len(v) for v, _ in pairs], dtype=np.int32)
-    nw = np.array([len(w) for _, w in pairs], dtype=np.int32)
-    codes = [W._code(v, alphabet) for v, _ in pairs]
-    kv = [k ** len(v) for v, _ in pairs]
+    # a few numpy calls on whole tables, each op's first use in a process
+    # being dear
+    nv, nw = np.array([[len(v) for v, _ in pairs], [len(w) for _, w in pairs]])
+    shift = nw - nv
+    codes = [(W._code(v, alphabet), W._code(w, alphabet), k ** len(v), k ** len(w)) for v, w in pairs]
+    v, w, kv, kw = codes = np.array(list(zip(*codes)), dtype)
+    v1, w1, kv1, kw1 = codes // k
+    # the int32 word codes: |v| <= u_maxlen, and |A|^u_maxlen is within the
+    # budget
+    last, uv, ukv, uv1, ukv1, wlast = np.array([v % k, v, kv, v1, kv1, w % k], np.int32)
     bounds = {}  # pairs that share v share its bounds
-    for v, _ in pairs:
-        if v not in bounds:
-            bounds[v] = _level_bounds(v, alphabet, u_maxlen)
+    for x, _ in pairs:
+        if x not in bounds:
+            bounds[x] = _level_bounds(x, alphabet, u_maxlen)
+    # a birth checks the sites from lo on, those whose windows can reach t:
+    # those that overlap t, or every site when |w| < |v|
+    L = np.arange(u_maxlen + 1)[:, None]
+    t = np.maximum(L - nv, 0)
+    lo = np.where(shift < 0, 0, np.maximum(t - nv + 1, 0))
+    steps = np.array([
+        np.where(L >= nv, k**t, 0), 1 << t, (1 << lo) - 1, lo, t - lo,
+        # L + |S| (|w| - |v|) >= |v|
+        np.where(shift < 0, (L - nv) // np.maximum(-shift, 1), u_maxlen),
+    ], np.int32)
+    # the window table of the preimage count: each distinct w once, over the
+    # words of max |w| + window - 1 letters, for the most offsets that an
+    # image needs and that keep it within _SWEEP_NODES entries
+    distinct = {}
+    wid = np.array([distinct.setdefault(x, len(distinct)) for _, x in pairs], np.intp)
+    need, widest = longest - int(nw.min()) + 1, int(nw.max())
+    window = 0
+    while window < need and len(distinct) * (window + 2) * k ** (widest + window) <= _SWEEP_NODES:
+        window += 1
+    wmod, cells = k ** (widest + window - 1), None
+    if window:
+        # the last n letters of the window at each offset, for each |w| = n
+        starts = np.arange(wmod, dtype=np.int64) // np.array([k**d for d in range(window)], np.int64)[:, None]
+        ends = {n: starts % k**n for n in {len(x) for x in distinct}}
+        cells = np.zeros((len(distinct), window + 1, wmod), np.int32)
+        cells[:, 1:] = np.cumsum([ends[len(x)] == W._code(x, alphabet) for x in distinct], axis=1)
     return _PairTable(
         k=k,
         nv=nv,
         nw=nw,
-        shift=nw - nv,
-        last=np.array([x % k for x in codes], dtype=np.int32),
-        v=np.array(codes, dtype=dtype),
-        w=np.array([W._code(w, alphabet) for _, w in pairs], dtype=dtype),
-        kv=np.array(kv, dtype=dtype),
-        kw=np.array([k ** len(w) for _, w in pairs], dtype=dtype),
-        # |v| <= u_maxlen, and |A|^u_maxlen is within the budget
-        uv=np.array(codes, np.int32),
-        ukv=np.array(kv, np.int32),
+        shift=shift,
+        last=last,
+        v=v,
+        w=w,
+        kv=kv,
+        kw=kw,
+        v1=v1,
+        kv1=kv1,
+        w1=w1,
+        kw1=kw1,
+        wlast=wlast,
+        uv=uv,
+        ukv=ukv,
+        uv1=uv1,
+        ukv1=ukv1,
         pw=np.array([k**e for e in range(longest + 1)], dtype=dtype),
-        bound=np.array([bounds[v] for v, _ in pairs], np.int64),
+        steps=steps,
+        bound=np.array([bounds[x] for x, _ in pairs], np.int64),
         comb=np.array([[min(math.comb(n, r), 1 << 62) for r in range(u_maxlen + 1)] for n in range(longest + 1)]),
+        window=window,
+        wmod=wmod,
+        wbase=wid * (window + 1) * wmod,
+        cells=None if cells is None else cells.ravel(),
     )
 
 
@@ -209,45 +291,52 @@ def _ranges(counts: np.ndarray) -> tuple:
     return row, np.arange(len(row)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _failed_sites(table: _PairTable, level: _Level, nodes, lo, hi) -> np.ndarray:
-    """The failed sites, as bits, of the ``nodes`` of ``level`` among their
-    sites s, lo <= s < hi <= L - |v|, each node read at its own s only.
+def _failed_sites(table: _PairTable, L: int, nodes: tuple, row: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The failed sites, as bits, of ``nodes``, the (pair, m, word, sub,
+    img) of some nodes of level L, among the sites s[i] of their nodes
+    row[i], each node read at its own sites only.
 
     Site s of a node lies at s + (the sites of S left of s)(|w| - |v|) in its
     image: it fails if that window does not hold w (s in S, persistence) or
     v (s not in S, survival), or runs out of the image.
     """
-    L, pair, m, word, sub, img = level[:6]
-    row, s = _ranges(np.maximum(hi - lo, 0))  # the (node, s) pairs
-    s += lo[row]
-    p = pair[nodes[row]]
-    site = word[nodes[row]] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p]
+    pair, m, word, sub, img = nodes
+    p = pair[row]
+    site = word[row] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p]
     row, s, p = row[site], s[site], p[site]
     if not len(row):
-        return np.zeros(len(nodes), np.int32)
-    i = nodes[row]
-    own = (sub[i] >> s & 1).astype(bool)
-    at = s + _popcount(sub[i] & (1 << s) - 1) * table.shift[p]
-    room = L + m[i] * table.shift[p] - at - np.where(own, table.nw[p], table.nv[p])
+        return np.zeros(len(pair), np.int32)
+    bits = sub[row]
+    own = (bits >> s & 1).astype(bool)
+    at = s + _popcount(bits & (1 << s) - 1) * table.shift[p]
+    room = L + m[row] * table.shift[p] - at - np.where(own, table.nw[p], table.nv[p])
     fits = (at >= 0) & (room >= 0)
-    window = img[i] // table.pw[np.where(fits, room, 0)] % np.where(own, table.kw[p], table.kv[p])
+    window = img[row] // table.pw[np.where(fits, room, 0)] % np.where(own, table.kw[p], table.kv[p])
     bad = ~fits | (window != np.where(own, table.w[p], table.v[p]))
     # distinct bits of one node: their sum is their union
-    return np.bincount(row[bad], weights=1 << s[bad], minlength=len(nodes)).astype(np.int32)
+    return np.bincount(row[bad], weights=1 << s[bad], minlength=len(pair)).astype(np.int32)
 
 
-def _spread(k: int, old: np.ndarray, extra: np.ndarray, letters: bool = False) -> np.ndarray:
-    """``old`` once per letter c, then ``extra``; with ``letters``, the code
-    x becomes x|A| + c in the copy of letter c."""
-    out = np.concatenate([old] * k + [extra])
+def _spread(k: int, old: np.ndarray, added: list, letters: bool = False, kept=None) -> np.ndarray:
+    """The copies of ``old``, once per letter c, letter-major, then the
+    pieces ``added``; with ``letters``, the code x becomes x|A| + c in the
+    copy of letter c.  ``kept`` = (letters, parents) keeps only the copies
+    of those letters of those parents, in that order."""
+    if kept is None:
+        out = np.concatenate([old] * k + added)
+        if letters:
+            copies = out[: k * len(old)].reshape(k, len(old))
+            copies *= k
+            copies += np.arange(k, dtype=np.int32)[:, None]
+        return out
+    copies = old[kept[1]]
     if letters:
-        copies = out[: k * len(old)].reshape(k, len(old))
         copies *= k
-        copies += np.arange(k, dtype=np.int8)[:, None]
-    return out
+        copies += kept[0]
+    return np.concatenate([copies] + added)
 
 
-def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray) -> _Level:
+def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray, inj=None) -> _Level:
     """Level L + 1 of the lemma sweep of ``pairs`` from their level L.
 
     Level L + 1 starts with the copies of level L, one per letter c,
@@ -258,68 +347,84 @@ def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray) -> _Level:
     when that image ends with v.  If it does not, t fails for S and S + {t}
     is broken; if it does, the birth S + {t} joins with that v spliced to w,
     image x // |A|^|v| |A|^|w| + code(w).  Then the birth {t} joins in every
-    word that v ends.  Only the sites whose windows can reach t are checked
-    on a birth: those that overlap t, or every site when |w| < |v|.  Births
-    follow the copies, new broken entries the old ones, largest S first; the
-    level is written once, into arrays of its size.
+    word that v ends.  A birth checks only the sites whose windows can reach
+    t, and no birth checks a site where no pair of the pass has one.
+    Births follow the copies, new broken entries the old ones, largest S
+    first; each column is written once, its copies and births in one call.
+
+    A last level is checked but not extended.  Given ``inj``, the pairs'
+    injectivity flags, it keeps only the copies that ``_level_witnesses``
+    reads: those with failed sites, and of the pairs that check
+    injectivity, the flagged copies and those whose image ends with w, read
+    off the parents; ``skipped`` counts the others.
     """
     k, dtype = table.k, table.pw.dtype
-    nv, shift, last = table.nv, table.shift, table.last
-    L, pair, m, word, sub, img, failed, recheck, bpair, bword, bsub, _ = level
+    L, pair, m, word, sub, img, failed, recheck, bpair, bword, bsub, _, _ = level
     L += 1
+    n = len(word)
+    lone, bit, low, lo, span, mcap = table.steps[:, L]
     # the nodes that v's last letter extends to a word that v ends, at
     # t = L - |v|: u ends with v less that letter; and whether their images
     # end with it too, so that image x|A| + last ends with v
-    head = np.where(L >= nv, table.uv // k, -1)
-    at = np.flatnonzero(word % (table.ukv // k)[pair] == head[pair])
+    at = np.flatnonzero(word % table.ukv1[pair] == table.uv1[pair])
     p = pair[at]
-    kv1 = (table.kv // k)[p]  # |A|^(|v| - 1)
-    ends = (L + m[at] * shift[p] >= nv[p]) & (img[at] % kv1 == (table.v // k)[p])
+    ends = (m[at] <= mcap[p]) & (img[at] % table.kv1[p] == table.v1[p])
+    # the nodes where t fails: S + {t} is broken, and t fails in their copies
+    # of v's last letter
+    lost, lq = at[~ends], p[~ends]
+    if len(lost) > 1:
+        order = np.argsort(-m[lost], kind="stable")
+        lost, lq = lost[order], lq[order]
+    kept = at_copy = None
+    if inj is not None:
+        check = inj[pair]
+        keep = np.zeros((k, n), bool)
+        keep[:] = (failed != 0) | check & recheck
+        ew = np.flatnonzero(check & (img % table.kw1[pair] == table.w1[pair]))
+        keep[table.wlast[pair[ew]], ew] = True
+        keep[table.last[lq], lost] = True
+        at_copy = np.flatnonzero(keep)
+        kept = np.divmod(at_copy, n)
     # S + {t}, with that v spliced to w, then {t} in each of the |A|^t
     # words that v ends: word j |A|^|v| + code(v)
     grow, gp = at[ends], p[ends]
-    count = np.where(L >= nv[pairs], k ** np.maximum(L - nv[pairs], 0), 0)
-    lone, j = _ranges(count)
-    lone, j = pairs[lone], j.astype(np.int32)
-    new = np.concatenate([gp, lone])
-    t, zeros = (L - nv)[new], np.zeros(len(lone), np.int32)
-    extra = (
-        new,
-        np.concatenate([m[grow] + 1, np.ones(len(lone), np.int8)]),
-        np.concatenate([word[grow] * k + last[gp], j * table.ukv[lone] + table.uv[lone]]),
-        np.concatenate([sub[grow], zeros]) | 1 << t,
-        np.concatenate([img[grow] // kv1[ends], j.astype(dtype)]) * table.kw[new] + table.w[new],
+    lp, j = _ranges(lone[pairs])
+    lp, j = pairs[lp], j.astype(np.int32)
+    new = np.concatenate([gp, lp])
+    born = np.concatenate([img[grow] // table.kv1[gp], j.astype(dtype)]) * table.kw[new] + table.w[new]
+    copies = k * n if kept is None else len(kept[0])
+    level = _Level(
+        L,
+        _spread(k, pair, [new], kept=kept),
+        _spread(k, m, [m[grow] + 1, np.ones(len(lp), np.int8)], kept=kept),
+        _spread(k, word, [word[grow] * k + table.last[gp], j * table.ukv[lp] + table.uv[lp]], True, kept),
+        _spread(k, sub, [sub[grow] | bit[gp], bit[lp]], kept=kept),
+        _spread(k, img, [born], True, kept),
+        _spread(k, failed, [failed[grow] & low[gp], np.zeros(len(lp), np.int32)], kept=kept),
+        _spread(k, recheck, [np.zeros(len(new), bool)], kept=kept),
+        bpair, bword, bsub, copies, k * n - copies,
     )
-    # only the sites whose windows can reach t are checked on a birth: those
-    # that overlap t, or every site when |w| < |v|
-    lo = np.where(shift >= 0, np.maximum(L - 2 * nv + 1, 0), 0)[new]
-    kept = np.concatenate([failed[grow], zeros]) & (1 << lo) - 1
-    old = k * len(word)
-    level = _Level(L, *(
-        _spread(k, column, added, letters)
-        for column, added, letters in zip(level[1:6], extra, (False, False, True, False, True))
-    ), _spread(k, failed, kept), _spread(k, recheck, np.zeros(len(new), bool)), bpair, bword, bsub, old)
-    del extra  # freed before the site checks
-    level.failed[old:] |= _failed_sites(table, level, np.arange(old, len(level.word)), lo, t)
+
+    def place(q):  # where the copies of letter c of parents i, q = c n + i, are
+        return q if at_copy is None else np.searchsorted(at_copy, q)
+
+    if span[pairs].any():
+        row, s = _ranges(span[new])
+        level.failed[copies:] |= _failed_sites(table, L, tuple(x[copies:] for x in level[1:6]), row,
+                                               s + lo[new[row]])
     # with |w| < |v|, a copy's window that ran out of its parent's image
     # failed there and may fit in the copy's
-    again = np.flatnonzero((failed != 0) & (shift[pair] < 0)) if failed.any() else ()
+    again = np.flatnonzero((failed != 0) & (table.shift[pair] < 0)) if failed.any() else ()
     if len(again):
-        again = (again + len(word) * np.arange(k)[:, None]).ravel()
-        level.failed[again] = _failed_sites(table, level, again, np.zeros_like(again), L - nv[level.pair[again]])
-    # the nodes where t fails: S + {t} is broken, and t fails in their copies
-    # of v's last letter
-    lost, lp = at[~ends], p[~ends]
+        again = place((again + n * np.arange(k)[:, None]).ravel())
+        row, s = _ranges(L - table.nv[level.pair[again]])
+        level.failed[again] = _failed_sites(table, L, tuple(x[again] for x in level[1:6]), row, s)
     if len(lost) or len(bpair):
-        if len(lost) > 1:
-            order = np.argsort(-m[lost], kind="stable")
-            lost, lp = lost[order], lp[order]
-        bit = 1 << L - nv[lp]
-        level.failed[last[lp] * len(word) + lost] |= bit
+        level.failed[place(table.last[lq] * n + lost)] |= bit[lq]
         level = level._replace(
-            bpair=_spread(k, bpair, lp),
-            bword=_spread(k, bword, word[lost] * k + last[lp], letters=True),
-            bsub=_spread(k, bsub, sub[lost] | bit),
+            bpair=_spread(k, bpair, [lq]),
+            bword=_spread(k, bword, [word[lost] * k + table.last[lq]], True),
+            bsub=_spread(k, bsub, [sub[lost] | bit[lq]]),
         )
     return level
 
@@ -333,9 +438,10 @@ def _select(level: _Level, pairs, n_pairs: int) -> _Level:
                   int(np.count_nonzero(keep[: level.born])))
 
 
-def _sweep_levels(table: _PairTable, u_maxlen: int):
+def _sweep_levels(table: _PairTable, u_maxlen: int, inj=None):
     """Yield the ``_Level`` of each word length L = 1..u_maxlen, for each pair
-    in increasing L.
+    in increasing L; with ``inj``, the last level holds only the copies that
+    ``_level_witnesses`` reads (``_next_level``).
 
     The pairs start in one pass.  Where a pass's next level would hold more
     than _SWEEP_NODES nodes by ``table.bound``, it splits into passes of
@@ -362,52 +468,92 @@ def _sweep_levels(table: _PairTable, u_maxlen: int):
                         total = size
                 passes += [(np.array(part), _select(level, part, n)) for part in reversed(parts)]
                 break
-            level = _next_level(table, level, group)
+            level = _next_level(table, level, group, inj if level.L + 1 == u_maxlen else None)
             yield level
 
 
-def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet, u_maxlen: int):
-    """Yield (pair, witness) for each violation of ``level``: by pair, word,
-    then broken, failed, injectivity; the preimage ones come last, by size
-    and then first node.
+def _w_hits(table: _PairTable, x: np.ndarray, p: np.ndarray, room: np.ndarray) -> np.ndarray:
+    """The occurrences of pair p's w in the image of code x, at the offsets
+    0..room from its end: ``table.window`` offsets a step off the window
+    table, or one a step where the pass has none."""
+    hits = np.zeros(len(x), np.int64)
+    step = max(table.window, 1)
+    chunks = (int(room.max(initial=-1)) + step) // step
+    if table.cells is None:
+        for o in range(chunks):
+            hits += (x % table.kw[p] == table.w[p]) & (room >= o)
+            x = x // table.k
+        return hits
+    # each chunk's cell less its window's code: the row of r = the offsets
+    # left in the image, at most ``window``
+    rows = room + 1 - step * np.arange(chunks)[:, None]
+    base = table.wbase[p] + np.minimum(np.maximum(rows, 0), step) * table.wmod
+    for c in range(chunks):
+        hits += table.cells[base[c] + (x % table.wmod).astype(np.intp, copy=False)]
+        x = x // table.pw[step]
+    return hits
+
+
+def _level_witnesses(table: _PairTable, inj, levels: list, alphabet: W.Alphabet, u_maxlen: int):
+    """Yield (pair, witness) for each violation of ``levels``, consecutive
+    levels of one pass: level by level, by pair, word, then broken, failed,
+    injectivity; the preimage ones end their level, by size and then first
+    node.
 
     ``_next_level`` keeps a pair's nodes of one size and word in colex order
     on S, and its broken entries of one word by last site, then largest S
     first; each kind follows that order, and names an equal image by its
-    first node.  Only the nodes whose images a birth or a flag makes new are
-    grouped (module notes); then ``level.recheck`` flags the nodes of each
+    first node.  The first level groups only the nodes whose images a birth
+    or a flag makes new (module notes); a later one was built before its
+    parent's flags were set, and groups all its nodes, which finds the same
+    violations.  Then ``recheck`` of the last level flags the nodes of each
     image that fails its bound or has a collision, for the next level's
     copies.
     """
-    k, L, old = table.k, level.L, level.born
-    pair, m, word, sub, img, failed, recheck = level[1:8]
+    # the nodes before old are the first level's copies; every later one is
+    # a birth or a node of a later level, and new
+    k, top, old, many = table.k, levels[-1].L, levels[0].born, len(levels) > 1
+    columns = (lv[1:11] for lv in levels)
+    pair, m, word, sub, img, failed, recheck, bpair, bword, bsub = (
+        map(np.concatenate, zip(*columns)) if many else next(columns))
+    depth = np.repeat(np.arange(len(levels)), [len(lv.pair) for lv in levels])  # each node's level
+    lengths = np.array([lv.L for lv in levels])
 
     def sites(bits: int) -> list:
         return [s for s in range(bits.bit_length()) if bits >> s & 1]
 
-    # the births, the copies that a birth can join and the flagged copies:
-    # one sort of their packed keys (pair, m, image, u) brings equal images
-    # of one size together, and each run of equal keys is a collision of one
-    # u, named by its first node
+    # the new nodes, the copies that a birth can join and the flagged
+    # copies: one sort of their packed keys (level, pair, m, image, u) brings
+    # equal images of one size together, and each run of equal keys is a
+    # collision of one u, named by its first node
     keep, p = inj[pair], pair[:old]
     keep[:old] &= recheck[:old] | (img[:old] % table.kw[p] == table.w[p])
     node = np.flatnonzero(keep)
-    key = pair[node].astype(table.pw.dtype)
-    for radix, low in ((u_maxlen + 1, m), (table.pw[-1], img), (k**L, word)):
+    key = (depth[node] * len(table.nv) + pair[node] if many else pair[node]).astype(table.pw.dtype)
+    for radix, low in ((u_maxlen + 1, m), (table.pw[-1], img), (k**top, word)):
         key *= radix
         key += low[node]
-    order = np.argsort(key)
-    key, node = key[order], node[order]
+    # on int64 keys with room to spare, the node rides in the low bits
+    spare = len(pair).bit_length()
+    if key.dtype == np.int64 and _key_bound(table, u_maxlen, len(levels), top) << spare < 1 << 63:
+        key <<= spare
+        key |= node
+        key.sort()
+        node = key & (1 << spare) - 1
+        key >>= spare
+    else:
+        order = np.argsort(key)
+        key, node = key[order], node[order]
     start = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1])))
     twin = first = np.zeros(0, np.int64)
     if len(start) < len(key):
         first = np.repeat(np.minimum.reduceat(node, start), np.diff(start, append=len(key)))
         twin = np.flatnonzero(node != first)
     # preimage: the images of one size, their counts and first nodes, where a
-    # birth or a flag makes them new; an image met once passes when
+    # new node or a flag makes them new; an image met once passes when
     # |w| >= |v| and its node has no failed site, as that node holds w at the
     # m places of its sites.  No flag is set when no node is grouped
-    key //= k**L
+    key //= k**top
     edge = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
     start, count = edge[:-1], np.diff(edge)
     bad = np.zeros(0, np.int64)
@@ -419,14 +565,9 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
         suspect = np.flatnonzero(suspect)
         count, lead = count[suspect], lead[suspect]
         p = pair[lead]
-        size = L + m[lead] * table.shift[p]
-        # the overlapping occurrences of w, read from the image's last letters on
-        room, x, kw, w = size - table.nw[p], img[lead], table.kw[p], table.w[p]
-        hits = np.zeros(len(lead), np.int64)
-        for o in range(int(room.max(initial=-1)) + 1):
-            hits += (x % kw == w) & (room >= o)
-            x = x // k
-        bound = table.comb[hits, m[lead]]
+        size = lengths[depth[lead]] + m[lead] * table.shift[p]
+        # the overlapping occurrences of w in the image
+        bound = table.comb[_w_hits(table, img[lead], p, size - table.nw[p]), m[lead]]
         bad = np.flatnonzero(count > bound)
         if len(bad) or len(twin):
             group = np.repeat(np.arange(len(start)), np.diff(edge))
@@ -434,32 +575,48 @@ def _level_witnesses(table: _PairTable, inj, level: _Level, alphabet: W.Alphabet
             flag[suspect[bad]] = True
             flag[group[twin]] = True
             recheck[node[flag[group]]] = True
+    if many:
+        levels[-1].recheck[:] = recheck[len(pair) - len(levels[-1].pair):]
     twin, first = node[twin], first[twin]
-    # rows (pair, word, kind, m, node, other): broken entries, failed sites
-    # (other = the site), injectivity (other = the first node)
+    # rows (level, pair, word, kind, m, node, other): broken entries, failed
+    # sites (other = the site), injectivity (other = the first node)
     rows = []
-    for s in range(L if failed.any() else 0):
+    for s in range(top if failed.any() else 0):
         hit = np.flatnonzero(failed >> s & 1)
-        rows.append((pair[hit], word[hit], np.ones_like(hit), m[hit], hit, np.full_like(hit, s)))
+        rows.append((depth[hit], pair[hit], word[hit], np.ones_like(hit), m[hit], hit, np.full_like(hit, s)))
     if len(twin):
-        rows.append((pair[twin], word[twin], np.full_like(twin, 2), m[twin], twin, first))
-    if len(level.bpair):
-        none = np.zeros(len(level.bpair), np.int64)
-        rows.append((level.bpair, level.bword, none, none, np.arange(len(none)), none))
-    rows = np.concatenate([np.stack(r) for r in rows], axis=1) if rows else np.zeros((6, 0), np.int64)
-    for p, j, kind, _, i, other in rows[:, np.lexsort(rows[::-1])].T.tolist() if len(rows[0]) else ():
-        u = W._spell(j, L, alphabet)
+        rows.append((depth[twin], pair[twin], word[twin], np.full_like(twin, 2), m[twin], twin, first))
+    if len(bpair):
+        none = np.zeros(len(bpair), np.int64)
+        rows.append((np.repeat(np.arange(len(levels)), [len(lv.bpair) for lv in levels]), bpair, bword, none, none,
+                     np.arange(len(none)), none))
+    found = [[] for _ in levels]  # each level's witnesses, in order
+    rows = np.concatenate([np.stack(r) for r in rows], axis=1) if rows else np.zeros((7, 0), np.int64)
+    for g, p, j, kind, _, i, other in rows[:, np.lexsort(rows[::-1])].T.tolist() if len(rows[0]) else ():
+        u = W._spell(j, int(lengths[g]), alphabet)
         if kind == 0:
-            yield p, {"lemma": "broken-step", "u": u, "S": sites(int(level.bsub[i]))}
+            witness = {"lemma": "broken-step", "u": u, "S": sites(int(bsub[i]))}
         elif kind == 1:
             lemma = "persistence" if sub[i] >> other & 1 else "survival"
-            yield p, {"lemma": lemma, "u": u, "S": sites(int(sub[i])), "m": other}
+            witness = {"lemma": lemma, "u": u, "S": sites(int(sub[i])), "m": other}
         else:
-            yield p, {"lemma": "injectivity", "u": u, "S": sites(int(sub[i])), "S'": sites(int(sub[other]))}
-    for i in bad[np.lexsort((lead[bad], m[lead[bad]], pair[lead[bad]]))].tolist() if len(bad) else ():
-        n = lead[i]
-        yield int(pair[n]), {"lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
-                             "count": int(count[i]), "bound": int(bound[i])}
+            witness = {"lemma": "injectivity", "u": u, "S": sites(int(sub[i])), "S'": sites(int(sub[other]))}
+        found[g].append((p, witness))
+    if len(bad):
+        ahead = lead[bad]
+        for i in bad[np.lexsort((ahead, m[ahead], pair[ahead], depth[ahead]))].tolist():
+            n = lead[i]
+            found[depth[n]].append((int(pair[n]), {
+                "lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
+                "count": int(count[i]), "bound": int(bound[i])}))
+    for witnesses in found:
+        yield from witnesses
+
+
+def _key_bound(table: _PairTable, u_maxlen: int, levels: int, top: int) -> int:
+    """A bound on the packed keys (level, pair, m, image, u) of ``levels``
+    levels up to level ``top`` (``_level_witnesses``)."""
+    return levels * len(table.nv) * (u_maxlen + 1) * int(table.pw[-1]) * table.k**top
 
 
 def sweep(pairs, u_maxlen: int, alphabet: W.Alphabet) -> tuple[list, int]:
@@ -481,9 +638,20 @@ def sweep(pairs, u_maxlen: int, alphabet: W.Alphabet) -> tuple[list, int]:
         ids = [live[i] for i in batch]
         table = _pair_table([pairs[i][:2] for i in ids], u_maxlen, alphabet)
         inj = np.array([pairs[i][2] for i in ids], dtype=bool)
-        for level in _sweep_levels(table, u_maxlen):
-            visited += len(level.pair) + len(level.bpair)
-            for p, witness in _level_witnesses(table, inj, level, alphabet, u_maxlen):
-                found[ids[p]].append(witness)
+        # a level's checks wait for the next level's while the levels hold at
+        # most _SWEEP_NODES nodes by the bound and their packed keys fit; the
+        # last level keeps only the copies that its parents' flags and failed
+        # sites name, so its parents are checked before it is built
+        bound, pending, held = table.bound.sum(axis=0), [], 0
+        for level in _sweep_levels(table, u_maxlen, inj):
+            visited += len(level.pair) + level.skipped + len(level.bpair)
+            pending.append(level)
+            held += len(level.pair) + len(level.bpair)
+            L = level.L + 1
+            if L >= u_maxlen or held + bound[L] > _SWEEP_NODES or (
+                    table.pw.dtype != object and _key_bound(table, u_maxlen, len(pending) + 1, L) > 1 << 62):
+                for p, witness in _level_witnesses(table, inj, pending, alphabet, u_maxlen):
+                    found[ids[p]].append(witness)
+                pending, held = [], 0
             del level  # before the next level is built
     return found, visited

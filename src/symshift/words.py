@@ -269,7 +269,7 @@ def _check_sweep(k: int, shortest: int, max_len: int, field: str) -> None:
     elif max_len >= max(shortest, budget.bit_length()):
         total = budget + 1  # k^max_len alone is over
     else:
-        total = sum(k**L for L in range(shortest, max_len + 1))
+        total = (k ** (max_len + 1) - k**shortest) // (k - 1)
     if total > budget:
         raise ResourceLimitError(
             f"a sweep up to {field} exceeds the budget of {budget} words; lower {field}"
@@ -293,10 +293,11 @@ def _code(word, alphabet: Alphabet) -> int:
 
 def _spell(code: int, length: int, alphabet: Alphabet):
     """The word of the given length whose base-|A| code is ``code``."""
-    letters = []
+    symbols, letters = alphabet.symbols, []
+    k = len(symbols)
     for _ in range(length):
-        code, d = divmod(code, len(alphabet.symbols))
-        letters.append(alphabet.symbols[d])
+        code, d = divmod(code, k)
+        letters.append(symbols[d])
     letters.reverse()
     return "".join(letters) if alphabet.single_char else tuple(letters)
 
@@ -337,7 +338,8 @@ def transition_oracle(
     witness, is the same as when every site pair is tested.  So at each
     length a pair looks only at the words that start with v or w and end
     with v, and at u = w: ``_anchored_sweep`` builds the first as base-|A|
-    codes and reads the four conditions off digit windows.
+    codes, many lengths in one array pass, and reads the four conditions
+    off digit windows.
 
     Independent oracle for respects_transition_exact.  Each pair is
     validated before any word is swept: v and w must be distinct nonempty
@@ -345,23 +347,27 @@ def transition_oracle(
     the sum of |A|^L over its lengths, within the budget.
     """
     k = len(alphabet.symbols)
+    words, sweeps = set(), set()  # checked already
+    narrow, wide = [], []
     for (v, w), max_len in pairs.items():
-        if len(v) == 0 or len(w) == 0:
+        nv, nw = len(v), len(w)
+        if nv == 0 or nw == 0:
             raise InvalidWordError("words must be nonempty")
         if v == w:
             raise InvalidWordError("the two words must differ")
-        if max_len < len(v):
+        if max_len < nv:
             raise InvalidWordError("max_len must be at least |v|")
-        _check_over(v, alphabet)
-        _check_over(w, alphabet)
-        _check_sweep(k, len(v), max_len, "max_len")
+        for x in (v, w):
+            if x not in words:
+                _check_over(x, alphabet)
+                words.add(x)
+        if (nv, max_len) not in sweeps:
+            _check_sweep(k, nv, max_len, "max_len")
+            sweeps.add((nv, max_len))
+        # the longest spliced word has max_len + max(|w| - |v|, 0) letters;
+        # pairs whose codes pass 62 bits run on Python ints in object arrays
+        (narrow if k ** (max_len + max(nw - nv, 0)) <= 1 << 62 else wide).append((v, w, max_len))
     results = {pair: (True, None) for pair in pairs}
-    # the longest spliced word has max_len + max(|w| - |v|, 0) letters; pairs
-    # whose codes pass 62 bits run on Python ints in object arrays
-    narrow, wide = [], []
-    for (v, w), max_len in pairs.items():
-        fits = k ** (max_len + max(len(w) - len(v), 0)) <= 1 << 62
-        (narrow if fits else wide).append((v, w, max_len))
     for group, dtype in ((narrow, np.int64), (wide, object)):
         if group:
             results.update(_anchored_sweep(group, alphabet, dtype))
@@ -376,16 +382,23 @@ def _anchored_sweep(group, alphabet: Alphabet, dtype) -> dict:
     any x, and v at t = L - |v|; where h and that v overlap they must agree,
     and u is their union.  A head whose words the other head's cover is
     dropped (v if v starts with w, w if w starts with v), so no word is a
-    row twice; u = w is left to ``_check_conditions``.  Rows go by pair,
-    head and x, so by code within a head, in blocks of _ORACLE_ROWS; a
-    pair's witness is its least failing word at the first length that has
-    one.
+    row twice; u = w is left to ``_check_conditions``.
+
+    The lengths run in two phases: first every length up to 2 max |v| for
+    every pair, where most failing pairs fail, then the longer lengths for
+    the pairs that are still live.  A phase's rows go by length, head and
+    x, so by code within a (length, head) entry, in blocks of _ORACLE_ROWS
+    over all its lengths; each entry keeps its least failing row of a
+    block.  One sort of those rows by pair, length and code gives each
+    pair's first failure, the least failing word at the first length that
+    has one; the word u = w is checked on the pairs still live at |w|, and
+    at that length the lesser code wins.
     """
     k = len(alphabet.symbols)
     nv = np.array([len(v) for v, _, _ in group])
     nw = np.array([len(w) for _, w, _ in group])
     top = np.array([max_len for _, _, max_len in group])
-    codes = {x: _code(x, alphabet) for v, w, _ in group for x in (v, w)}
+    codes = {x: _code(x, alphabet) for x in {x for v, w, _ in group for x in (v, w)}}
     cv = np.array([codes[v] for v, _, _ in group], dtype)
     cw = np.array([codes[w] for _, w, _ in group], dtype)
     pw = np.array([k**e for e in range(int(np.max(top + np.maximum(nw - nv, 0))) + 1)], dtype)
@@ -393,13 +406,14 @@ def _anchored_sweep(group, alphabet: Alphabet, dtype) -> dict:
     hp = np.array([p for p, _ in heads])
     hn = np.array([len(h) for _, h in heads])
     hc = np.array([codes[h] for _, h in heads], dtype)
-    ok = np.ones(len(group), bool)
+    live = np.ones(len(group), bool)
     found = {}
-    for L in range(1, int(top.max()) + 1):
-        live = ok & (nv <= L) & (L <= top)
-        if not live.any():
-            continue
-        h = np.flatnonzero(live[hp] & (nv[hp] < L) & (hn <= L))
+    split = min(2 * int(nv.max()), int(top.max()))
+    for first, last in ((1, split), (split + 1, int(top.max()))):
+        # the (length, head) entries of the live pairs, by length, then head
+        lengths = np.arange(first, last + 1)[:, None]
+        L, h = np.nonzero(live[hp] & (nv[hp] < lengths) & (hn <= lengths) & (lengths <= top[hp]))
+        L += first
         q = hp[h]
         # the letters of x, or minus the letters that h shares with the v at t
         gap = L - nv[q] - hn[h]
@@ -407,47 +421,61 @@ def _anchored_sweep(group, alphabet: Alphabet, dtype) -> dict:
         count = np.where(hc[h] % pw[over] == cv[q] // pw[nv[q] - over], k ** np.maximum(gap, 0), 0)
         ends = np.cumsum(count)
         total = int(ends[-1]) if len(ends) else 0
-        best = {}  # pair -> (code of u, condition or witness) of its first failure
+        # what a row reads of its entry: the flags and the powers of |A| at
+        # t = L - |v| and around the v at t and the w at 0 or L - |w|; one
+        # array each, as a block of rows would pass the size that malloc
+        # maps afresh on every call
+        t, shift = L - nv[q], nw[q] - nv[q]
+        kv, cvq, cwq, pwt = pw[nv[q]], cv[q], cw[q], pw[t]
+        of_entry = (q, ends - count, nw[q] <= L, t + shift <= 0, t + shift < 0, L == nw[q], L,
+                    hc[h] * pw[np.maximum(gap, 0)], pw[over], kv, cvq, cwq, pwt, cwq * pwt,
+                    pw[np.maximum(L - nw[q], 0)], pw[nw[q]], pw[np.maximum(t + shift, 0)])
+        fail = []  # (pair, length, code of u, condition) of each entry's least failing row in a block
         for start in range(0, total, _ORACLE_ROWS):
             row = np.arange(start, min(start + _ORACLE_ROWS, total))
             r = np.searchsorted(ends, row, side="right")
-            p = hp[h[r]]
-            x = row - (ends - count)[r]
-            t, kv, shift = L - nv[p], pw[nv[p]], nw[p] - nv[p]
-            u = (hc[h[r]] * pw[np.maximum(gap[r], 0)] + x) // pw[over[r]] * kv + cv[p]
-            v_head = u // pw[t] == cv[p]
-            w_head = (nw[p] <= L) & (u // pw[np.maximum(L - nw[p], 0)] == cw[p])
+            (p, base, w_fits, iv, ii, at_w, n, head, po, kv, cvp, cwp, pwt, cwt, pwh, pww,
+             pws) = (x[r] for x in of_entry)
+            u = (head + (row - base)) // po * kv + cvp
+            v_head = u // pwt == cvp
+            w_head = w_fits & (u // pwh == cwp)
             # (0, t): w spliced in at 0, w + u[|v|:], must leave the v at t
             # right of it (iv) and a v (i); (t, 0): w spliced in at t,
             # u[:t] + w, must leave the v (ii) or w (iii) at 0
-            up = u // kv * pw[nw[p]] + cw[p]
+            up = u // kv * pww + cwp
             fails = np.stack([
-                v_head & (t + shift <= 0),
-                v_head & ((cw[p] * pw[t] + u % pw[t]) % kv != cv[p]),
-                v_head & ((t + shift < 0) | (up // pw[np.maximum(t + shift, 0)] != cv[p])),
-                w_head & (up // pw[t] != cw[p]),
+                v_head & iv,
+                v_head & ((cwt + u % pwt) % kv != cvp),
+                v_head & (ii | (up // pws != cvp)),
+                w_head & (up // pwt != cwp),
             ])
-            bad = np.flatnonzero(fails.any(0) & ((L != nw[p]) | (u != cw[p])))
-            # a head's codes grow with x, so its first failing row is its least
+            bad = np.flatnonzero(fails.any(0) & (~at_w | (u != cwp)))
+            # an entry's codes grow with x, so its first failing row is its least
             bad = bad[np.diff(r[bad], prepend=-1) != 0]
-            for pair, code, cond in zip(p[bad].tolist(), u[bad].tolist(), fails[:, bad].argmax(0).tolist()):
-                if pair not in best or code < best[pair][0]:
-                    best[pair] = (code, cond)
-        for pair in np.flatnonzero(live & (nw == L)).tolist():
-            # u = w: every site pair with min(i, j) = 0
+            fail.append((p[bad], n[bad], u[bad], fails[:, bad].argmax(0)))
+        best = {}  # pair -> (length, code of u, condition or witness) of its first failure
+        if fail:
+            p, n, u, cond = (np.concatenate(x) for x in zip(*fail))
+            order = np.lexsort((u, n, p))
+            order = order[np.diff(p[order], prepend=-1) != 0]
+            best = dict(zip(p[order].tolist(), zip(n[order].tolist(), u[order].tolist(), cond[order].tolist())))
+        for pair in np.flatnonzero(live & (nv <= nw) & (nw <= top) & (first <= nw) & (nw <= last)).tolist():
+            # u = w, on a pair live at |w|: every site pair with min(i, j) = 0
             v, w, _ = group[pair]
+            if best.get(pair, (len(w),))[0] < len(w):
+                continue
             occ_v, head_v = occurrences(w, v), (0,) if w[: len(v)] == v else ()
             for site in occ_v:
                 witness = _check_conditions(w, v, w, site, *((occ_v, ()) if site == 0 else (head_v, (0,))))
                 if witness is not None:
-                    if pair not in best or codes[w] < best[pair][0]:
-                        best[pair] = (codes[w], witness)
+                    if best.get(pair, (len(w), codes[w]))[:2] >= (len(w), codes[w]):
+                        best[pair] = (len(w), codes[w], witness)
                     break
-        for pair, (code, why) in best.items():
+        for pair, (n, code, why) in best.items():
             if isinstance(why, int):
-                t = L - len(group[pair][0])
-                why = TransitionWitness(_CONDITIONS[why], _spell(code, L, alphabet), *((0, t) if why < 2 else (t, 0)))
-            ok[pair] = False
+                t = n - len(group[pair][0])
+                why = TransitionWitness(_CONDITIONS[why], _spell(code, n, alphabet), *((0, t) if why < 2 else (t, 0)))
+            live[pair] = False
             found[group[pair][:2]] = (False, why)
     return found
 

@@ -1033,6 +1033,7 @@ class TestReplacementWalk:
 
 
 TUPLES = W.Alphabet(("x0", "x1"))
+ONE_LETTER = W.Alphabet(("a",))
 V4_PAIRS = [
     (v, w)
     for v in W.BINARY.words(4)
@@ -1049,8 +1050,10 @@ class TestSweepMatchesReference:
             (W.Alphabet(("a", "b", "c")), _pairs(W.Alphabet(("a", "b", "c")), 2), 5, 7728),
             (TUPLES, _pairs(TUPLES, 2), 6, 4584),
             (W.BINARY, V4_PAIRS, 8, 7469),
+            # every code is 0 and every power of |A| is 1
+            (ONE_LETTER, _pairs(ONE_LETTER, 3), 9, 3862),
         ],
-        ids=["binary-3-at-7", "abc-2-at-5", "tuples-2-at-6", "v4-at-8"],
+        ids=["binary-3-at-7", "abc-2-at-5", "tuples-2-at-6", "v4-at-8", "one-letter-3-at-9"],
     )
     def test_same_violations_as_reference(self, alphabet, pairs, u_maxlen, violations):
         # both injectivity modes, so every failure path runs; only the order
@@ -1100,6 +1103,15 @@ class TestSweepMatchesReference:
         total = sum(_sweep(_reference_sweep, v, w, 8, W.BINARY, inj)[0] for v, w in pairs for inj in (True, False))
         self.test_same_violations_as_reference(W.BINARY, pairs, 8, total)
         assert total == 5661
+
+    def test_long_w_counts_without_a_window_table(self):
+        # no table of one window offset fits a 14-letter w, so the preimage
+        # bound counts its occurrences one offset at a time, here on Python
+        # ints
+        pairs = [("0", "1" * 14), ("1", "0" * 14)]
+        assert all(LS._pair_table([pair], 4, W.BINARY).cells is None for pair in pairs)
+        total = sum(_sweep(_reference_sweep, v, w, 4, W.BINARY, inj)[0] for v, w in pairs for inj in (True, False))
+        self.test_same_violations_as_reference(W.BINARY, pairs, 4, total)
 
 
 class TestSweepPasses:

@@ -313,10 +313,11 @@ class TestTransitionOracle:
 
     @pytest.mark.parametrize(
         "alphabet, v_maxlen",
-        [(W.BINARY, 4), (W.Alphabet(("a", "b", "c")), 2), (W.Alphabet(("x0", "x1", "y")), 2)],
+        [(W.BINARY, 4), (W.Alphabet(("a", "b", "c")), 2), (W.Alphabet(("x0", "x1", "y")), 2), (W.Alphabet(("a",)), 4)],
     )
     def test_matches_anchored_reference(self, alphabet, v_maxlen):
-        # result for result, in the order of the pairs, witnesses included
+        # result for result, in the order of the pairs, witnesses included;
+        # over one letter every code is 0 and every power of |A| is 1
         pairs = _all_pairs(alphabet, v_maxlen)
         batch = W.transition_oracle(pairs, alphabet)
         assert list(batch.items()) == list(_anchored_reference(pairs, alphabet).items())
@@ -329,6 +330,26 @@ class TestTransitionOracle:
         pairs = _all_pairs(W.BINARY, 3)
         monkeypatch.setattr(W, "_ORACLE_ROWS", 5)
         assert W.transition_oracle(pairs) == _anchored_reference(pairs, W.BINARY)
+
+    @pytest.mark.parametrize("rows", [W._ORACLE_ROWS, 5])
+    def test_phase_boundary_matches_anchored_reference(self, monkeypatch, rows):
+        # the lengths run in two phases, up to 2 max |v| and then on: with
+        # |v| <= 1 the first failures fall at 2 and 3, with |v| <= 2 at 4 and
+        # 5, the last length of the first phase and the first of the second.
+        # At |w| = 3 both u = w and an anchored word fail, and the lesser
+        # code wins: the anchored 000 for (00, 100), u = 011 for (11, 011)
+        monkeypatch.setattr(W, "_ORACLE_ROWS", rows)
+        batches = [
+            ({("0", "10"): 5, ("0", "001"): 5, ("1", "01"): 5, ("1", "0"): 5}, {2, 3}),
+            ({("01", "100"): 9, ("01", "1000"): 10, ("00", "01100"): 11, ("00", "100"): 9, ("11", "011"): 9},
+             {3, 4, 5}),
+        ]
+        for pairs, lengths in batches:
+            batch = W.transition_oracle(pairs)
+            assert list(batch.items()) == list(_anchored_reference(pairs, W.BINARY).items())
+            assert {len(witness.u) for ok, witness in batch.values() if not ok} == lengths
+        assert batch["00", "100"][1].u == "000"
+        assert batch["11", "011"][1].u == "011"
 
     @pytest.mark.parametrize(
         "v, w, max_len, alphabet",
