@@ -348,7 +348,7 @@ def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray, inj=None) -
     is broken; if it does, the birth S + {t} joins with that v spliced to w,
     image x // |A|^|v| |A|^|w| + code(w).  Then the birth {t} joins in every
     word that v ends.  A birth checks only the sites whose windows can reach
-    t, and no birth checks a site where no pair of the pass has one.
+    t, and the check is skipped where no pair of the pass has such a site.
     Births follow the copies, new broken entries the old ones, largest S
     first; each column is written once, its copies and births in one call.
 
