@@ -302,7 +302,9 @@ def _failed_sites(table: _PairTable, L: int, nodes: tuple, row: np.ndarray, s: n
     """
     pair, m, word, sub, img = nodes
     p = pair[row]
-    site = word[row] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p]
+    # numpy's boolean indexing pays per row on a scattered mask, so rows are
+    # picked by index here and below
+    site = np.flatnonzero(word[row] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p])
     row, s, p = row[site], s[site], p[site]
     if not len(row):
         return np.zeros(len(pair), np.int32)
@@ -312,7 +314,7 @@ def _failed_sites(table: _PairTable, L: int, nodes: tuple, row: np.ndarray, s: n
     room = L + m[row] * table.shift[p] - at - np.where(own, table.nw[p], table.nv[p])
     fits = (at >= 0) & (room >= 0)
     window = img[row] // table.pw[np.where(fits, room, 0)] % np.where(own, table.kw[p], table.kv[p])
-    bad = ~fits | (window != np.where(own, table.w[p], table.v[p]))
+    bad = np.flatnonzero(~fits | (window != np.where(own, table.w[p], table.v[p])))
     # distinct bits of one node: their sum is their union
     return np.bincount(row[bad], weights=1 << s[bad], minlength=len(pair)).astype(np.int32)
 
@@ -371,7 +373,8 @@ def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray, inj=None) -
     ends = (m[at] <= mcap[p]) & (img[at] % table.kv1[p] == table.v1[p])
     # the nodes where t fails: S + {t} is broken, and t fails in their copies
     # of v's last letter
-    lost, lq = at[~ends], p[~ends]
+    lost = np.flatnonzero(~ends)
+    lost, lq = at[lost], p[lost]
     if len(lost) > 1:
         order = np.argsort(-m[lost], kind="stable")
         lost, lq = lost[order], lq[order]
@@ -384,9 +387,11 @@ def _next_level(table: _PairTable, level: _Level, pairs: np.ndarray, inj=None) -
         keep[table.wlast[pair[ew]], ew] = True
         keep[table.last[lq], lost] = True
         at_copy = np.flatnonzero(keep)
-        kept = np.divmod(at_copy, n)
+        letter = at_copy // n
+        kept = letter, at_copy - letter * n
     # S + {t}, with that v spliced to w, then {t} in each of the |A|^t
     # words that v ends: word j |A|^|v| + code(v)
+    ends = np.flatnonzero(ends)
     grow, gp = at[ends], p[ends]
     lp, j = _ranges(lone[pairs])
     lp, j = pairs[lp], j.astype(np.int32)
@@ -433,9 +438,9 @@ def _select(level: _Level, pairs, n_pairs: int) -> _Level:
     """The nodes and broken entries of ``level`` that belong to ``pairs``."""
     member = np.zeros(n_pairs, bool)
     member[pairs] = True
-    keep, broken = member[level.pair], member[level.bpair]
+    keep, broken = np.flatnonzero(member[level.pair]), np.flatnonzero(member[level.bpair])
     return _Level(level.L, *(x[keep] for x in level[1:8]), *(x[broken] for x in level[8:11]),
-                  int(np.count_nonzero(keep[: level.born])))
+                  int(np.searchsorted(keep, level.born)))
 
 
 def _sweep_levels(table: _PairTable, u_maxlen: int, inj=None):
@@ -549,17 +554,21 @@ def _level_witnesses(table: _PairTable, inj, levels: list, alphabet: W.Alphabet,
     if len(start) < len(key):
         first = np.repeat(np.minimum.reduceat(node, start), np.diff(start, append=len(key)))
         twin = np.flatnonzero(node != first)
-    # preimage: the images of one size, their counts and first nodes, where a
-    # new node or a flag makes them new; an image met once passes when
-    # |w| >= |v| and its node has no failed site, as that node holds w at the
-    # m places of its sites.  No flag is set when no node is grouped
+    # preimage: the images of one size and their counts, where a new node or
+    # a flag makes them new; an image met once passes when |w| >= |v| and its
+    # node has no failed site, as that node holds w at the m places of its
+    # sites.  No flag is set when no node is grouped.  Any node of an image
+    # stands for it: its nodes share the pair, m and the image, and without
+    # a new node they share their flags, as they copy the nodes of one image
+    # (a reduceat per image costs more than the rest of the check)
     key //= k**top
     edge = np.flatnonzero(np.concatenate(([True], key[1:] != key[:-1], [True])))
     start, count = edge[:-1], np.diff(edge)
     bad = np.zeros(0, np.int64)
     if len(key):
-        lead = np.minimum.reduceat(node, start)
-        suspect = (np.maximum.reduceat(node, start) >= old) | recheck[lead]
+        lead = node[start]
+        new = np.concatenate(([0], np.cumsum(node >= old)))
+        suspect = (new[edge[1:]] > new[start]) | recheck[lead]
         suspect &= (count > 1) | (table.shift[pair[lead]] < 0) | (failed[lead] != 0)
         recheck[:] = False
         suspect = np.flatnonzero(suspect)
@@ -603,8 +612,9 @@ def _level_witnesses(table: _PairTable, inj, levels: list, alphabet: W.Alphabet,
             witness = {"lemma": "injectivity", "u": u, "S": sites(int(sub[i])), "S'": sites(int(sub[other]))}
         found[g].append((p, witness))
     if len(bad):
-        ahead = lead[bad]
-        for i in bad[np.lexsort((ahead, m[ahead], pair[ahead], depth[ahead]))].tolist():
+        # by level, pair, size and then the image's first node
+        ahead, first_node = lead[bad], np.minimum.reduceat(node, start)[suspect[bad]]
+        for i in bad[np.lexsort((first_node, m[ahead], pair[ahead], depth[ahead]))].tolist():
             n = lead[i]
             found[depth[n]].append((int(pair[n]), {
                 "lemma": "preimage", "u'": W._spell(int(img[n]), int(size[i]), alphabet), "m": int(m[n]),
