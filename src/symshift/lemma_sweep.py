@@ -53,7 +53,10 @@ the rows of each level in ``steps``, and the occurrences of w in a window
 of images in ``cells``, which counts several offsets of an image at a
 time.  Each column of a level is its own array: a level of _SWEEP_NODES
 nodes in one block of several int32 rows would pass the 128 KiB from which
-malloc maps memory afresh, and pay page faults for every level.
+malloc maps memory afresh, and pay page faults for every level.  Rows are
+picked by index (``np.flatnonzero``), as numpy's boolean indexing pays per
+row on a scattered mask, and a ``reduceat`` over the image groups, which
+pays per group, runs only to order the images that fail.
 """
 
 from __future__ import annotations
@@ -302,8 +305,6 @@ def _failed_sites(table: _PairTable, L: int, nodes: tuple, row: np.ndarray, s: n
     """
     pair, m, word, sub, img = nodes
     p = pair[row]
-    # numpy's boolean indexing pays per row on a scattered mask, so rows are
-    # picked by index here and below
     site = np.flatnonzero(word[row] // table.pw[L - s - table.nv[p]] % table.ukv[p] == table.uv[p])
     row, s, p = row[site], s[site], p[site]
     if not len(row):
